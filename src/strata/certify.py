@@ -21,8 +21,10 @@ from .subspaces import (
     ToleranceConfig,
     is_direct_sum,
     kernel_basis,
+    maxabs,
     principal_angles,
     range_basis,
+    rank_from_singular_values,
 )
 
 __all__ = ["MembershipSpec", "SampleRecord", "PathCertificate", "certify_path"]
@@ -81,11 +83,6 @@ class PathCertificate:
         return self.verdict == "pass"
 
 
-def _maxabs(a) -> float:
-    a = np.asarray(a)
-    return float(np.max(np.abs(a))) if a.size else 0.0
-
-
 def certify_path(
     path: OperatorPath,
     expected_k: int,
@@ -114,9 +111,7 @@ def certify_path(
     failures = set()
     for (t, seg, local), w, s in zip(samples, values, svals):
         sigma_top = float(s[0]) if s.size else 0.0
-        rank = 0
-        if sigma_top > 0.0:
-            rank = int(np.count_nonzero(s > tol.rank_rel_tol * sigma_top))
+        rank = rank_from_singular_values(s, tol)
         sigma_k = float(s[expected_k - 1]) if 1 <= expected_k <= s.size else 0.0
         sigma_next = float(s[expected_k]) if s.size > expected_k else 0.0
         floor = max(sigma_next, eps * max(sigma_top, 1.0))
@@ -153,10 +148,10 @@ def certify_path(
         )
         if not ok:
             failures.add(local)
-    e0 = _maxabs(values[0] - path.start)
-    e1 = _maxabs(values[-1] - path.end)
-    endpoints_ok = e0 <= ENDPOINT_PASS_TOL * (1.0 + _maxabs(path.start)) and e1 <= (
-        ENDPOINT_PASS_TOL * (1.0 + _maxabs(path.end))
+    e0 = maxabs(values[0] - path.start)
+    e1 = maxabs(values[-1] - path.end)
+    endpoints_ok = e0 <= ENDPOINT_PASS_TOL * (1.0 + maxabs(path.start)) and e1 <= (
+        ENDPOINT_PASS_TOL * (1.0 + maxabs(path.end))
     )
     if expected_k == 0:
         verdict = "degenerate"

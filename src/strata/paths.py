@@ -1,18 +1,18 @@
 """Closed-form operator homotopies between points of a rank stratum.
 
 Every path here is a chain of piecewise closed-form segments; nothing is
-integrated numerically.  The segment kinds are:
+integrated numerically.  There are two segment kinds:
 
-  constant       t -> A
-  affine         t -> A + t*B
-  left-affine    t -> (A + t*B) @ C
-  right-affine   t -> C @ (A + t*B)
-  rotation-flip  rotate one singular direction of a matrix through an
-                 orthogonal unit vector, theta = pi*t
-  spd-line       t -> Q @ ((1-t)*S + t*I), the convex line in the positive
-                 factor of a polar decomposition
-  rotation-log   t -> expm((1-t)*K) @ M for skew K, the geodesic winding a
-                 rotation factor down to its target
+  affine     t -> a + t*b                       payload {a, b}
+  rotation   t -> R(t) @ a   (side="range")     payload {a, z, theta, side}
+             t -> a @ R(t).T (side="kernel")
+
+where R(t) = I + Z (G(t*theta) - I) Z.T is an orthogonal rotation in
+plane form: z has orthonormal columns, one consecutive pair per plane,
+and G is block diagonal with one 2x2 rotation by t*theta[j] per plane.
+A do-nothing leg is affine with b = 0.  Path files written with the
+older kinds (constant, left-affine, right-affine, rotation-flip,
+spd-line, rotation-log) are converted to these two on load.
 
 Builders guarantee their declared endpoints; whether the path stays inside
 the intended operator set is a separate concern handled by the certifier
@@ -29,7 +29,6 @@ import numpy as np
 import scipy.linalg
 
 from .errors import (
-    DirectSumError,
     DisconnectedComponentsError,
     InternalConsistencyError,
     WitnessError,
@@ -48,10 +47,12 @@ from .subspaces import (
     common_complement,
     is_direct_sum,
     kernel_basis,
+    maxabs,
     orthogonal_complement,
     principal_angles,
     range_basis,
     rank_of,
+    require_direct_sum,
     subspaces_equal,
 )
 
@@ -78,23 +79,12 @@ __all__ = [
     "discover_chain",
 ]
 
-SEGMENT_KINDS = (
-    "constant",
-    "affine",
-    "left-affine",
-    "right-affine",
-    "rotation-flip",
-    "spd-line",
-    "rotation-log",
-)
+SEGMENT_KINDS = ("affine", "rotation")
+PAYLOAD_FIELDS = {"affine": {"a", "b"}, "rotation": {"a", "z", "theta", "side"}}
 
 CHAIN_TOL = 1e-10  # consecutive segments must meet this closely
 ENDPOINT_TOL = 1e-12  # declared endpoints must be reproduced this closely
-
-
-def _maxabs(a) -> float:
-    a = np.asarray(a)
-    return float(np.max(np.abs(a))) if a.size else 0.0
+PLANE_TOL = 1e-10  # largest departure of z.T @ z from the identity
 
 
 @dataclass(frozen=True)
@@ -111,53 +101,41 @@ class PathSegment:
             raise ValueError(f"unknown segment kind {self.kind!r}")
 
 
-def _expm_skew_batch(skew: np.ndarray, scales: np.ndarray) -> np.ndarray:
-    """expm(s*K) for each s, via one Hermitian eigendecomposition of i*K."""
-    herm = 1j * skew
-    mu, w = np.linalg.eigh(herm)
-    phases = np.exp(-1j * scales[:, None] * mu[None, :])
-    out = np.einsum("ij,tj,kj->tik", w, phases, w.conj())
-    return out.real
+def _rotate(a: np.ndarray, z: np.ndarray, theta: np.ndarray, ts: np.ndarray) -> np.ndarray:
+    """R(t) @ a for each t, as a + Z (G(t*theta) - I) Z.T a, never forming R."""
+    y = z.T @ a
+    angles = ts[:, None] * theta[None, :]
+    cos_m1 = (np.cos(angles) - 1.0)[:, :, None]
+    sin = np.sin(angles)[:, :, None]
+    y1, y2 = y[0::2][None], y[1::2][None]
+    d = np.empty((ts.size,) + y.shape)
+    d[:, 0::2] = cos_m1 * y1 - sin * y2
+    d[:, 1::2] = sin * y1 + cos_m1 * y2
+    return a + z @ d
 
 
 def eval_segment_batch(seg: PathSegment, ts: np.ndarray) -> np.ndarray:
     """Evaluate one segment at an array of local parameters in [0, 1]."""
     ts = np.asarray(ts, dtype=float)
     p = seg.payload
-    if seg.kind == "constant":
-        return np.broadcast_to(p["a"], (ts.size,) + p["a"].shape).copy()
     if seg.kind == "affine":
         return p["a"][None] + ts[:, None, None] * p["b"][None]
-    if seg.kind == "left-affine":
-        return (p["a"][None] + ts[:, None, None] * p["b"][None]) @ p["c"]
-    if seg.kind == "right-affine":
-        return p["c"] @ (p["a"][None] + ts[:, None, None] * p["b"][None])
-    if seg.kind == "rotation-flip":
-        base, u, w = p["base"], p["u"], p["w"]
-        cos = np.cos(math.pi * ts)
-        sin = np.sin(math.pi * ts)
-        if p["side"] == "range":
-            row = u @ base
-            stripped = base - np.outer(u, row)
-            direction = cos[:, None] * u[None, :] + sin[:, None] * w[None, :]
-            return stripped[None] + np.einsum("ti,j->tij", direction, row)
-        col = base @ u
-        stripped = base - np.outer(col, u)
-        direction = cos[:, None] * u[None, :] + sin[:, None] * w[None, :]
-        return stripped[None] + np.einsum("i,tj->tij", col, direction)
-    if seg.kind == "spd-line":
-        q, s = p["q"], p["s"]
-        eye = np.eye(s.shape[0])
-        blend = (1.0 - ts)[:, None, None] * s[None] + ts[:, None, None] * eye[None]
-        return q @ blend
-    if seg.kind == "rotation-log":
-        rotations = _expm_skew_batch(p["skew"], 1.0 - ts)
-        return rotations @ p["tail"]
-    raise ValueError(f"unknown segment kind {seg.kind!r}")
+    if p["side"] == "range":
+        return _rotate(p["a"], p["z"], p["theta"], ts)
+    return _rotate(p["a"].T, p["z"], p["theta"], ts).transpose(0, 2, 1)
 
 
 def eval_segment(seg: PathSegment, t: float) -> np.ndarray:
     return eval_segment_batch(seg, np.array([float(t)]))[0]
+
+
+def _check_planes(z: np.ndarray, theta: np.ndarray) -> None:
+    if theta.ndim != 1 or z.ndim != 2 or z.shape[1] != 2 * theta.size:
+        raise ValueError("a rotation needs one angle per pair of plane columns")
+    if not np.all(np.isfinite(theta)):
+        raise ValueError("rotation angles must be finite")
+    if maxabs(z.T @ z - np.eye(z.shape[1])) > PLANE_TOL:
+        raise ValueError("rotation planes must have orthonormal columns")
 
 
 def make_segment(kind: str, payload: dict, start=None, end=None) -> PathSegment:
@@ -171,26 +149,24 @@ def make_segment(kind: str, payload: dict, start=None, end=None) -> PathSegment:
         else:
             clean[key] = np.asarray(value, dtype=float)
     probe = PathSegment(kind, clean, np.zeros((1, 1)), np.zeros((1, 1)))
+    if set(clean) != PAYLOAD_FIELDS[kind]:
+        raise ValueError(
+            f"segment {kind!r} needs fields {sorted(PAYLOAD_FIELDS[kind])}, "
+            f"got {sorted(clean)}"
+        )
+    if kind == "rotation":
+        _check_planes(clean["z"], clean["theta"])
     got = eval_segment_batch(probe, np.array([0.0, 1.0]))
     start = got[0] if start is None else np.asarray(start, dtype=float)
     end = got[1] if end is None else np.asarray(end, dtype=float)
     # rounding in the evaluation is proportional to the payload magnitude,
     # not the endpoint magnitude (projector factors can be large)
-    scale = 1.0 + max(
-        [_maxabs(v) for v in clean.values() if isinstance(v, np.ndarray)],
-        default=0.0,
-    )
+    scale = 1.0 + max(maxabs(clean[key]) for key in ("a", "b") if key in clean)
     for declared, computed, which in ((start, got[0], "start"), (end, got[1], "end")):
-        if _maxabs(declared - computed) > ENDPOINT_TOL * scale:
+        if maxabs(declared - computed) > ENDPOINT_TOL * scale:
             raise InternalConsistencyError(
                 f"segment {kind!r} does not reproduce its declared {which}"
             )
-    if kind == "rotation-flip":
-        u, w = clean["u"], clean["w"]
-        if abs(np.dot(u, u) - 1.0) > 1e-10 or abs(np.dot(w, w) - 1.0) > 1e-10:
-            raise ValueError("rotation vectors must be unit norm")
-        if abs(np.dot(u, w)) > 1e-10:
-            raise ValueError("rotation vectors must be orthogonal")
     return PathSegment(kind, clean, start, end)
 
 
@@ -211,8 +187,8 @@ class OperatorPath:
             if seg.start.shape != self.shape or seg.end.shape != self.shape:
                 raise ValueError("segment endpoint shape disagrees with path shape")
         for left, right in zip(segs, segs[1:]):
-            gap = _maxabs(left.end - right.start)
-            if gap > CHAIN_TOL * (1.0 + _maxabs(left.end)):
+            gap = maxabs(left.end - right.start)
+            if gap > CHAIN_TOL * (1.0 + maxabs(left.end)):
                 raise ValueError(
                     f"consecutive segments do not chain (gap {gap:.3e})"
                 )
@@ -228,7 +204,7 @@ class OperatorPath:
 
 def constant_path(a) -> OperatorPath:
     a = as_matrix(a)
-    return OperatorPath((make_segment("constant", {"a": a}),), a.shape)
+    return OperatorPath((make_segment("affine", {"a": a, "b": np.zeros_like(a)}),), a.shape)
 
 
 def locate(path: OperatorPath, t: float) -> tuple[int, float]:
@@ -262,7 +238,7 @@ def eval_path_batch(path: OperatorPath, samples) -> np.ndarray:
 
 
 def sample_parameters(path: OperatorPath, grid: int) -> list[tuple[float, int, float]]:
-    """Uniform global grid plus the exact midpoint of every affine-family leg.
+    """Uniform global grid plus the exact midpoint of every affine leg.
 
     Midpoints are forced in because a defect sitting exactly at the middle
     of an affine leg has measure zero and escapes any uniform grid.
@@ -275,52 +251,19 @@ def sample_parameters(path: OperatorPath, grid: int) -> list[tuple[float, int, f
         t = i / (grid - 1)
         samples[t] = locate(path, t)
     for s, seg in enumerate(path.segments):
-        if seg.kind in ("affine", "left-affine", "right-affine"):
+        if seg.kind == "affine":
             samples[(s + 0.5) / nseg] = (s, 0.5)
     return [(t,) + samples[t] for t in sorted(samples)]
 
 
 def _reverse_segment(seg: PathSegment) -> PathSegment:
     p = seg.payload
-    if seg.kind == "constant":
-        return seg
     if seg.kind == "affine":
-        return make_segment(
-            "affine", {"a": p["a"] + p["b"], "b": -p["b"]}, seg.end, seg.start
-        )
-    if seg.kind in ("left-affine", "right-affine"):
-        return make_segment(
-            seg.kind,
-            {"a": p["a"] + p["b"], "b": -p["b"], "c": p["c"]},
-            seg.end,
-            seg.start,
-        )
-    if seg.kind == "rotation-flip":
-        base, u = p["base"], p["u"]
-        if p["side"] == "range":
-            flipped = base - 2.0 * np.outer(u, u @ base)
-        else:
-            flipped = base - 2.0 * np.outer(base @ u, u)
-        return make_segment(
-            "rotation-flip",
-            {"base": flipped, "u": -u, "w": p["w"], "side": p["side"]},
-            seg.end,
-            seg.start,
-        )
-    if seg.kind == "spd-line":
-        q, s = p["q"], p["s"]
-        return make_segment(
-            "affine", {"a": q, "b": q @ (s - np.eye(s.shape[0]))}, seg.end, seg.start
-        )
-    if seg.kind == "rotation-log":
-        k, tail = p["skew"], p["tail"]
-        return make_segment(
-            "rotation-log",
-            {"skew": -k, "tail": scipy.linalg.expm(k) @ tail},
-            seg.end,
-            seg.start,
-        )
-    raise ValueError(f"unknown segment kind {seg.kind!r}")
+        reversed_payload = {"a": p["a"] + p["b"], "b": -p["b"]}
+    else:
+        # start from the evaluated end, so reversal adds no endpoint slack
+        reversed_payload = {**p, "a": eval_segment(seg, 1.0), "theta": -p["theta"]}
+    return make_segment(seg.kind, reversed_payload, seg.end, seg.start)
 
 
 def reverse_path(path: OperatorPath) -> OperatorPath:
@@ -330,11 +273,11 @@ def reverse_path(path: OperatorPath) -> OperatorPath:
 
 
 def _assemble(stage_paths, shape, fallback) -> OperatorPath:
-    """Concatenate stage paths, dropping do-nothing constant legs."""
+    """Concatenate stage paths, dropping do-nothing constant legs (affine, b = 0)."""
     segments = []
     for stage in stage_paths:
         segments.extend(stage.segments)
-    kept = [s for s in segments if s.kind != "constant"]
+    kept = [s for s in segments if s.kind == "rotation" or s.payload["b"].any()]
     if not kept:
         return constant_path(fallback)
     return OperatorPath(tuple(kept), shape)
@@ -403,7 +346,7 @@ def audit_flip_path(
     expected_kernel, complement = s_spec
     samples = sample_parameters(path, grid)
     values = eval_path_batch(path, samples)
-    if _maxabs(values) == 0.0:
+    if maxabs(values) == 0.0:
         records = tuple(
             {
                 "t": t,
@@ -444,6 +387,18 @@ def audit_flip_path(
         if not (check.ok and kernel_ok):
             failures.add(local)
     return FlipAudit(len(samples), False, tuple(records), tuple(sorted(failures)))
+
+
+def _half_turn(
+    base: np.ndarray, u: np.ndarray, w: np.ndarray, side: str, end: np.ndarray
+) -> PathSegment:
+    """Rotate direction u of base through the spare unit vector w, theta = pi."""
+    return make_segment(
+        "rotation",
+        {"a": base, "z": np.column_stack([u, w]), "theta": [math.pi], "side": side},
+        base,
+        end,
+    )
 
 
 def corrected_flip_path(
@@ -494,14 +449,7 @@ def corrected_flip_path(
         else:
             nxt = base - 2.0 * np.outer(base @ u, u)
         declared_end = -t_mat if i == k - 1 else nxt
-        segments.append(
-            make_segment(
-                "rotation-flip",
-                {"base": base, "u": u, "w": w, "side": side},
-                base,
-                declared_end,
-            )
-        )
+        segments.append(_half_turn(base, u, w, side, declared_end))
         base = nxt
     return OperatorPath(tuple(segments), t_mat.shape)
 
@@ -525,20 +473,13 @@ def left_project_path(
         raise ValueError("the complement must have positive dimension")
     rng = range_basis(t0, tol)
     for name, sub in (("range(t0)", rng), ("f_star", f_star)):
-        check = is_direct_sum([sub, n_sub], tol)
-        if not check.ok:
-            raise DirectSumError(
-                f"{name} does not complement the reference subspace",
-                check.condition_number,
-            )
+        require_direct_sum([sub, n_sub], tol, f"{name} (+) the reference subspace")
     alpha = alpha_from_complements(rng, f_star, n_sub, tol)
     proj = oblique_projection(f_star, n_sub, tol).projector
     if alpha.is_zero():
         return constant_path(proj @ t0)
     ap = alpha_operator(alpha) @ proj
-    seg = make_segment(
-        "left-affine", {"a": proj, "b": ap, "c": t0}, proj @ t0, t0
-    )
+    seg = make_segment("affine", {"a": proj @ t0, "b": ap @ t0}, proj @ t0, t0)
     return OperatorPath((seg,), t0.shape)
 
 
@@ -557,21 +498,14 @@ def right_project_path(
         raise ValueError("the complement must have positive dimension")
     ker = kernel_basis(t0, tol)
     for name, sub in (("kernel(t0)", ker), ("e_star", e_star)):
-        check = is_direct_sum([sub, r0], tol)
-        if not check.ok:
-            raise DirectSumError(
-                f"{name} does not complement the reference subspace",
-                check.condition_number,
-            )
+        require_direct_sum([sub, r0], tol, f"{name} (+) the reference subspace")
     alpha = alpha_from_complements(ker, e_star, r0, tol)
     p_estar = oblique_projection(e_star, r0, tol).projector
     p_r0 = np.eye(t0.shape[1]) - p_estar
     if alpha.is_zero():
         return constant_path(t0 @ p_r0)
     ap = alpha_operator(alpha) @ p_estar
-    seg = make_segment(
-        "right-affine", {"a": p_r0, "b": -ap, "c": t0}, t0 @ p_r0, t0
-    )
+    seg = make_segment("affine", {"a": t0 @ p_r0, "b": -(t0 @ ap)}, t0 @ p_r0, t0)
     return OperatorPath((seg,), t0.shape)
 
 
@@ -586,24 +520,22 @@ def polar_factors(a) -> tuple[np.ndarray, np.ndarray]:
     return u @ vt, vt.T @ np.diag(s) @ vt
 
 
-def _skew_log_rotation(w: np.ndarray) -> np.ndarray:
-    """Skew matrix K with expm(K) equal to the given rotation.
+def _skew_log_rotation(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Planes z and angles theta with R(1) = w, R in plane form.
 
-    Works on the real block-Schur form: genuine rotation blocks contribute
-    their angle, paired -1 eigenvalues contribute a half-turn in their
-    plane, +1 eigenvalues contribute nothing.  The rotation must have
+    Read off the real block-Schur form: genuine rotation blocks give a
+    plane and its angle, paired -1 eigenvalues give a half-turn in their
+    plane, +1 eigenvalues give nothing.  The rotation must have
     determinant +1, otherwise the -1 count comes out odd.
     """
     n = w.shape[0]
     t, z = scipy.linalg.schur(w, output="real")
-    skew = np.zeros((n, n))
-    minus_ones = []
+    columns, angles, minus_ones = [], [], []
     i = 0
     while i < n:
         if i + 1 < n and abs(t[i + 1, i]) > 1e-10:
-            theta = math.atan2(t[i + 1, i], 0.5 * (t[i, i] + t[i + 1, i + 1]))
-            z1, z2 = z[:, i], z[:, i + 1]
-            skew += theta * (np.outer(z2, z1) - np.outer(z1, z2))
+            angles.append(math.atan2(t[i + 1, i], 0.5 * (t[i, i] + t[i + 1, i + 1])))
+            columns += [i, i + 1]
             i += 2
         else:
             if t[i, i] < 0.0:
@@ -613,12 +545,13 @@ def _skew_log_rotation(w: np.ndarray) -> np.ndarray:
         raise InternalConsistencyError(
             "rotation with determinant -1 has no real logarithm"
         )
-    for a, b in zip(minus_ones[0::2], minus_ones[1::2]):
-        z1, z2 = z[:, a], z[:, b]
-        skew += math.pi * (np.outer(z2, z1) - np.outer(z1, z2))
-    if _maxabs(scipy.linalg.expm(skew) - w) > 1e-8 * (1.0 + n):
+    columns += minus_ones
+    angles += [math.pi] * (len(minus_ones) // 2)
+    planes, theta = z[:, columns], np.array(angles)
+    rebuilt = _rotate(np.eye(n), planes, theta, np.ones(1))[0]
+    if maxabs(rebuilt - w) > 1e-8 * (1.0 + n):
         raise InternalConsistencyError("rotation logarithm failed to reproduce input")
-    return skew
+    return planes, theta
 
 
 def gl_connect(
@@ -644,16 +577,22 @@ def gl_connect(
     d = np.eye(n)
     d[0, 0] = sign
     segments = []
-    if _maxabs(s - np.eye(n)) > 1e-13 * (1.0 + _maxabs(s)):
-        segments.append(make_segment("spd-line", {"q": q, "s": s}, a, q))
-    if _maxabs(q - d) > 1e-13:
-        skew = _skew_log_rotation(q @ d)
+    if maxabs(s - np.eye(n)) > 1e-13 * (1.0 + maxabs(s)):
+        segments.append(make_segment("affine", {"a": a, "b": q - a}, a, q))
+    if maxabs(q - d) > 1e-13:
+        # q = R(1) d, so winding q down to d turns the planes backwards
+        z, theta = _skew_log_rotation(q @ d)
         start = q if segments else a
         segments.append(
-            make_segment("rotation-log", {"skew": skew, "tail": d}, start, d)
+            make_segment(
+                "rotation",
+                {"a": start, "z": z, "theta": -theta, "side": "range"},
+                start,
+                d,
+            )
         )
     if not segments:
-        segments.append(make_segment("constant", {"a": a}))
+        return constant_path(a), sign
     return OperatorPath(tuple(segments), (n, n)), sign
 
 
@@ -661,47 +600,19 @@ def _embed_gl_segments(glpath: OperatorPath, b: np.ndarray, c: np.ndarray):
     """Carry a small invertible-factor path onto full-size operators.
 
     Maps each leg M(t) to b @ M(t) @ c, where b has orthonormal columns.
-    Affine-in-t legs stay affine; rotation legs lift to rotations of the
-    embedded ambient space because conjugating a skew generator by an
-    isometry keeps the exponential closed form.
+    Affine legs stay affine; the rotation legs of ``gl_connect`` act from
+    the left, and b @ R(t) @ M = R'(t) @ b @ M for the rotation R' whose
+    planes are b @ z.
     """
     out = []
-    eye = np.eye(b.shape[1])
     for seg in glpath.segments:
-        start = b @ seg.start @ c
-        end = b @ seg.end @ c
         p = seg.payload
-        if seg.kind == "constant":
-            out.append(make_segment("constant", {"a": b @ p["a"] @ c}, start, end))
-        elif seg.kind == "affine":
-            out.append(
-                make_segment(
-                    "affine", {"a": b @ p["a"] @ c, "b": b @ p["b"] @ c}, start, end
-                )
-            )
-        elif seg.kind == "spd-line":
-            q, s = p["q"], p["s"]
-            out.append(
-                make_segment(
-                    "affine",
-                    {"a": b @ (q @ s) @ c, "b": b @ (q @ (eye - s)) @ c},
-                    start,
-                    end,
-                )
-            )
-        elif seg.kind == "rotation-log":
-            out.append(
-                make_segment(
-                    "rotation-log",
-                    {"skew": b @ p["skew"] @ b.T, "tail": b @ p["tail"] @ c},
-                    start,
-                    end,
-                )
-            )
+        lifted = {**p, "a": b @ p["a"] @ c}
+        if seg.kind == "affine":
+            lifted["b"] = b @ p["b"] @ c
         else:
-            raise InternalConsistencyError(
-                f"cannot embed segment kind {seg.kind!r}"
-            )
+            lifted["z"] = b @ p["z"]
+        out.append(make_segment(seg.kind, lifted, b @ seg.start @ c, b @ seg.end @ c))
     return out
 
 
@@ -742,20 +653,10 @@ def _sign_flip_stage(
     k = rl1.dim
     if rows > k:
         w = orthogonal_complement(rl1).basis[:, 0]
-        return make_segment(
-            "rotation-flip",
-            {"base": start_matrix, "u": u_first, "w": w, "side": "range"},
-            start_matrix,
-            target,
-        )
+        return _half_turn(start_matrix, u_first, w, "range", target)
     if cols > k:
         w = kernel_basis(target, tol).basis[:, 0]
-        return make_segment(
-            "rotation-flip",
-            {"base": start_matrix, "u": v_first, "w": w, "side": "kernel"},
-            start_matrix,
-            target,
-        )
+        return _half_turn(start_matrix, v_first, w, "kernel", target)
     raise DisconnectedComponentsError(
         "endpoints lie in different invertible components: the factor "
         "connecting them has negative determinant and there is no spare "

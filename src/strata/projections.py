@@ -13,13 +13,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DirectSumError, InternalConsistencyError
+from .errors import InternalConsistencyError
 from .subspaces import (
     DEFAULT_TOL,
     Subspace,
     ToleranceConfig,
     as_matrix,
-    is_direct_sum,
+    maxabs,
+    require_direct_sum,
     subspaces_equal,
 )
 
@@ -34,11 +35,6 @@ __all__ = [
 ]
 
 IDEMPOTENCY_TOL = 1e-9
-
-
-def _maxabs(a) -> float:
-    a = np.asarray(a)
-    return float(np.max(np.abs(a))) if a.size else 0.0
 
 
 @dataclass(frozen=True)
@@ -61,12 +57,12 @@ class Decomposition:
             raise ValueError("part and complement live in different spaces")
         if p.shape != (n, n):
             raise ValueError(f"projector must be {n}x{n}, got {p.shape}")
-        scale = 1.0 + _maxabs(p)
-        if _maxabs(p @ p - p) > IDEMPOTENCY_TOL * scale:
+        scale = 1.0 + maxabs(p)
+        if maxabs(p @ p - p) > IDEMPOTENCY_TOL * scale:
             raise InternalConsistencyError("projector is not idempotent")
-        if self.part.dim and _maxabs(p @ self.part.basis - self.part.basis) > IDEMPOTENCY_TOL * scale:
+        if self.part.dim and maxabs(p @ self.part.basis - self.part.basis) > IDEMPOTENCY_TOL * scale:
             raise InternalConsistencyError("projector does not fix its range")
-        if self.complement.dim and _maxabs(p @ self.complement.basis) > IDEMPOTENCY_TOL * scale:
+        if self.complement.dim and maxabs(p @ self.complement.basis) > IDEMPOTENCY_TOL * scale:
             raise InternalConsistencyError("projector does not kill its kernel")
 
     @property
@@ -96,15 +92,12 @@ class GraphParam:
             raise ValueError(
                 f"coeff must be {self.codomain.dim}x{self.domain.dim}, got {c.shape}"
             )
-        check = is_direct_sum([self.domain, self.codomain])
-        if not check.ok:
-            raise DirectSumError(
-                "graph domain and codomain do not decompose the space",
-                check.condition_number,
-            )
+        require_direct_sum(
+            [self.domain, self.codomain], DEFAULT_TOL, "graph domain (+) codomain"
+        )
 
     def is_zero(self, atol: float = 0.0) -> bool:
-        return self.coeff.size == 0 or _maxabs(self.coeff) <= atol
+        return self.coeff.size == 0 or maxabs(self.coeff) <= atol
 
 
 def alpha_operator(g: GraphParam) -> np.ndarray:
@@ -125,11 +118,7 @@ def oblique_projection(
     Raises DirectSumError (with the offending condition number) when the
     two subspaces do not decompose the space.
     """
-    check = is_direct_sum([part, complement], tol)
-    if not check.ok:
-        raise DirectSumError(
-            "part and complement do not decompose the space", check.condition_number
-        )
+    require_direct_sum([part, complement], tol, "part (+) complement")
     n, d = part.ambient_dim, part.dim
     if d == 0:
         return Decomposition(part, complement, np.zeros((n, n)))
@@ -147,11 +136,7 @@ def alpha_from_complements(
     basis onto e1 along r and reading the r-component.
     """
     for name, sub in (("e1", e1), ("e_star", e_star)):
-        check = is_direct_sum([sub, r], tol)
-        if not check.ok:
-            raise DirectSumError(
-                f"{name} does not complement r", check.condition_number
-            )
+        require_direct_sum([sub, r], tol, f"{name} (+) r")
     if e1.dim != e_star.dim:
         raise ValueError("e1 and e_star must have equal dimensions")
     if e_star.dim == 0:
@@ -160,7 +145,7 @@ def alpha_from_complements(
     delta = proj @ e_star.basis - e_star.basis
     coeff = r.basis.T @ delta
     residual = delta - r.basis @ coeff
-    if _maxabs(residual) > 1e-6 * (1.0 + _maxabs(delta)):
+    if maxabs(residual) > 1e-6 * (1.0 + maxabs(delta)):
         raise InternalConsistencyError(
             "graph coefficient residual is too large; the complements are "
             "too ill-conditioned to parametrize"
@@ -194,7 +179,7 @@ def projection_update(
     p_new = base.projector + alpha_operator(g) @ base.projector
     new_part = graph_subspace(g, tol)
     p_check = oblique_projection(new_part, base.complement, tol).projector
-    if _maxabs(p_new - p_check) > 1e-9 * (1.0 + _maxabs(p_check)):
+    if maxabs(p_new - p_check) > 1e-9 * (1.0 + maxabs(p_check)):
         raise InternalConsistencyError(
             "projector update formula disagrees with direct recomputation"
         )

@@ -9,8 +9,10 @@ everywhere so identical inputs produce byte-identical files.
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
+import scipy.linalg
 
 from .certify import PathCertificate, SampleRecord
 from .geometry import TangentBasis
@@ -95,7 +97,7 @@ def graph_param_from_obj(obj: dict) -> GraphParam:
     )
 
 
-_VECTOR_KEYS = {"u", "w"}
+_VECTOR_KEYS = {"theta", "u", "w"}
 _SCALAR_KEYS = {"side"}
 
 
@@ -125,9 +127,42 @@ def _segment_from_obj(obj: dict) -> PathSegment:
             payload[key] = np.asarray(value, dtype=float)
         else:
             payload[key] = matrix_from_obj(value)
-    return make_segment(
-        obj["kind"], payload, matrix_from_obj(obj["start"]), matrix_from_obj(obj["end"])
-    )
+    start, end = matrix_from_obj(obj["start"]), matrix_from_obj(obj["end"])
+    kind, payload = _convert_legacy(obj["kind"], payload, start)
+    return make_segment(kind, payload, start, end)
+
+
+def _convert_legacy(kind: str, p: dict, start: np.ndarray) -> tuple[str, dict]:
+    """Rewrite a segment of an older kind as the same affine or rotation leg.
+
+    Current kinds pass through.  ``make_segment`` then checks the result
+    against the declared endpoints stored with the segment.
+    """
+    if kind == "constant":
+        return "affine", {"a": p["a"], "b": np.zeros_like(p["a"])}
+    if kind == "left-affine":  # (a + t b) c
+        return "affine", {"a": p["a"] @ p["c"], "b": p["b"] @ p["c"]}
+    if kind == "right-affine":  # c (a + t b)
+        return "affine", {"a": p["c"] @ p["a"], "b": p["c"] @ p["b"]}
+    if kind == "spd-line":  # q ((1 - t) s + t I)
+        a = p["q"] @ p["s"]
+        return "affine", {"a": a, "b": p["q"] - a}
+    if kind == "rotation-flip":  # half a turn of u towards w
+        planes = np.column_stack([p["u"], p["w"]])
+        return "rotation", {"a": p["base"], "z": planes, "theta": [math.pi], "side": p["side"]}
+    if kind == "rotation-log":  # expm((1 - t) K) tail = expm(-t K) start
+        t, z = scipy.linalg.schur(p["skew"], output="real")
+        columns, angles = [], []
+        i = 0
+        while i + 1 < t.shape[0]:
+            if t[i + 1, i] != 0.0:
+                columns += [i, i + 1]
+                angles.append(-0.5 * (t[i + 1, i] - t[i, i + 1]))
+                i += 2
+            else:
+                i += 1
+        return "rotation", {"a": start, "z": z[:, columns], "theta": angles, "side": "range"}
+    return kind, p
 
 
 def path_to_obj(p: OperatorPath, instance: dict | None = None) -> dict:

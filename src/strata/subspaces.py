@@ -35,6 +35,12 @@ __all__ = [
 ANGLE_TOL = 1e-8  # max principal angle below which two subspaces are "equal"
 
 
+def maxabs(a) -> float:
+    """Largest absolute entry, 0 for an empty array."""
+    a = np.asarray(a)
+    return float(np.max(np.abs(a))) if a.size else 0.0
+
+
 def as_matrix(a) -> np.ndarray:
     """Coerce to a 2-d float array, rejecting anything else."""
     m = np.asarray(a, dtype=float)
@@ -111,8 +117,7 @@ class Subspace:
         n, d = m.shape
         if d == 0:
             return cls(n, np.zeros((n, 0)))
-        s = np.linalg.svd(m, compute_uv=False)
-        if s[-1] <= tol.rank_rel_tol * s[0]:
+        if rank_from_singular_values(np.linalg.svd(m, compute_uv=False), tol) < d:
             raise ValueError("columns are numerically linearly dependent")
         q, _ = np.linalg.qr(m)
         return cls(n, q)
@@ -148,15 +153,19 @@ class DirectSumCheck:
         return self.ok
 
 
+def rank_from_singular_values(s: np.ndarray, tol: ToleranceConfig) -> int:
+    """The rank rule: count of singular values (descending) above rank_rel_tol * s[0]."""
+    if s.size == 0 or s[0] == 0.0:
+        return 0
+    return int(np.count_nonzero(s > tol.rank_rel_tol * s[0]))
+
+
 def rank_of(a, tol: ToleranceConfig = DEFAULT_TOL) -> int:
     """Numerical rank: count of singular values above the relative cutoff."""
     m = as_matrix(a)
     if m.size == 0:
         raise ValueError("matrix must be nonempty")
-    s = np.linalg.svd(m, compute_uv=False)
-    if s.size == 0 or s[0] == 0.0:
-        return 0
-    return int(np.count_nonzero(s > tol.rank_rel_tol * s[0]))
+    return rank_from_singular_values(np.linalg.svd(m, compute_uv=False), tol)
 
 
 def kernel_basis(a, tol: ToleranceConfig = DEFAULT_TOL) -> Subspace:
@@ -165,9 +174,7 @@ def kernel_basis(a, tol: ToleranceConfig = DEFAULT_TOL) -> Subspace:
     if m.size == 0:
         raise ValueError("matrix must be nonempty")
     _, s, vt = np.linalg.svd(m, full_matrices=True)
-    r = 0
-    if s.size and s[0] > 0.0:
-        r = int(np.count_nonzero(s > tol.rank_rel_tol * s[0]))
+    r = rank_from_singular_values(s, tol)
     return Subspace(m.shape[1], vt[r:, :].T)
 
 
@@ -177,9 +184,7 @@ def range_basis(a, tol: ToleranceConfig = DEFAULT_TOL) -> Subspace:
     if m.size == 0:
         raise ValueError("matrix must be nonempty")
     u, s, _ = np.linalg.svd(m, full_matrices=True)
-    r = 0
-    if s.size and s[0] > 0.0:
-        r = int(np.count_nonzero(s > tol.rank_rel_tol * s[0]))
+    r = rank_from_singular_values(s, tol)
     return Subspace(m.shape[0], u[:, :r])
 
 
@@ -239,9 +244,7 @@ def sum_and_intersection(
         return Subspace.zero(n), Subspace.zero(n)
     m = np.hstack([e1.basis, e2.basis])
     u, s, vt = np.linalg.svd(m, full_matrices=True)
-    r = 0
-    if s.size and s[0] > 0.0:
-        r = int(np.count_nonzero(s > tol.rank_rel_tol * s[0]))
+    r = rank_from_singular_values(s, tol)
     total = Subspace(n, u[:, :r])
     # Kernel vectors (x; y) of [B1 B2] satisfy B1 x = -B2 y, which lands in
     # the intersection; mapping them through B1 is injective.

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st_hyp
 
 from strata import (
     ChainWitness,
@@ -38,6 +41,12 @@ from strata.paths import OperatorPath, sample_parameters
 from conftest import random_split, span
 
 
+def is_constant(path):
+    """A single do-nothing leg: affine with a zero slope."""
+    kinds = [s.kind for s in path.segments]
+    return kinds == ["affine"] and not path.segments[0].payload["b"].any()
+
+
 def grid_eval(path, num=101):
     return [eval_path(path, t) for t in np.linspace(0.0, 1.0, num)]
 
@@ -67,7 +76,7 @@ class TestSegmentsAndEval:
 
     def test_broken_chain_rejected(self):
         a = make_segment("affine", {"a": np.zeros((1, 1)), "b": np.ones((1, 1))})
-        c = make_segment("constant", {"a": np.zeros((1, 1))})
+        c = make_segment("affine", {"a": np.zeros((1, 1)), "b": np.zeros((1, 1))})
         with pytest.raises(ValueError):
             OperatorPath((a, c), (1, 1))
 
@@ -104,6 +113,57 @@ class TestSegmentsAndEval:
         rq = reverse_path(q)
         for t in np.linspace(0, 1, 17):
             assert eval_path(rq, t) == pytest.approx(eval_path(q, 1.0 - t), abs=1e-9)
+
+
+class TestRotationLegs:
+    @staticmethod
+    def random_leg(seed, side, planes):
+        rng = np.random.default_rng(seed)
+        rows, cols = (int(x) for x in rng.integers(2, 9, size=2))
+        if side == "range":
+            rows = max(rows, 2 * planes)
+        else:
+            cols = max(cols, 2 * planes)
+        dim = rows if side == "range" else cols
+        z, _ = np.linalg.qr(rng.standard_normal((dim, 2 * planes)))
+        theta = rng.uniform(-2 * np.pi, 2 * np.pi, planes)
+        a = rng.standard_normal((rows, cols))
+        seg = make_segment("rotation", {"a": a, "z": z, "theta": theta, "side": side})
+        return OperatorPath((seg,), a.shape), a, z, theta
+
+    @given(
+        st_hyp.integers(0, 2**32 - 1),
+        st_hyp.sampled_from(["range", "kernel"]),
+        st_hyp.integers(1, 3),
+    )
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_rotation_leg(self, seed, side, planes):
+        p, a, z, theta = self.random_leg(seed, side, planes)
+        # generator sum_j theta_j (z2 z1^T - z1 z2^T), one term per plane
+        skew = sum(
+            th * (np.outer(z[:, 2 * j + 1], z[:, 2 * j]) - np.outer(z[:, 2 * j], z[:, 2 * j + 1]))
+            for j, th in enumerate(theta)
+        )
+        s0 = np.linalg.svd(a, compute_uv=False)
+        twice = reverse_path(reverse_path(p))
+        scale = np.max(np.abs(a))
+        for t in np.linspace(0.0, 1.0, 11):
+            rot = scipy.linalg.expm(t * skew)
+            want = rot @ a if side == "range" else a @ rot.T
+            got = eval_path(p, t)
+            assert np.max(np.abs(got - want)) <= 1e-12 * scale
+            assert np.max(np.abs(np.linalg.svd(got, compute_uv=False) - s0)) <= 1e-12 * s0[0]
+            assert np.max(np.abs(eval_path(twice, t) - got)) <= 1e-12 * scale
+
+    def test_invalid_planes_rejected(self):
+        a = np.eye(3)
+        z = np.eye(3)[:, :2]
+        with pytest.raises(ValueError):
+            make_segment("rotation", {"a": a, "z": 2 * z, "theta": [1.0], "side": "range"})
+        with pytest.raises(ValueError):
+            make_segment("rotation", {"a": a, "z": z, "theta": [1.0, 2.0], "side": "range"})
+        with pytest.raises(ValueError):
+            make_segment("rotation", {"a": a, "z": z, "theta": [np.nan], "side": "range"})
 
 
 class TestLiteralFlip:
@@ -304,12 +364,12 @@ class TestGlConnect:
     def test_identity_constant(self):
         p, sign = gl_connect(np.eye(3))
         assert sign == 1
-        assert [s.kind for s in p.segments] == ["constant"]
+        assert is_constant(p)
 
     def test_positive_diagonal(self):
         p, sign = gl_connect(np.diag([2.0, 1.0]))
         assert sign == 1
-        assert [s.kind for s in p.segments] == ["spd-line"]
+        assert [s.kind for s in p.segments] == ["affine"]
         assert eval_path(p, 1.0) == pytest.approx(np.eye(2), abs=1e-12)
 
     def test_negative_already_at_target(self):
@@ -360,7 +420,7 @@ class TestConnectFk:
     def test_same_matrix_constant(self):
         t = np.array([[1.0, 2.0], [0.5, 1.0]])
         p = connect_fk(t, t)
-        assert [s.kind for s in p.segments] == ["constant"]
+        assert is_constant(p)
 
     def test_negation_pair(self):
         t1 = np.array([[1.0, 0.0], [0.0, 0.0]])
@@ -412,7 +472,7 @@ class TestConnectPhi:
     def test_same_operator_constant(self):
         t = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 0.0]])
         p = connect_phi(t, t, 1, 1)
-        assert [s.kind for s in p.segments] == ["constant"]
+        assert is_constant(p)
 
     def test_membership_mismatch_rejected(self):
         t1 = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
@@ -437,7 +497,7 @@ class TestChains:
         t = np.array([[1.0, 0.0], [0.0, 0.0]])
         w = discover_chain(t, t)
         p = chain_connect(t, t, w)
-        assert [s.kind for s in p.segments] == ["constant"]
+        assert is_constant(p)
 
     def test_bad_witness_reports_slot(self):
         t = np.array([[1.0, 0.0], [0.0, 0.0]])

@@ -1,7 +1,10 @@
 import json
+import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from strata import (
     GraphParam,
@@ -58,9 +61,11 @@ class TestGraphParam:
 
 class TestPathFormat:
     def test_round_trip_every_kind(self, rng):
+        """A connect_fk path holds both kinds, affine and rotation; all legs round-trip."""
         t1 = rng.uniform(-1, 1, (3, 2)) @ rng.uniform(-1, 1, (2, 4))
         t2 = rng.uniform(-1, 1, (3, 2)) @ rng.uniform(-1, 1, (2, 4))
         p = connect_fk(t1, t2)
+        assert {s.kind for s in p.segments} == {"affine", "rotation"}
         obj = ser.path_to_obj(p, instance={"seed": 1})
         back = ser.path_from_obj(obj)
         for t in np.linspace(0, 1, 23):
@@ -82,6 +87,62 @@ class TestPathFormat:
         ser.save_json(ser.path_to_obj(p), f)
         loaded = json.loads(f.read_text())
         assert loaded["shape"] == [2, 2]
+
+
+def _old_closed_form(seg: dict, t: float) -> np.ndarray:
+    """The evaluation rule of each segment kind path files used to carry."""
+    m = {key: ser.matrix_from_obj(v) for key, v in seg.items() if isinstance(v, dict)}
+    kind = seg["kind"]
+    if kind == "constant":
+        return m["a"]
+    if kind == "affine":
+        return m["a"] + t * m["b"]
+    if kind == "left-affine":
+        return (m["a"] + t * m["b"]) @ m["c"]
+    if kind == "right-affine":
+        return m["c"] @ (m["a"] + t * m["b"])
+    if kind == "spd-line":
+        return m["q"] @ ((1.0 - t) * m["s"] + t * np.eye(m["s"].shape[0]))
+    if kind == "rotation-log":
+        return scipy.linalg.expm((1.0 - t) * m["skew"]) @ m["tail"]
+    assert kind == "rotation-flip"
+    base, u, w = m["base"], np.array(seg["u"]), np.array(seg["w"])
+    turned = math.cos(math.pi * t) * u + math.sin(math.pi * t) * w
+    if seg["side"] == "range":
+        row = u @ base
+        return base - np.outer(u, row) + np.outer(turned, row)
+    col = base @ u
+    return base - np.outer(col, u) + np.outer(col, turned)
+
+
+class TestLegacyKinds:
+    """Path files written before the kinds collapsed to affine and rotation."""
+
+    FIXTURE = Path(__file__).parent / "data" / "legacy_kinds.json"
+    CURRENT = {
+        "constant": "affine",
+        "affine": "affine",
+        "left-affine": "affine",
+        "right-affine": "affine",
+        "spd-line": "affine",
+        "rotation-flip": "rotation",
+        "rotation-log": "rotation",
+    }
+
+    def test_every_old_kind_present(self):
+        files = ser.load_json(self.FIXTURE)
+        kinds = {obj["segments"][0]["kind"] for obj in files.values()}
+        assert kinds == set(self.CURRENT)
+
+    def test_loads_as_old_closed_forms(self):
+        for label, obj in ser.load_json(self.FIXTURE).items():
+            seg = obj["segments"][0]
+            path = ser.path_from_obj(obj)
+            assert [s.kind for s in path.segments] == [self.CURRENT[seg["kind"]]], label
+            for t in np.linspace(0.0, 1.0, 11):
+                want = _old_closed_form(seg, t)
+                err = np.max(np.abs(eval_path(path, t) - want))
+                assert err <= 1e-12 * np.max(np.abs(want)), (label, t, err)
 
 
 class TestInstancePayload:
