@@ -2,7 +2,14 @@
 explicit in-stratum homotopies, and numerical certification of their
 invariants."""
 
-from .certify import MembershipSpec, PathCertificate, SampleRecord, certify_path
+from .certify import (
+    FlipAudit,
+    MembershipSpec,
+    PathCertificate,
+    SampleRecord,
+    audit_flip_path,
+    certify_path,
+)
 from .errors import (
     DirectSumError,
     DisconnectedComponentsError,
@@ -22,10 +29,8 @@ from .geometry import (
 from .instances import InstanceSpec, gen_instance, random_subspace
 from .paths import (
     ChainWitness,
-    FlipAudit,
     OperatorPath,
     PathSegment,
-    audit_flip_path,
     chain_connect,
     connect_fk,
     connect_phi,
@@ -62,6 +67,7 @@ from .subspaces import (
     orthogonal_complement,
     principal_angles,
     range_basis,
+    rank_kernel_range,
     rank_of,
     subspaces_equal,
     sum_and_intersection,

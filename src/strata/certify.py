@@ -5,7 +5,8 @@ two singular values bracketing it, plus any requested direct-sum and
 kernel-identity evidence, so a tolerance dispute can be re-adjudicated
 offline from the file alone.  Midpoints of affine legs are always forced
 into the sample set; a defect parked exactly there would otherwise slip
-through every uniform grid.
+through every uniform grid.  ``audit_flip_path`` runs the same per-sample
+membership check on a flip path without the rank part.
 """
 
 from __future__ import annotations
@@ -16,18 +17,25 @@ import numpy as np
 
 from .paths import OperatorPath, eval_path_batch, sample_parameters
 from .subspaces import (
+    ANGLE_TOL,
     DEFAULT_TOL,
     Subspace,
     ToleranceConfig,
     is_direct_sum,
-    kernel_basis,
     maxabs,
     principal_angles,
-    range_basis,
     rank_from_singular_values,
+    rank_kernel_range,
 )
 
-__all__ = ["MembershipSpec", "SampleRecord", "PathCertificate", "certify_path"]
+__all__ = [
+    "MembershipSpec",
+    "SampleRecord",
+    "PathCertificate",
+    "FlipAudit",
+    "certify_path",
+    "audit_flip_path",
+]
 
 ENDPOINT_PASS_TOL = 1e-9
 SIGMA_GAP_MIN = 1e6
@@ -52,6 +60,34 @@ class MembershipSpec:
             or self.kernel_complement is not None
             or self.kernel_equals is not None
         )
+
+
+def _membership_checks(
+    w: np.ndarray, spec: MembershipSpec, tol: ToleranceConfig
+) -> dict[str, tuple[float, bool]]:
+    """Residual and pass flag of each check ``spec`` asks for, at one sample.
+
+    The sample's kernel and range come from one SVD.  A kernel of the wrong
+    dimension has angle inf to the expected one.
+    """
+    _, ker, rng = rank_kernel_range(w, tol)
+    out = {}
+    if spec.range_complement is not None:
+        check = is_direct_sum([rng, spec.range_complement], tol)
+        out["range_complement_cond"] = (float(check.condition_number), check.ok)
+    if spec.kernel_complement is not None:
+        check = is_direct_sum([ker, spec.kernel_complement], tol)
+        out["kernel_complement_cond"] = (float(check.condition_number), check.ok)
+    if spec.kernel_equals is not None:
+        want = spec.kernel_equals
+        if ker.dim != want.dim:
+            angle = float("inf")
+        elif ker.dim == 0:
+            angle = 0.0
+        else:
+            angle = float(np.max(principal_angles(ker, want)))
+        out["kernel_angle"] = (angle, angle < ANGLE_TOL)
+    return out
 
 
 @dataclass(frozen=True)
@@ -119,30 +155,9 @@ def certify_path(
         ok = rank == expected_k and gap_ok
         residuals = None
         if membership is not None and membership.any():
-            residuals = {}
-            if membership.range_complement is not None:
-                check = is_direct_sum(
-                    [range_basis(w, tol), membership.range_complement], tol
-                )
-                residuals["range_complement_cond"] = float(check.condition_number)
-                ok = ok and check.ok
-            if membership.kernel_complement is not None:
-                check = is_direct_sum(
-                    [kernel_basis(w, tol), membership.kernel_complement], tol
-                )
-                residuals["kernel_complement_cond"] = float(check.condition_number)
-                ok = ok and check.ok
-            if membership.kernel_equals is not None:
-                ker = kernel_basis(w, tol)
-                want = membership.kernel_equals
-                if ker.dim != want.dim:
-                    angle = float("inf")
-                elif ker.dim == 0:
-                    angle = 0.0
-                else:
-                    angle = float(np.max(principal_angles(ker, want)))
-                residuals["kernel_angle"] = angle
-                ok = ok and angle < 1e-8
+            checks = _membership_checks(w, membership, tol)
+            residuals = {name: value for name, (value, _) in checks.items()}
+            ok = ok and all(passed for _, passed in checks.values())
         records.append(
             SampleRecord(t, seg, local, rank, sigma_k, sigma_next, residuals, bool(ok))
         )
@@ -168,3 +183,59 @@ def certify_path(
         verdict,
         tuple(sorted(failures)),
     )
+
+
+@dataclass(frozen=True)
+class FlipAudit:
+    """Pointwise membership evidence for a flip path."""
+
+    grid_size: int
+    degenerate: bool
+    records: tuple[dict, ...]
+    failures: tuple[float, ...]
+
+    @property
+    def passed(self) -> bool:
+        return not self.failures
+
+
+def audit_flip_path(
+    path: OperatorPath,
+    s_spec: tuple[Subspace, Subspace],
+    grid: int = 11,
+    tol: ToleranceConfig = DEFAULT_TOL,
+) -> FlipAudit:
+    """Check, per sample, that the path stays in its advertised operator set.
+
+    ``s_spec`` is (expected kernel, complement): at each sample the range
+    must complement the given subspace and the kernel must equal the
+    expected one.  Failures are reported by the local parameter of the leg
+    they occur on, so a midpoint defect always reads 0.5.
+    """
+    expected_kernel, complement = s_spec
+    spec = MembershipSpec(range_complement=complement, kernel_equals=expected_kernel)
+    samples = sample_parameters(path, grid)
+    values = eval_path_batch(path, samples)
+    degenerate = maxabs(values) == 0.0
+    records = []
+    failures = set()
+    for (t, seg, local), w in zip(samples, values):
+        if degenerate:
+            range_check, kernel_check = (0.0, True), (0.0, True)
+        else:
+            checks = _membership_checks(w, spec, tol)
+            range_check, kernel_check = checks["range_complement_cond"], checks["kernel_angle"]
+        records.append(
+            {
+                "t": t,
+                "segment": seg,
+                "local_t": local,
+                "range_split_ok": bool(range_check[1]),
+                "range_condition": range_check[0],
+                "kernel_ok": bool(kernel_check[1]),
+                "kernel_angle": kernel_check[0],
+            }
+        )
+        if not (range_check[1] and kernel_check[1]):
+            failures.add(local)
+    return FlipAudit(len(samples), degenerate, tuple(records), tuple(sorted(failures)))

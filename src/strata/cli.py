@@ -2,7 +2,8 @@
 
 Exit codes for `certify`: 0 pass, 1 fail, 2 degenerate.  `audit-thm12`
 exits 1 when the audited affine flip family leaves its operator set,
-which is the documented expected outcome.  The STRATA_TOL environment
+which is the documented expected outcome.  Every command exits 4 on an
+input it cannot use, such as a path file with a missing field.  The STRATA_TOL environment
 variable overrides the default relative rank tolerance everywhere.
 """
 
@@ -15,17 +16,14 @@ import sys
 import numpy as np
 
 from . import serialization as ser
-from .certify import certify_path
+from .certify import audit_flip_path, certify_path
 from .errors import StrataError
 from .geometry import StratumPoint, dim_fk, tangent_basis
 from .instances import InstanceSpec, gen_instance, random_subspace
 from .paths import (
-    audit_flip_path,
-    chain_connect,
     connect_fk,
     connect_phi,
     corrected_flip_path,
-    discover_chain,
     literal_flip_path,
     reverse_path,
 )
@@ -51,14 +49,11 @@ def _cmd_connect(args) -> int:
     tol = _tolerance()
     payload = ser.instance_from_obj(ser.load_json(args.infile))
     t1, t2 = payload["T1"], payload["T2"]
-    if args.mode == "fk":
-        path = connect_fk(t1, t2, tol)
-    elif args.mode == "phi":
+    if args.mode == "phi":
         k = rank_of(t1, tol)
         path = connect_phi(t1, t2, t1.shape[1] - k, t1.shape[0] - k, tol)
-    else:
-        witness = discover_chain(t1, t2, tol)
-        path = chain_connect(t1, t2, witness, tol)
+    else:  # "fk" and "chain" name the same construction
+        path = connect_fk(t1, t2, tol)
     if args.reverse:
         path = reverse_path(path)
     ser.save_json(ser.path_to_obj(path, ser.instance_echo(payload)), args.out)

@@ -18,11 +18,9 @@ from .subspaces import (
     Subspace,
     ToleranceConfig,
     as_matrix,
-    kernel_basis,
     orthogonal_complement,
     principal_angles,
-    range_basis,
-    rank_of,
+    rank_kernel_range,
 )
 
 __all__ = [
@@ -80,7 +78,7 @@ class StratumPoint:
     @classmethod
     def at(cls, op, tol: ToleranceConfig = DEFAULT_TOL) -> "StratumPoint":
         op = as_matrix(op)
-        return cls(op, rank_of(op, tol), kernel_basis(op, tol), range_basis(op, tol))
+        return cls(op, *rank_kernel_range(op, tol))
 
     @property
     def shape(self) -> tuple[int, int]:

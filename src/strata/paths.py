@@ -17,7 +17,7 @@ spd-line, rotation-log) are converted to these two on load.
 Builders guarantee their declared endpoints; whether the path stays inside
 the intended operator set is a separate concern handled by the certifier
 (and deliberately violated by ``literal_flip_path``, see
-``audit_flip_path``).
+``certify.audit_flip_path``).
 """
 
 from __future__ import annotations
@@ -48,9 +48,8 @@ from .subspaces import (
     is_direct_sum,
     kernel_basis,
     maxabs,
-    orthogonal_complement,
-    principal_angles,
     range_basis,
+    rank_kernel_range,
     rank_of,
     require_direct_sum,
     subspaces_equal,
@@ -59,7 +58,6 @@ from .subspaces import (
 __all__ = [
     "PathSegment",
     "OperatorPath",
-    "FlipAudit",
     "ChainWitness",
     "make_segment",
     "constant_path",
@@ -68,7 +66,6 @@ __all__ = [
     "sample_parameters",
     "reverse_path",
     "literal_flip_path",
-    "audit_flip_path",
     "corrected_flip_path",
     "left_project_path",
     "right_project_path",
@@ -111,7 +108,9 @@ def _rotate(a: np.ndarray, z: np.ndarray, theta: np.ndarray, ts: np.ndarray) -> 
     d = np.empty((ts.size,) + y.shape)
     d[:, 0::2] = cos_m1 * y1 - sin * y2
     d[:, 1::2] = sin * y1 + cos_m1 * y2
-    return a + z @ d
+    out = z @ d
+    out += a
+    return out
 
 
 def eval_segment_batch(seg: PathSegment, ts: np.ndarray) -> np.ndarray:
@@ -119,7 +118,9 @@ def eval_segment_batch(seg: PathSegment, ts: np.ndarray) -> np.ndarray:
     ts = np.asarray(ts, dtype=float)
     p = seg.payload
     if seg.kind == "affine":
-        return p["a"][None] + ts[:, None, None] * p["b"][None]
+        out = ts[:, None, None] * p["b"]
+        out += p["a"]
+        return out
     if p["side"] == "range":
         return _rotate(p["a"], p["z"], p["theta"], ts)
     return _rotate(p["a"].T, p["z"], p["theta"], ts).transpose(0, 2, 1)
@@ -295,8 +296,8 @@ def literal_flip_path(
     Leg one tilts the projector onto the graph complement, leg two runs the
     printed affine family back down to the negated projector.  This is the
     classical construction shipped verbatim; it makes no membership promise
-    along the way, and ``audit_flip_path`` shows the second leg leaves the
-    admissible set at its midpoint whenever the tilt is nonzero.
+    along the way, and ``certify.audit_flip_path`` shows the second leg
+    leaves the admissible set at its midpoint whenever the tilt is nonzero.
     """
     if r.dim == 0:
         raise ValueError("the complement must have positive dimension")
@@ -314,79 +315,6 @@ def literal_flip_path(
         "affine", {"a": proj + ap, "b": -2.0 * proj - ap}, proj + ap, -proj
     )
     return OperatorPath((leg1, leg2), (n, n))
-
-
-@dataclass(frozen=True)
-class FlipAudit:
-    """Pointwise membership evidence for a flip path."""
-
-    grid_size: int
-    degenerate: bool
-    records: tuple[dict, ...]
-    failures: tuple[float, ...]
-
-    @property
-    def passed(self) -> bool:
-        return not self.failures
-
-
-def audit_flip_path(
-    path: OperatorPath,
-    s_spec: tuple[Subspace, Subspace],
-    grid: int = 11,
-    tol: ToleranceConfig = DEFAULT_TOL,
-) -> FlipAudit:
-    """Check, per sample, that the path stays in its advertised operator set.
-
-    ``s_spec`` is (expected kernel, complement): at each sample the range
-    must complement the given subspace and the kernel must equal the
-    expected one.  Failures are reported by the local parameter of the leg
-    they occur on, so a midpoint defect always reads 0.5.
-    """
-    expected_kernel, complement = s_spec
-    samples = sample_parameters(path, grid)
-    values = eval_path_batch(path, samples)
-    if maxabs(values) == 0.0:
-        records = tuple(
-            {
-                "t": t,
-                "segment": seg,
-                "local_t": local,
-                "range_split_ok": True,
-                "range_condition": 0.0,
-                "kernel_ok": True,
-                "kernel_angle": 0.0,
-            }
-            for (t, seg, local) in samples
-        )
-        return FlipAudit(len(samples), True, records, ())
-    records = []
-    failures = set()
-    for (t, seg, local), w in zip(samples, values):
-        rng = range_basis(w, tol)
-        check = is_direct_sum([rng, complement], tol)
-        ker = kernel_basis(w, tol)
-        if ker.dim == expected_kernel.dim and ker.dim > 0:
-            angle = float(np.max(principal_angles(ker, expected_kernel)))
-        elif ker.dim == expected_kernel.dim:
-            angle = 0.0
-        else:
-            angle = float("nan")
-        kernel_ok = ker.dim == expected_kernel.dim and (ker.dim == 0 or angle < 1e-8)
-        records.append(
-            {
-                "t": t,
-                "segment": seg,
-                "local_t": local,
-                "range_split_ok": bool(check.ok),
-                "range_condition": float(check.condition_number),
-                "kernel_ok": bool(kernel_ok),
-                "kernel_angle": angle,
-            }
-        )
-        if not (check.ok and kernel_ok):
-            failures.add(local)
-    return FlipAudit(len(samples), False, tuple(records), tuple(sorted(failures)))
 
 
 def _half_turn(
@@ -638,25 +566,22 @@ def _restricted_inverse(
 def _sign_flip_stage(
     start_matrix: np.ndarray,
     target: np.ndarray,
-    u_first: np.ndarray,
-    v_first: np.ndarray,
-    rl1: Subspace,
-    tol: ToleranceConfig,
+    u_full: np.ndarray,
+    vt_full: np.ndarray,
+    k: int,
 ) -> PathSegment:
     """Rotate the single negated singular direction back, absorbing a sign.
 
-    Prefers a spare range direction; falls back to a spare kernel
-    direction.  When neither side has room the two endpoints genuinely lie
-    in different invertible components.
+    ``u_full`` and ``vt_full`` are the full singular frames of the rank-k
+    target.  Prefers the spare range direction u_full[:, k]; falls back to
+    the spare kernel direction vt_full[k].  When neither side has room the
+    two endpoints genuinely lie in different invertible components.
     """
     rows, cols = target.shape
-    k = rl1.dim
     if rows > k:
-        w = orthogonal_complement(rl1).basis[:, 0]
-        return _half_turn(start_matrix, u_first, w, "range", target)
+        return _half_turn(start_matrix, u_full[:, 0], u_full[:, k], "range", target)
     if cols > k:
-        w = kernel_basis(target, tol).basis[:, 0]
-        return _half_turn(start_matrix, v_first, w, "kernel", target)
+        return _half_turn(start_matrix, vt_full[0], vt_full[k], "kernel", target)
     raise DisconnectedComponentsError(
         "endpoints lie in different invertible components: the factor "
         "connecting them has negative determinant and there is no spare "
@@ -688,60 +613,21 @@ def _gl_stage(
     segments = _embed_gl_segments(glpath, bf, c2)
     if sign < 0:
         flipped = segments[-1].end if segments else current
-        segments.append(
-            _sign_flip_stage(flipped, l1, bf[:, 0], vt_full[0, :], rl1, tol)
-        )
+        segments.append(_sign_flip_stage(flipped, l1, u_full, vt_full, k))
     return segments
 
 
 def connect_fk(t1, t2, tol: ToleranceConfig = DEFAULT_TOL) -> OperatorPath:
     """Build an explicit path from t2 to t1 inside the rank-k stratum.
 
-    Assembly: pick a common complement of the two row spaces and one of the
-    two ranges; slide t2 down to its restriction against the common kernel
-    complement, slide its range onto the range of the restricted t1, peel
-    off the invertible factor and connect it canonically, absorb a leftover
-    sign by one rotation flip, then slide back up to t1.  Rank k is
-    maintained at every parameter.
+    This is the chain construction with the shortest witness: one common
+    complement of the two kernels and one of the two ranges
+    (``discover_chain``).  ``chain_connect`` then slides t2 onto those
+    complements, connects the invertible factor that is left canonically,
+    absorbs a leftover sign by one rotation, and slides back up to t1.
+    Rank k is maintained at every parameter.
     """
-    t1 = as_matrix(t1)
-    t2 = as_matrix(t2)
-    if t1.shape != t2.shape:
-        raise ValueError("endpoints must share a shape")
-    k = rank_of(t1, tol)
-    if rank_of(t2, tol) != k:
-        raise ValueError(
-            f"rank mismatch: {k} vs {rank_of(t2, tol)}; endpoints lie in "
-            "different strata"
-        )
-    if np.array_equal(t1, t2):
-        return constant_path(t1)
-    rows, cols = t1.shape
-    ker1 = kernel_basis(t1, tol)
-    ker2 = kernel_basis(t2, tol)
-    r1 = orthogonal_complement(ker1)
-    r2 = orthogonal_complement(ker2)
-    n0 = common_complement(r1, r2, tol)
-    n_plus = common_complement(range_basis(t1, tol), range_basis(t2, tol), tol)
-    proj_r1 = oblique_projection(r1, n0, tol).projector
-    proj_r2 = oblique_projection(r2, n0, tol).projector
-    l1 = t1 @ proj_r1
-    l2 = t2 @ proj_r2
-    stages = []
-    if n0.dim > 0:
-        stages.append(reverse_path(right_project_path(t2, n0, r2, tol)))
-    rl1 = range_basis(l1, tol)
-    if n_plus.dim > 0:
-        stages.append(reverse_path(left_project_path(l2, rl1, n_plus, tol)))
-        pl2 = oblique_projection(rl1, n_plus, tol).projector @ l2
-    else:
-        pl2 = l2
-    gl_segments = _gl_stage(pl2, l1, r1, n_plus, k, tol)
-    if gl_segments:
-        stages.append(OperatorPath(tuple(gl_segments), t1.shape))
-    if n0.dim > 0:
-        stages.append(right_project_path(t1, n0, r1, tol))
-    return _assemble(stages, t1.shape, t1)
+    return chain_connect(t1, t2, discover_chain(t1, t2, tol), tol)
 
 
 def connect_phi(
@@ -811,11 +697,31 @@ class ChainWitness:
             )
 
 
+def _equal_rank_frames(
+    t1, t2, tol: ToleranceConfig
+) -> tuple[np.ndarray, np.ndarray, int, tuple[Subspace, Subspace], tuple[Subspace, Subspace]]:
+    """Both endpoints as matrices with their common rank, kernels and ranges.
+
+    One SVD per endpoint.  Raises ValueError when the shapes or the ranks
+    differ.
+    """
+    t1 = as_matrix(t1)
+    t2 = as_matrix(t2)
+    if t1.shape != t2.shape:
+        raise ValueError("endpoints must share a shape")
+    k1, ker1, rng1 = rank_kernel_range(t1, tol)
+    k2, ker2, rng2 = rank_kernel_range(t2, tol)
+    if k1 != k2:
+        raise ValueError(f"rank mismatch: {k1} vs {k2}; endpoints lie in different strata")
+    return t1, t2, k1, (ker1, ker2), (rng1, rng2)
+
+
 def _validate_witness(
-    witness: ChainWitness, t0: np.ndarray, t_star: np.ndarray, tol: ToleranceConfig
-) -> tuple[list[Subspace], list[Subspace]]:
-    kernel_nodes = [kernel_basis(t0, tol), *witness.kernels, kernel_basis(t_star, tol)]
-    range_nodes = [range_basis(t0, tol), *witness.ranges, range_basis(t_star, tol)]
+    witness: ChainWitness,
+    kernel_nodes: list[Subspace],
+    range_nodes: list[Subspace],
+    tol: ToleranceConfig,
+) -> None:
     for j, comp in enumerate(witness.kernel_complements, start=1):
         for node, side in ((kernel_nodes[j - 1], "left"), (kernel_nodes[j], "right")):
             check = is_direct_sum([node, comp], tol)
@@ -832,7 +738,6 @@ def _validate_witness(
                     f"range chain slot {i}: complement does not split the "
                     f"{side} range (condition {check.condition_number:.3e})"
                 )
-    return kernel_nodes, range_nodes
 
 
 def chain_connect(
@@ -846,14 +751,10 @@ def chain_connect(
     through an invertible factor, connected canonically with a possible
     sign-absorbing rotation.
     """
-    t0 = as_matrix(t0)
-    t_star = as_matrix(t_star)
-    if t0.shape != t_star.shape:
-        raise ValueError("endpoints must share a shape")
-    k = rank_of(t0, tol)
-    if rank_of(t_star, tol) != k:
-        raise ValueError("rank mismatch: no chain can certify equivalence")
-    kernel_nodes, range_nodes = _validate_witness(witness, t0, t_star, tol)
+    t0, t_star, k, kernels, ranges = _equal_rank_frames(t0, t_star, tol)
+    kernel_nodes = [kernels[0], *witness.kernels, kernels[1]]
+    range_nodes = [ranges[0], *witness.ranges, ranges[1]]
+    _validate_witness(witness, kernel_nodes, range_nodes, tol)
     if np.array_equal(t0, t_star):
         return constant_path(t0)
     m = len(witness.kernels)
@@ -912,12 +813,7 @@ def discover_chain(
     t0, t_star, tol: ToleranceConfig = DEFAULT_TOL
 ) -> ChainWitness:
     """Shortest witness between same-rank operators: one common complement a side."""
-    t0 = as_matrix(t0)
-    t_star = as_matrix(t_star)
-    if t0.shape != t_star.shape:
-        raise ValueError("endpoints must share a shape")
-    if rank_of(t0, tol) != rank_of(t_star, tol):
-        raise ValueError("rank mismatch: the operators are not equivalent")
-    r1 = common_complement(kernel_basis(t0, tol), kernel_basis(t_star, tol), tol)
-    s1 = common_complement(range_basis(t0, tol), range_basis(t_star, tol), tol)
+    _, _, _, kernels, ranges = _equal_rank_frames(t0, t_star, tol)
+    r1 = common_complement(*kernels, tol)
+    s1 = common_complement(*ranges, tol)
     return ChainWitness((), (r1,), (), (s1,))

@@ -14,11 +14,11 @@ import math
 import numpy as np
 import scipy.linalg
 
-from .certify import PathCertificate, SampleRecord
+from .certify import FlipAudit, PathCertificate, SampleRecord
+from .errors import StrataError
 from .geometry import TangentBasis
 from .paths import (
     ChainWitness,
-    FlipAudit,
     OperatorPath,
     PathSegment,
     make_segment,
@@ -116,19 +116,22 @@ def _segment_to_obj(seg: PathSegment) -> dict:
     return obj
 
 
-def _segment_from_obj(obj: dict) -> PathSegment:
-    payload = {}
-    for key, value in obj.items():
-        if key in ("kind", "start", "end"):
-            continue
-        if key in _SCALAR_KEYS:
-            payload[key] = value
-        elif key in _VECTOR_KEYS:
-            payload[key] = np.asarray(value, dtype=float)
-        else:
-            payload[key] = matrix_from_obj(value)
-    start, end = matrix_from_obj(obj["start"]), matrix_from_obj(obj["end"])
-    kind, payload = _convert_legacy(obj["kind"], payload, start)
+def _segment_from_obj(obj: dict, index: int) -> PathSegment:
+    try:
+        payload = {}
+        for key, value in obj.items():
+            if key in ("kind", "start", "end"):
+                continue
+            if key in _SCALAR_KEYS:
+                payload[key] = value
+            elif key in _VECTOR_KEYS:
+                payload[key] = np.asarray(value, dtype=float)
+            else:
+                payload[key] = matrix_from_obj(value)
+        start, end = matrix_from_obj(obj["start"]), matrix_from_obj(obj["end"])
+        kind, payload = _convert_legacy(obj["kind"], payload, start)
+    except KeyError as exc:
+        raise StrataError(f"path segment {index} is missing field {exc.args[0]!r}") from None
     return make_segment(kind, payload, start, end)
 
 
@@ -174,8 +177,13 @@ def path_to_obj(p: OperatorPath, instance: dict | None = None) -> dict:
 
 
 def path_from_obj(obj: dict) -> OperatorPath:
-    shape = tuple(int(x) for x in obj["shape"])
-    segments = tuple(_segment_from_obj(s) for s in obj["segments"])
+    """Load a path; a missing field raises StrataError naming it and its segment."""
+    try:
+        shape = tuple(int(x) for x in obj["shape"])
+        raw = obj["segments"]
+    except KeyError as exc:
+        raise StrataError(f"path is missing field {exc.args[0]!r}") from None
+    segments = tuple(_segment_from_obj(s, i) for i, s in enumerate(raw))
     return OperatorPath(segments, shape)
 
 

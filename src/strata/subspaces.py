@@ -22,6 +22,7 @@ __all__ = [
     "Subspace",
     "DirectSumCheck",
     "rank_of",
+    "rank_kernel_range",
     "kernel_basis",
     "range_basis",
     "is_direct_sum",
@@ -168,24 +169,29 @@ def rank_of(a, tol: ToleranceConfig = DEFAULT_TOL) -> int:
     return rank_from_singular_values(np.linalg.svd(m, compute_uv=False), tol)
 
 
-def kernel_basis(a, tol: ToleranceConfig = DEFAULT_TOL) -> Subspace:
-    """Orthonormal basis of the null space, as a subspace of the domain."""
+def rank_kernel_range(a, tol: ToleranceConfig = DEFAULT_TOL) -> tuple[int, Subspace, Subspace]:
+    """Numerical rank, kernel and range of a matrix, all from one full SVD.
+
+    The kernel (a subspace of the domain) and the range (of the codomain)
+    are cut at the same rank, so ``k + kernel.dim`` always equals the
+    column count.
+    """
     m = as_matrix(a)
     if m.size == 0:
         raise ValueError("matrix must be nonempty")
-    _, s, vt = np.linalg.svd(m, full_matrices=True)
-    r = rank_from_singular_values(s, tol)
-    return Subspace(m.shape[1], vt[r:, :].T)
+    u, s, vt = np.linalg.svd(m, full_matrices=True)
+    k = rank_from_singular_values(s, tol)
+    return k, Subspace(m.shape[1], vt[k:, :].T), Subspace(m.shape[0], u[:, :k])
+
+
+def kernel_basis(a, tol: ToleranceConfig = DEFAULT_TOL) -> Subspace:
+    """Orthonormal basis of the null space, as a subspace of the domain."""
+    return rank_kernel_range(a, tol)[1]
 
 
 def range_basis(a, tol: ToleranceConfig = DEFAULT_TOL) -> Subspace:
     """Orthonormal basis of the column space, as a subspace of the codomain."""
-    m = as_matrix(a)
-    if m.size == 0:
-        raise ValueError("matrix must be nonempty")
-    u, s, _ = np.linalg.svd(m, full_matrices=True)
-    r = rank_from_singular_values(s, tol)
-    return Subspace(m.shape[0], u[:, :r])
+    return rank_kernel_range(a, tol)[2]
 
 
 def is_direct_sum(parts, tol: ToleranceConfig = DEFAULT_TOL) -> DirectSumCheck:

@@ -5,6 +5,7 @@ from strata import (
     GraphParam,
     MembershipSpec,
     Subspace,
+    audit_flip_path,
     certify_path,
     connect_fk,
     constant_path,
@@ -66,6 +67,28 @@ class TestCertify:
             p, 1, grid=5, membership=MembershipSpec(kernel_equals=span([1, 0]))
         )
         assert bad.verdict == "fail"
+
+    def test_audit_reads_the_certify_membership_check(self):
+        e_star, r = span([1, 0, 0]), span([0, 1, 0], [0, 0, 1])
+        p = literal_flip_path(e_star, r, tilt(e_star, r, [[0, 0, 0], [1, 0, 0], [0.5, 0, 0]]))
+        audit = audit_flip_path(p, (r, r), grid=11)
+        cert = certify_path(
+            p, 1, grid=11, membership=MembershipSpec(range_complement=r, kernel_equals=r)
+        )
+        assert 0.5 in audit.failures
+        assert len(audit.records) == len(cert.per_sample)
+        for rec, sample in zip(audit.records, cert.per_sample):
+            assert rec["t"] == sample.t
+            assert rec["range_condition"] == sample.membership_residuals["range_complement_cond"]
+            assert rec["kernel_angle"] == sample.membership_residuals["kernel_angle"]
+
+    def test_audit_kernel_dimension_mismatch_reads_inf(self):
+        # kernel of diag(1, 0, 0) is two-dimensional; the expected one is a line
+        p = constant_path(np.diag([1.0, 0.0, 0.0]))
+        audit = audit_flip_path(p, (span([0, 0, 1]), span([0, 1, 0], [0, 0, 1])), grid=3)
+        assert not audit.passed
+        assert all(rec["kernel_angle"] == float("inf") for rec in audit.records)
+        assert not any(rec["kernel_ok"] for rec in audit.records)
 
     def test_grid_too_small(self):
         with pytest.raises(ValueError):

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -139,6 +140,19 @@ class TestOtherCommands:
                     "--membership", member_file, "--out", cert])
         assert code == 1
         assert 0.5 in json.loads(cert.read_text())["failures"]
+
+    @pytest.mark.parametrize("field", ["c", "start"])
+    def test_malformed_path_file_exits_4(self, tmp_path, capsys, field):
+        fixture = Path(__file__).parent / "data" / "legacy_kinds.json"
+        obj = ser.load_json(fixture)["left-affine"]
+        del obj["segments"][0][field]
+        path_file = tmp_path / "path.json"
+        ser.save_json(obj, path_file)
+        code = run(["certify", "--path", path_file, "--k", 1, "--samples", 11,
+                    "--out", tmp_path / "cert.json"])
+        assert code == 4
+        err = capsys.readouterr().err
+        assert "segment 0" in err and repr(field) in err
 
     def test_strata_tol_env(self, tmp_path, monkeypatch):
         monkeypatch.setenv("STRATA_TOL", "1e-2")

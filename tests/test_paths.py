@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -431,7 +433,7 @@ class TestConnectFk:
             assert rank_of(w) == 1
 
     def test_rank_mismatch(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="rank mismatch: 2 vs 1; endpoints lie in different strata"):
             connect_fk(np.eye(2), np.diag([1.0, 0.0]))
 
     def test_disconnected_square(self):
@@ -444,6 +446,38 @@ class TestConnectFk:
         p = connect_fk(np.eye(2), np.diag([2.0, 3.0]))
         for w in grid_eval(p, 101):
             assert rank_of(w) == 2
+
+    def test_is_the_chain_construction(self):
+        shapes = [(2, 3, 1), (3, 4, 2), (5, 6, 3), (4, 2, 1), (5, 6, 4)]  # (m cols, n rows, k)
+        for seed in range(20):
+            m, n, k = shapes[seed % len(shapes)]
+            payload = gen_instance(InstanceSpec(m=m, n=n, k=k, seed=seed, kind="fk-pair"))
+            t1, t2 = payload["T1"], payload["T2"]
+            p = connect_fk(t1, t2)
+            q = chain_connect(t1, t2, discover_chain(t1, t2))
+            assert len(p.segments) == len(q.segments)
+            for t in np.linspace(0.0, 1.0, 21):
+                assert np.max(np.abs(eval_path(p, t) - eval_path(q, t))) <= 1e-12
+
+    def test_factorization_count(self, monkeypatch):
+        # one 6x5 rank-3 pair: one SVD per endpoint for rank, kernel and range
+        payload = gen_instance(InstanceSpec(m=5, n=6, k=3, seed=0, kind="fk-pair"))
+        calls = Counter()
+
+        def counting(name):
+            original = getattr(np.linalg, name)
+
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            return counted
+
+        for name in ("svd", "inv"):
+            monkeypatch.setattr(np.linalg, name, counting(name))
+        connect_fk(payload["T1"], payload["T2"])
+        assert 0 < calls["svd"] <= 36
+        assert 0 < calls["inv"] <= 7
 
     def test_random_rank_constancy(self, rng):
         for seed in range(30):

@@ -12,6 +12,7 @@ from strata import (
     orthogonal_complement,
     principal_angles,
     range_basis,
+    rank_kernel_range,
     rank_of,
     subspaces_equal,
     sum_and_intersection,
@@ -113,6 +114,28 @@ class TestKernelRange:
             a = rng.standard_normal((m, k)) @ rng.standard_normal((k, n)) if k else np.zeros((m, n))
             assert kernel_basis(a).dim + rank_of(a) == n
             assert a @ kernel_basis(a).basis == pytest.approx(np.zeros((m, kernel_basis(a).dim)), abs=1e-9)
+
+    def test_rank_kernel_range_agrees_with_separate_calls(self):
+        rng = np.random.default_rng(21)
+        cases = [np.zeros((3, 4)), np.zeros((1, 1)), np.eye(3), rng.standard_normal((4, 4))]
+        cases.append(rng.standard_normal((5, 3)))
+        cases.append(rng.standard_normal((2, 6)))
+        for _ in range(30):
+            m, n = rng.integers(1, 8, size=2)
+            k = int(rng.integers(0, min(m, n) + 1))
+            cases.append(
+                rng.standard_normal((m, k)) @ rng.standard_normal((k, n)) if k else np.zeros((m, n))
+            )
+        for a in cases:
+            k, ker, rng_sub = rank_kernel_range(a)
+            assert k == rank_of(a)
+            assert k + ker.dim == a.shape[1]
+            assert rng_sub.dim == k and rng_sub.ambient_dim == a.shape[0]
+            assert subspaces_equal(ker, kernel_basis(a))
+            assert subspaces_equal(rng_sub, range_basis(a))
+            assert np.max(np.abs(a @ ker.basis), initial=0.0) <= 1e-9 * (1.0 + np.max(np.abs(a)))
+            residual = a - rng_sub.orthogonal_projector() @ a
+            assert np.max(np.abs(residual)) <= 1e-9 * (1.0 + np.max(np.abs(a)))
 
 
 class TestDirectSum:
