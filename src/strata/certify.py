@@ -12,6 +12,7 @@ membership check on a flip path without the rank part.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -90,8 +91,7 @@ def _membership_checks(
     return out
 
 
-@dataclass(frozen=True)
-class SampleRecord:
+class SampleRecord(NamedTuple):
     t: float
     segment: int
     local_t: float
@@ -142,27 +142,36 @@ def certify_path(
     samples = sample_parameters(path, grid)
     values = eval_path_batch(path, samples)
     svals = np.linalg.svd(values, compute_uv=False)
-    eps = np.finfo(float).eps
-    records = []
-    failures = set()
-    for (t, seg, local), w, s in zip(samples, values, svals):
-        sigma_top = float(s[0]) if s.size else 0.0
-        rank = rank_from_singular_values(s, tol)
-        sigma_k = float(s[expected_k - 1]) if 1 <= expected_k <= s.size else 0.0
-        sigma_next = float(s[expected_k]) if s.size > expected_k else 0.0
-        floor = max(sigma_next, eps * max(sigma_top, 1.0))
-        gap_ok = expected_k == 0 or (sigma_k / floor >= sigma_gap_min)
-        ok = rank == expected_k and gap_ok
-        residuals = None
-        if membership is not None and membership.any():
+    n, r = svals.shape
+    zeros = np.zeros(n)
+    ranks = rank_from_singular_values(svals, tol)
+    sigma_k = svals[:, expected_k - 1] if 1 <= expected_k <= r else zeros
+    sigma_next = svals[:, expected_k] if r > expected_k else zeros
+    ok = ranks == expected_k
+    if expected_k != 0:
+        # the missing singular value counts as machine zero relative to sigma_1
+        top = svals[:, 0] if r else zeros
+        floor = np.maximum(sigma_next, np.finfo(float).eps * np.maximum(top, 1.0))
+        ok &= sigma_k / floor >= sigma_gap_min
+    residuals = [None] * n
+    if membership is not None and membership.any():
+        for i, w in enumerate(values):
             checks = _membership_checks(w, membership, tol)
-            residuals = {name: value for name, (value, _) in checks.items()}
-            ok = ok and all(passed for _, passed in checks.values())
-        records.append(
-            SampleRecord(t, seg, local, rank, sigma_k, sigma_next, residuals, bool(ok))
-        )
-        if not ok:
-            failures.add(local)
+            residuals[i] = {name: value for name, (value, _) in checks.items()}
+            ok[i] &= all(passed for _, passed in checks.values())
+    ts, segs, locals_ = zip(*samples)
+    columns = (
+        ts,
+        segs,
+        locals_,
+        ranks.tolist(),
+        sigma_k.tolist(),
+        sigma_next.tolist(),
+        residuals,
+        ok.tolist(),
+    )
+    records = tuple(map(SampleRecord._make, zip(*columns)))
+    failures = {locals_[i] for i in np.flatnonzero(~ok).tolist()}
     e0 = maxabs(values[0] - path.start)
     e1 = maxabs(values[-1] - path.end)
     endpoints_ok = e0 <= ENDPOINT_PASS_TOL * (1.0 + maxabs(path.start)) and e1 <= (
@@ -178,7 +187,7 @@ def certify_path(
         instance,
         len(samples),
         expected_k,
-        tuple(records),
+        records,
         (e0, e1),
         verdict,
         tuple(sorted(failures)),

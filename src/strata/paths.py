@@ -229,12 +229,13 @@ def eval_path(path: OperatorPath, t: float) -> np.ndarray:
 def eval_path_batch(path: OperatorPath, samples) -> np.ndarray:
     """Evaluate at a list of (global_t, segment, local_t) triples, in order."""
     out = np.empty((len(samples),) + path.shape)
-    by_segment: dict[int, list[int]] = {}
-    for pos, (_, seg, _) in enumerate(samples):
-        by_segment.setdefault(seg, []).append(pos)
-    for seg_idx, positions in by_segment.items():
-        locals_ = np.array([samples[p][2] for p in positions])
-        out[positions] = eval_segment_batch(path.segments[seg_idx], locals_)
+    if not samples:
+        return out
+    _, segs, locals_ = zip(*samples)
+    segs, locals_ = np.array(segs), np.array(locals_, dtype=float)
+    for seg_idx in np.unique(segs).tolist():
+        positions = np.flatnonzero(segs == seg_idx)
+        out[positions] = eval_segment_batch(path.segments[seg_idx], locals_[positions])
     return out
 
 
@@ -247,10 +248,11 @@ def sample_parameters(path: OperatorPath, grid: int) -> list[tuple[float, int, f
     if grid < 2:
         raise ValueError("grid must contain at least 2 points")
     nseg = len(path.segments)
-    samples: dict[float, tuple[int, float]] = {}
-    for i in range(grid):
-        t = i / (grid - 1)
-        samples[t] = locate(path, t)
+    # the same IEEE operations as ``locate``, on the whole grid at once
+    t = np.arange(grid) / (grid - 1)
+    x = t * nseg
+    idx = np.minimum(np.floor(x).astype(np.intp), nseg - 1)
+    samples = dict(zip(t.tolist(), zip(idx.tolist(), (x - idx).tolist())))
     for s, seg in enumerate(path.segments):
         if seg.kind == "affine":
             samples[(s + 0.5) / nseg] = (s, 0.5)

@@ -56,16 +56,27 @@ def matrix_to_obj(a) -> dict:
     return {
         "rows": int(a.shape[0]),
         "cols": int(a.shape[1]),
-        "data": [float(x) for x in a.ravel(order="C")],
+        "data": a.ravel().tolist(),
     }
 
 
+def _is_count(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool) and x >= 0
+
+
 def matrix_from_obj(obj: dict) -> np.ndarray:
-    rows, cols = int(obj["rows"]), int(obj["cols"])
-    data = np.asarray(obj["data"], dtype=float)
+    """Decode a {rows, cols, data} object; anything else raises StrataError."""
+    if not isinstance(obj, dict) or not {"rows", "cols", "data"} <= obj.keys():
+        raise StrataError("expected a matrix object with rows, cols and data")
+    rows, cols, data = obj["rows"], obj["cols"], obj["data"]
+    if not (_is_count(rows) and _is_count(cols) and isinstance(data, list)):
+        raise StrataError("matrix rows and cols must be counts and data a list")
+    data = np.asarray(data)
+    if data.size and (data.ndim != 1 or data.dtype.kind not in "iuf"):
+        raise StrataError("matrix data must be a flat list of numbers")
     if data.size != rows * cols:
         raise ValueError("matrix data length disagrees with its shape")
-    return data.reshape(rows, cols)
+    return data.astype(float, copy=False).reshape(rows, cols)
 
 
 def subspace_to_obj(s: Subspace) -> dict:
@@ -108,7 +119,7 @@ def _segment_to_obj(seg: PathSegment) -> dict:
         if key in _SCALAR_KEYS:
             obj[key] = value
         elif key in _VECTOR_KEYS:
-            obj[key] = [float(x) for x in np.asarray(value).ravel()]
+            obj[key] = np.asarray(value, dtype=float).ravel().tolist()
         else:
             obj[key] = matrix_to_obj(value)
     obj["start"] = matrix_to_obj(seg.start)
@@ -117,18 +128,24 @@ def _segment_to_obj(seg: PathSegment) -> dict:
 
 
 def _segment_from_obj(obj: dict, index: int) -> PathSegment:
-    try:
-        payload = {}
-        for key, value in obj.items():
-            if key in ("kind", "start", "end"):
-                continue
+    """Decode one segment; a missing or malformed field raises StrataError naming it."""
+    if not isinstance(obj, dict):
+        raise StrataError(f"path segment {index} is not an object")
+    payload = {}
+    for key, value in obj.items():
+        if key == "kind":
+            continue
+        try:
             if key in _SCALAR_KEYS:
                 payload[key] = value
             elif key in _VECTOR_KEYS:
                 payload[key] = np.asarray(value, dtype=float)
             else:
                 payload[key] = matrix_from_obj(value)
-        start, end = matrix_from_obj(obj["start"]), matrix_from_obj(obj["end"])
+        except (StrataError, ValueError) as exc:
+            raise StrataError(f"path segment {index} field {key!r}: {exc}") from None
+    try:
+        start, end = payload.pop("start"), payload.pop("end")
         kind, payload = _convert_legacy(obj["kind"], payload, start)
     except KeyError as exc:
         raise StrataError(f"path segment {index} is missing field {exc.args[0]!r}") from None
@@ -183,6 +200,10 @@ def path_from_obj(obj: dict) -> OperatorPath:
         raw = obj["segments"]
     except KeyError as exc:
         raise StrataError(f"path is missing field {exc.args[0]!r}") from None
+    except TypeError:
+        raise StrataError("path is not an object with a shape list") from None
+    if not isinstance(raw, list):
+        raise StrataError("path segments must be a list")
     segments = tuple(_segment_from_obj(s, i) for i, s in enumerate(raw))
     return OperatorPath(segments, shape)
 
@@ -196,15 +217,23 @@ def tangent_basis_to_obj(tb: TangentBasis) -> dict:
     }
 
 
+def _finite_or_none(x: float) -> float | None:
+    """A JSON number, or null for inf and NaN, which strict JSON cannot hold."""
+    return x if math.isfinite(x) else None
+
+
 def _sample_to_obj(rec: SampleRecord) -> dict:
+    residuals = rec.membership_residuals
+    if residuals is not None:
+        residuals = {name: _finite_or_none(value) for name, value in residuals.items()}
     return {
         "t": rec.t,
         "segment": rec.segment,
         "local_t": rec.local_t,
         "rank": rec.rank,
-        "sigma_k": rec.sigma_k,
-        "sigma_k_plus_1": rec.sigma_k_plus_1,
-        "membership_residuals": rec.membership_residuals,
+        "sigma_k": _finite_or_none(rec.sigma_k),
+        "sigma_k_plus_1": _finite_or_none(rec.sigma_k_plus_1),
+        "membership_residuals": residuals,
         "ok": rec.ok,
     }
 
@@ -215,7 +244,7 @@ def certificate_to_obj(cert: PathCertificate) -> dict:
         "grid_size": cert.grid_size,
         "expected_k": cert.expected_k,
         "per_sample": [_sample_to_obj(r) for r in cert.per_sample],
-        "endpoint_errors": [cert.endpoint_errors[0], cert.endpoint_errors[1]],
+        "endpoint_errors": [_finite_or_none(e) for e in cert.endpoint_errors],
         "verdict": cert.verdict,
         "failures": list(cert.failures),
     }
@@ -227,7 +256,14 @@ def audit_to_obj(audit: FlipAudit) -> dict:
         "degenerate": audit.degenerate,
         "passed": audit.passed,
         "failures": list(audit.failures),
-        "records": list(audit.records),
+        "records": [
+            {
+                **rec,
+                "range_condition": _finite_or_none(rec["range_condition"]),
+                "kernel_angle": _finite_or_none(rec["kernel_angle"]),
+            }
+            for rec in audit.records
+        ],
     }
 
 
@@ -297,7 +333,7 @@ def witness_from_obj(obj: dict) -> ChainWitness:
 
 def save_json(obj, path) -> None:
     with open(path, "w") as f:
-        json.dump(obj, f, indent=2)
+        json.dump(obj, f, indent=2, allow_nan=False)
         f.write("\n")
 
 

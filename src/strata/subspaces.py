@@ -154,11 +154,19 @@ class DirectSumCheck:
         return self.ok
 
 
-def rank_from_singular_values(s: np.ndarray, tol: ToleranceConfig) -> int:
-    """The rank rule: count of singular values (descending) above rank_rel_tol * s[0]."""
-    if s.size == 0 or s[0] == 0.0:
-        return 0
-    return int(np.count_nonzero(s > tol.rank_rel_tol * s[0]))
+def rank_from_singular_values(s: np.ndarray, tol: ToleranceConfig) -> int | np.ndarray:
+    """The rank rule: count of singular values (descending) above rank_rel_tol * s[0].
+
+    ``s`` may be a stack of shape (..., r); the rule then applies along the
+    last axis and returns an integer array.  A 1-d input returns an int.
+    Nonnegative values never exceed a zero threshold, so an all-zero or
+    empty row has rank 0.
+    """
+    s = np.asarray(s)
+    above = s > tol.rank_rel_tol * s[..., :1]
+    if s.ndim == 1:  # counting without an axis is much cheaper per call
+        return int(np.count_nonzero(above))
+    return np.count_nonzero(above, axis=-1)
 
 
 def rank_of(a, tol: ToleranceConfig = DEFAULT_TOL) -> int:

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st_hyp
 
 from strata import (
     GraphParam,
@@ -13,8 +15,11 @@ from strata import (
     kernel_basis,
     literal_flip_path,
 )
+from strata.certify import SIGMA_GAP_MIN, SampleRecord, _membership_checks
 from strata.instances import InstanceSpec, gen_instance
+from strata.paths import eval_path_batch, sample_parameters
 from strata.serialization import certificate_to_obj
+from strata.subspaces import DEFAULT_TOL, rank_from_singular_values
 
 from conftest import span
 
@@ -125,6 +130,97 @@ class TestCertify:
         t = np.diag([1.0, 1e-8])
         cert = certify_path(constant_path(t), 1, grid=5)
         assert cert.verdict == "fail"
+
+
+def _reference_records(path, expected_k, grid, membership=None, tol=DEFAULT_TOL):
+    """The certifier's per-sample loop, one sample at a time: records and failures."""
+    samples = sample_parameters(path, grid)
+    values = eval_path_batch(path, samples)
+    svals = np.linalg.svd(values, compute_uv=False)
+    eps = np.finfo(float).eps
+    records = []
+    failures = set()
+    for (t, seg, local), w, s in zip(samples, values, svals):
+        sigma_top = float(s[0]) if s.size else 0.0
+        rank = rank_from_singular_values(s, tol)
+        sigma_k = float(s[expected_k - 1]) if 1 <= expected_k <= s.size else 0.0
+        sigma_next = float(s[expected_k]) if s.size > expected_k else 0.0
+        floor = max(sigma_next, eps * max(sigma_top, 1.0))
+        gap_ok = expected_k == 0 or (sigma_k / floor >= SIGMA_GAP_MIN)
+        ok = rank == expected_k and gap_ok
+        residuals = None
+        if membership is not None and membership.any():
+            checks = _membership_checks(w, membership, tol)
+            residuals = {name: value for name, (value, _) in checks.items()}
+            ok = ok and all(passed for _, passed in checks.values())
+        records.append(
+            SampleRecord(t, seg, local, rank, sigma_k, sigma_next, residuals, bool(ok))
+        )
+        if not ok:
+            failures.add(local)
+    return tuple(records), tuple(sorted(failures))
+
+
+def _assert_matches_reference(path, expected_k, grid, membership=None):
+    cert = certify_path(path, expected_k, grid=grid, membership=membership)
+    records, failures = _reference_records(path, expected_k, grid, membership)
+    assert cert.per_sample == records
+    # equal values of another type (numpy scalars, 1 for True) would change the JSON
+    assert [tuple(map(type, r)) for r in cert.per_sample] == [
+        tuple(map(type, r)) for r in records
+    ]
+    assert cert.failures == failures
+    e0, e1 = cert.endpoint_errors
+    endpoints_ok = e0 <= 1e-9 * (1.0 + np.max(np.abs(path.start))) and e1 <= 1e-9 * (
+        1.0 + np.max(np.abs(path.end))
+    )
+    if expected_k == 0:
+        assert cert.verdict == "degenerate"
+    else:
+        assert cert.verdict == ("pass" if endpoints_ok and not failures else "fail")
+    return cert
+
+
+class TestRecordReference:
+    @given(
+        st_hyp.integers(2, 6),
+        st_hyp.integers(2, 6),
+        st_hyp.integers(0, 2**16),
+        st_hyp.sampled_from([2, 11, 101, 1001]),
+    )
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    def test_fk_pairs_match_reference(self, m, n, seed, grid):
+        kmax = min(m, n)
+        k = int(np.random.default_rng(seed).integers(1, kmax)) if kmax > 1 else 1
+        payload = gen_instance(InstanceSpec(m=m, n=n, k=k, seed=seed, kind="fk-pair"))
+        path = connect_fk(payload["T1"], payload["T2"])
+        verdicts = {}
+        for expected in (k, k - 1, 0, k + 1, kmax + 1):
+            verdicts[expected] = _assert_matches_reference(path, expected, grid).verdict
+        assert verdicts[k] == "pass" and verdicts[0] == "degenerate"
+        assert verdicts[kmax + 1] == "fail"
+
+    def test_literal_flip_matches_reference(self):
+        e_star, r = span([1, 0]), span([0, 1])
+        p = literal_flip_path(e_star, r, tilt(e_star, r, [[0, 0], [1, 0]]))
+        # the rank holds along the family; only the range check sees the defect
+        assert _assert_matches_reference(p, 1, 11).verdict == "pass"
+        cert = _assert_matches_reference(p, 1, 11, MembershipSpec(range_complement=r))
+        assert cert.verdict == "fail" and 0.5 in cert.failures
+
+    def test_kernel_mismatch_matches_reference(self):
+        p = constant_path(np.diag([1.0, 0.0, 0.0]))
+        spec = MembershipSpec(kernel_equals=span([0, 0, 1]))
+        cert = _assert_matches_reference(p, 1, 5, spec)
+        assert cert.verdict == "fail"
+        inf = {"kernel_angle": float("inf")}
+        assert all(r.membership_residuals == inf for r in cert.per_sample)
+
+    def test_gap_floor_matches_reference(self):
+        # below unit scale the floor eps * max(sigma_1, 1) is absolute and decides
+        cases = (([1e-3, 1e-12], 2, "fail"), ([1.0, 1e-8], 1, "fail"), ([1.0, 1e-8], 2, "pass"))
+        for diag, k, verdict in cases:
+            assert _assert_matches_reference(constant_path(np.diag(diag)), k, 5).verdict == verdict
 
 
 class TestInstances:

@@ -4,12 +4,22 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from strata import Subspace, audit_flip_path, constant_path
 from strata.cli import main
 from strata import serialization as ser
 
 
 def run(args):
     return main([str(a) for a in args])
+
+
+def strict_json(text):
+    """Parse JSON, rejecting the non-standard Infinity and NaN tokens."""
+
+    def reject(token):
+        raise ValueError(f"non-standard JSON token {token}")
+
+    return json.loads(text, parse_constant=reject)
 
 
 class TestGenConnectCertify:
@@ -153,6 +163,48 @@ class TestOtherCommands:
         assert code == 4
         err = capsys.readouterr().err
         assert "segment 0" in err and repr(field) in err
+
+    @pytest.mark.parametrize("value", [3, "data-string"])
+    def test_non_matrix_field_exits_4(self, tmp_path, capsys, value):
+        fixture = Path(__file__).parent / "data" / "legacy_kinds.json"
+        obj = ser.load_json(fixture)["left-affine"]
+        if value == 3:
+            obj["segments"][0]["c"] = 3
+        else:
+            obj["segments"][0]["c"]["data"] = "1 2 3"
+        path_file = tmp_path / "path.json"
+        ser.save_json(obj, path_file)
+        code = run(["certify", "--path", path_file, "--k", 1, "--samples", 11,
+                    "--out", tmp_path / "cert.json"])
+        assert code == 4
+        err = capsys.readouterr().err
+        assert "segment 0" in err and "'c'" in err
+
+    def test_infinite_residual_is_strict_json_null(self, tmp_path):
+        path_file, member_file = tmp_path / "path.json", tmp_path / "member.json"
+        cert_file, audit_file = tmp_path / "cert.json", tmp_path / "audit.json"
+        # the kernel of diag(1, 0, 0) is a plane; the expected one is a line
+        ser.save_json(ser.path_to_obj(constant_path(np.diag([1.0, 0.0, 0.0]))), path_file)
+        ser.save_json({"kernel_equals": ser.subspace_to_obj(Subspace.span([0, 0, 1]))},
+                      member_file)
+        code = run(["certify", "--path", path_file, "--k", 1, "--samples", 5,
+                    "--membership", member_file, "--out", cert_file])
+        assert code == 1
+        cert = strict_json(cert_file.read_text())
+        assert [r["membership_residuals"] for r in cert["per_sample"]] == [
+            {"kernel_angle": None}
+        ] * 5
+        audit = audit_flip_path(
+            constant_path(np.diag([1.0, 0.0, 0.0])),
+            (Subspace.span([0, 0, 1]), Subspace.span([0, 1, 0], [0, 0, 1])),
+            grid=3,
+        )
+        ser.save_json(ser.audit_to_obj(audit), audit_file)
+        records = strict_json(audit_file.read_text())["records"]
+        assert [r["kernel_angle"] for r in records] == [None] * 3
+        assert all(isinstance(r["range_condition"], float) for r in records)
+        with pytest.raises(ValueError):
+            ser.save_json({"x": float("inf")}, tmp_path / "bad.json")
 
     def test_strata_tol_env(self, tmp_path, monkeypatch):
         monkeypatch.setenv("STRATA_TOL", "1e-2")

@@ -38,7 +38,7 @@ from strata.errors import (
     WitnessError,
 )
 from strata.instances import InstanceSpec, gen_instance
-from strata.paths import OperatorPath, sample_parameters
+from strata.paths import OperatorPath, locate, sample_parameters
 
 from conftest import random_split, span
 
@@ -102,6 +102,37 @@ class TestSegmentsAndEval:
         samples = sample_parameters(p, 4)
         locals_by_seg = {(s, lt) for (_, s, lt) in samples}
         assert (0, 0.5) in locals_by_seg and (1, 0.5) in locals_by_seg
+
+    @staticmethod
+    def _reference_samples(path, grid):
+        """The grid built one point at a time through ``locate``."""
+        nseg = len(path.segments)
+        samples = {}
+        for i in range(grid):
+            t = i / (grid - 1)
+            samples[t] = locate(path, t)
+        for s, seg in enumerate(path.segments):
+            if seg.kind == "affine":
+                samples[(s + 0.5) / nseg] = (s, 0.5)
+        return [(t,) + samples[t] for t in sorted(samples)]
+
+    def test_sampling_matches_locate_reference(self):
+        zero = np.zeros((2, 2))
+        affine = make_segment("affine", {"a": zero, "b": zero})
+        rotation = make_segment(
+            "rotation", {"a": zero, "z": np.eye(2), "theta": [1.0], "side": "range"}
+        )
+        for nseg in range(1, 10):
+            for every in (1, 3):
+                segs = [rotation if i % every == 1 else affine for i in range(nseg)]
+                p = OperatorPath(segs, (2, 2))
+                for grid in range(2, 61):
+                    got = sample_parameters(p, grid)
+                    want = self._reference_samples(p, grid)
+                    assert got == want
+                    assert [tuple(map(type, x)) for x in got] == [
+                        tuple(map(type, x)) for x in want
+                    ]
 
     def test_reverse_round_trip(self, rng):
         # a path touching every segment family the connectors emit

@@ -17,6 +17,7 @@ from strata import (
     tangent_basis,
 )
 from strata import serialization as ser
+from strata.errors import StrataError
 from strata.instances import InstanceSpec, gen_instance
 
 from conftest import span
@@ -32,6 +33,40 @@ class TestMatrixFormat:
     def test_bad_length(self):
         with pytest.raises(ValueError):
             ser.matrix_from_obj({"rows": 2, "cols": 2, "data": [1.0]})
+
+    @pytest.mark.parametrize(
+        "a",
+        [
+            np.array([[1.5, -0.0], [1e-300, 3.0]]),
+            np.array([[0.1, 2.0 / 3.0]], dtype=np.float32),
+            np.arange(6).reshape(3, 2),
+            np.array([-0.0, 0.25, 7.0]),
+            np.zeros((4, 0)),
+        ],
+    )
+    def test_data_matches_per_element_floats(self, a):
+        old = [float(x) for x in np.asarray(a, dtype=float).ravel(order="C")]
+        obj = ser.matrix_to_obj(a)
+        assert json.dumps(obj["data"]) == json.dumps(old)
+        assert all(type(x) is float for x in obj["data"])
+
+    @pytest.mark.parametrize(
+        "obj",
+        [
+            3,
+            [1.0],
+            {"rows": 1, "cols": 1},
+            {"rows": 1, "cols": 1, "data": "1"},
+            {"rows": 1, "cols": 1, "data": ["1"]},
+            {"rows": 1, "cols": 1, "data": [None]},
+            {"rows": 1, "cols": 1, "data": [[1.0]]},
+            {"rows": "1", "cols": 1, "data": [1.0]},
+            {"rows": -1, "cols": -1, "data": [1.0]},
+        ],
+    )
+    def test_non_matrix_rejected(self, obj):
+        with pytest.raises(StrataError):
+            ser.matrix_from_obj(obj)
 
     def test_subspace_flag(self):
         s = span([1, 3])

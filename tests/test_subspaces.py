@@ -17,6 +17,7 @@ from strata import (
     subspaces_equal,
     sum_and_intersection,
 )
+from strata.subspaces import rank_from_singular_values
 from strata.instances import random_subspace
 
 from conftest import span
@@ -73,6 +74,27 @@ class TestRank:
         k = int(rng.integers(0, min(m, n) + 1))
         a = rng.standard_normal((m, k)) @ rng.standard_normal((k, n)) if k else np.zeros((m, n))
         assert rank_of(a) == elimination_rank(a.tolist())
+
+    def test_stacked_rule_matches_each_row(self):
+        tol = ToleranceConfig()
+        rng = np.random.default_rng(5)
+        s = -np.sort(-np.abs(rng.standard_normal((7, 4))), axis=1)
+        s[2] = 0.0
+        s[4, 2:] = 1e-12 * s[4, 0]
+        s[5, 1:] = 0.0
+        for stack in (s, s.reshape(7, 1, 4), np.zeros((3, 0))):
+            ranks = rank_from_singular_values(stack, tol)
+            assert ranks.shape == stack.shape[:-1]
+            rows = stack.reshape(ranks.size, stack.shape[-1])
+            for got, row in zip(ranks.ravel().tolist(), rows):
+                assert got == rank_from_singular_values(row, tol)
+                assert type(rank_from_singular_values(row, tol)) is int
+                # the rule as written for one row
+                expected = 0 if row.size == 0 or row[0] == 0.0 else int(
+                    np.count_nonzero(row > tol.rank_rel_tol * row[0])
+                )
+                assert got == expected
+        assert rank_from_singular_values(s, tol)[2] == 0
 
 
 class TestKernelRange:
