@@ -13,6 +13,7 @@ from .certify import (
 from .errors import (
     DirectSumError,
     DisconnectedComponentsError,
+    InputError,
     InternalConsistencyError,
     StrataError,
     WitnessError,
@@ -39,6 +40,7 @@ from .paths import (
     discover_chain,
     eval_path,
     eval_path_batch,
+    frame_connect,
     gl_connect,
     left_project_path,
     literal_flip_path,

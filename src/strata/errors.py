@@ -5,6 +5,14 @@ class StrataError(Exception):
     """Base class for all errors raised by this package."""
 
 
+class InputError(StrataError, ValueError):
+    """An input the library cannot use: wrong shape, mismatched rank,
+    singular where an invertible matrix is needed.
+
+    Also a ``ValueError``, so callers that catch that keep working.
+    """
+
+
 class DirectSumError(StrataError):
     """A required direct-sum decomposition does not hold numerically.
 

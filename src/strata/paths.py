@@ -30,6 +30,7 @@ import scipy.linalg
 
 from .errors import (
     DisconnectedComponentsError,
+    InputError,
     InternalConsistencyError,
     WitnessError,
 )
@@ -49,7 +50,7 @@ from .subspaces import (
     kernel_basis,
     maxabs,
     range_basis,
-    rank_kernel_range,
+    rank_from_singular_values,
     rank_of,
     require_direct_sum,
     subspaces_equal,
@@ -69,6 +70,7 @@ __all__ = [
     "corrected_flip_path",
     "left_project_path",
     "right_project_path",
+    "frame_connect",
     "gl_connect",
     "connect_fk",
     "connect_phi",
@@ -82,6 +84,7 @@ PAYLOAD_FIELDS = {"affine": {"a", "b"}, "rotation": {"a", "z", "theta", "side"}}
 CHAIN_TOL = 1e-10  # consecutive segments must meet this closely
 ENDPOINT_TOL = 1e-12  # declared endpoints must be reproduced this closely
 PLANE_TOL = 1e-10  # largest departure of z.T @ z from the identity
+ROTATE_CHUNK_BYTES = 1 << 22  # working memory of one rotation evaluation chunk
 
 
 @dataclass(frozen=True)
@@ -99,16 +102,23 @@ class PathSegment:
 
 
 def _rotate(a: np.ndarray, z: np.ndarray, theta: np.ndarray, ts: np.ndarray) -> np.ndarray:
-    """R(t) @ a for each t, as a + Z (G(t*theta) - I) Z.T a, never forming R."""
+    """R(t) @ a for each t, as a + Z (G(t*theta) - I) Z.T a, never forming R.
+
+    The samples run in chunks, so the plane coordinates of one chunk stay
+    near ROTATE_CHUNK_BYTES however many samples are asked for.
+    """
     y = z.T @ a
-    angles = ts[:, None] * theta[None, :]
-    cos_m1 = (np.cos(angles) - 1.0)[:, :, None]
-    sin = np.sin(angles)[:, :, None]
     y1, y2 = y[0::2][None], y[1::2][None]
-    d = np.empty((ts.size,) + y.shape)
-    d[:, 0::2] = cos_m1 * y1 - sin * y2
-    d[:, 1::2] = sin * y1 + cos_m1 * y2
-    out = z @ d
+    out = np.empty((ts.size,) + a.shape)
+    step = max(1, ROTATE_CHUNK_BYTES // max(1, y.nbytes))
+    for lo in range(0, ts.size, step):
+        angles = ts[lo : lo + step, None] * theta[None, :]
+        cos_m1 = (np.cos(angles) - 1.0)[:, :, None]
+        sin = np.sin(angles)[:, :, None]
+        d = np.empty((angles.shape[0],) + y.shape)
+        d[:, 0::2] = cos_m1 * y1 - sin * y2
+        d[:, 1::2] = sin * y1 + cos_m1 * y2
+        np.matmul(z, d, out=out[lo : lo + step])
     out += a
     return out
 
@@ -139,6 +149,15 @@ def _check_planes(z: np.ndarray, theta: np.ndarray) -> None:
         raise ValueError("rotation planes must have orthonormal columns")
 
 
+def _endpoint_slack(payload: dict) -> float:
+    """Largest endpoint error a leg with this payload may show.
+
+    Rounding in the evaluation is proportional to the payload magnitude,
+    not the endpoint magnitude (projector factors can be large).
+    """
+    return ENDPOINT_TOL * (1.0 + max(maxabs(payload[key]) for key in ("a", "b") if key in payload))
+
+
 def make_segment(kind: str, payload: dict, start=None, end=None) -> PathSegment:
     """Build a segment, verifying it reproduces its declared endpoints."""
     clean = {}
@@ -160,11 +179,9 @@ def make_segment(kind: str, payload: dict, start=None, end=None) -> PathSegment:
     got = eval_segment_batch(probe, np.array([0.0, 1.0]))
     start = got[0] if start is None else np.asarray(start, dtype=float)
     end = got[1] if end is None else np.asarray(end, dtype=float)
-    # rounding in the evaluation is proportional to the payload magnitude,
-    # not the endpoint magnitude (projector factors can be large)
-    scale = 1.0 + max(maxabs(clean[key]) for key in ("a", "b") if key in clean)
+    slack = _endpoint_slack(clean)
     for declared, computed, which in ((start, got[0], "start"), (end, got[1], "end")):
-        if maxabs(declared - computed) > ENDPOINT_TOL * scale:
+        if maxabs(declared - computed) > slack:
             raise InternalConsistencyError(
                 f"segment {kind!r} does not reproduce its declared {which}"
             )
@@ -440,14 +457,7 @@ def right_project_path(
 
 
 # ---------------------------------------------------------------------------
-# invertible factors
-
-
-def polar_factors(a) -> tuple[np.ndarray, np.ndarray]:
-    """Orthogonal and symmetric positive parts, a = Q @ S."""
-    a = as_matrix(a)
-    u, s, vt = np.linalg.svd(a)
-    return u @ vt, vt.T @ np.diag(s) @ vt
+# connection in the singular frames
 
 
 def _skew_log_rotation(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -484,152 +494,136 @@ def _skew_log_rotation(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return planes, theta
 
 
+def _equal_rank_svds(t1, t2, tol: ToleranceConfig):
+    """Both endpoints as matrices, their full SVDs and their common rank.
+
+    Raises InputError when the shapes or the ranks differ.
+    """
+    t1 = as_matrix(t1)
+    t2 = as_matrix(t2)
+    if t1.shape != t2.shape:
+        raise InputError("endpoints must share a shape")
+    if t1.size == 0:
+        raise InputError("matrix must be nonempty")
+    svd1, svd2 = np.linalg.svd(t1), np.linalg.svd(t2)
+    k1 = rank_from_singular_values(svd1[1], tol)
+    k2 = rank_from_singular_values(svd2[1], tol)
+    if k1 != k2:
+        raise InputError(f"rank mismatch: {k1} vs {k2}; endpoints lie in different strata")
+    return t1, t2, k1, svd1, svd2
+
+
+def _orient_frames(u_x, vt_x, u_y, vt_y, k: int) -> None:
+    """Negate columns of y's frames so that U_x U_y^T and V_x V_y^T are rotations.
+
+    Negating a singular pair (u_y0, v_y0) flips both determinant signs;
+    negating a spare column (index >= k) flips one.  Neither changes the
+    rank-k part of y.  When one sign is wrong and its side has no spare
+    column, a paired flip moves the wrong sign to the other side.  Only
+    square invertible endpoints with opposite determinant signs have no
+    way out: they lie in different components.
+    """
+    flip_u = np.linalg.det(u_x) * np.linalg.det(u_y) < 0
+    flip_v = np.linalg.det(vt_x) * np.linalg.det(vt_y) < 0
+    spare_u, spare_v = u_y.shape[0] > k, vt_y.shape[0] > k
+    if (flip_u and flip_v) or (flip_u and not spare_u) or (flip_v and not spare_v):
+        u_y[:, 0] *= -1.0
+        vt_y[0] *= -1.0
+        flip_u, flip_v = not flip_u, not flip_v
+    if (flip_u and not spare_u) or (flip_v and not spare_v):
+        raise DisconnectedComponentsError(
+            "endpoints lie in different invertible components: their "
+            "determinants have opposite signs and there is no spare "
+            "direction to rotate the sign away"
+        )
+    if flip_u:
+        u_y[:, k] *= -1.0
+    if flip_v:
+        vt_y[k] *= -1.0
+
+
+def frame_connect(x, y, tol: ToleranceConfig = DEFAULT_TOL) -> OperatorPath:
+    """Path from y to x, two matrices of equal rank k, in their singular frames.
+
+    With full SVDs x = U_x S_x V_x^T and y = U_y S_y V_y^T the path has up
+    to five legs:
+
+      1. affine: drop the singular values of y below the rank cut;
+      2. affine: move the top k singular values of y to those of x, each
+         along (1 - t) s_y + t s_x, so none of them reaches zero;
+      3. rotation (range side) with R(1) = U_x U_y^T;
+      4. rotation (kernel side) with R(1) = V_x V_y^T;
+      5. affine: restore the singular values of x below the rank cut.
+
+    Legs 1 and 5 are left out when the tail they would move is within the
+    endpoint tolerance, and so are legs that would not move at all.  Each
+    leg declares its evaluated end, so the rounding of the rotation
+    logarithm never reaches an endpoint check; only the last leg declares
+    x itself.  Rotations keep every singular value, so the rank is k at
+    every parameter.  Raises DisconnectedComponentsError for square
+    invertible endpoints with opposite determinant signs.
+    """
+    x, y, k, (u_x, s_x, vt_x), (u_y, s_y, vt_y) = _equal_rank_svds(x, y, tol)
+    if np.array_equal(x, y):
+        return constant_path(x)
+    _orient_frames(u_x, vt_x, u_y, vt_y, k)
+    legs = []
+
+    def add(kind, end=None, **payload):
+        start = legs[-1].end if legs else y
+        legs.append(make_segment(kind, {"a": start, **payload}, start, end))
+
+    drop = (u_y[:, :k] * s_y[:k]) @ vt_y[:k] - y
+    if maxabs(drop) > _endpoint_slack({"a": y}):
+        add("affine", b=drop)
+    step = (u_y[:, :k] * (s_x[:k] - s_y[:k])) @ vt_y[:k]
+    if step.any():
+        add("affine", b=step)
+    for side, w in (("range", u_x @ u_y.T), ("kernel", vt_x.T @ vt_y)):
+        z, theta = _skew_log_rotation(w)
+        if theta.size:
+            add("rotation", z=z, theta=theta, side=side)
+    reached = legs[-1].end if legs else y
+    if legs and maxabs(x - reached) <= _endpoint_slack(legs[-1].payload):
+        last = legs.pop()
+        legs.append(make_segment(last.kind, last.payload, last.start, x))
+    else:
+        add("affine", end=x, b=x - reached)
+    return OperatorPath(tuple(legs), x.shape)
+
+
 def gl_connect(
     a, tol: ToleranceConfig = DEFAULT_TOL
 ) -> tuple[OperatorPath, int]:
     """Connect an invertible matrix to a canonical point of its component.
 
-    The target is diag(sign det a, 1, ..., 1): over the reals that point is
-    always reachable, whereas the identity itself is not when the
-    determinant is negative.  Leg one straightens the positive factor of
-    the polar decomposition along a convex line (never singular), leg two
-    winds the orthogonal factor down along a rotation geodesic (always
-    orthogonal).  Returns the path and the determinant sign.
+    The target is d = diag(sign det a, 1, ..., 1): over the reals that
+    point is always reachable, whereas the identity itself is not when the
+    determinant is negative.  The path is ``frame_connect(d, a)``: its
+    singular-value leg takes each sigma_i(a) linearly to 1 and its
+    rotations are isometric, so the smallest singular value never drops
+    below min(sigma_min(a), 1).  Returns the path and the determinant sign.
     """
     a = as_matrix(a)
     n = a.shape[0]
     if a.shape[0] != a.shape[1]:
-        raise ValueError("gl_connect needs a square matrix")
+        raise InputError("gl_connect needs a square matrix")
     if rank_of(a, tol) != n:
-        raise ValueError("matrix is numerically singular")
-    q, s = polar_factors(a)
+        raise InputError("matrix is numerically singular")
     sign = int(np.linalg.slogdet(a)[0])
     d = np.eye(n)
     d[0, 0] = sign
-    segments = []
-    if maxabs(s - np.eye(n)) > 1e-13 * (1.0 + maxabs(s)):
-        segments.append(make_segment("affine", {"a": a, "b": q - a}, a, q))
-    if maxabs(q - d) > 1e-13:
-        # q = R(1) d, so winding q down to d turns the planes backwards
-        z, theta = _skew_log_rotation(q @ d)
-        start = q if segments else a
-        segments.append(
-            make_segment(
-                "rotation",
-                {"a": start, "z": z, "theta": -theta, "side": "range"},
-                start,
-                d,
-            )
-        )
-    if not segments:
-        return constant_path(a), sign
-    return OperatorPath(tuple(segments), (n, n)), sign
-
-
-def _embed_gl_segments(glpath: OperatorPath, b: np.ndarray, c: np.ndarray):
-    """Carry a small invertible-factor path onto full-size operators.
-
-    Maps each leg M(t) to b @ M(t) @ c, where b has orthonormal columns.
-    Affine legs stay affine; the rotation legs of ``gl_connect`` act from
-    the left, and b @ R(t) @ M = R'(t) @ b @ M for the rotation R' whose
-    planes are b @ z.
-    """
-    out = []
-    for seg in glpath.segments:
-        p = seg.payload
-        lifted = {**p, "a": b @ p["a"] @ c}
-        if seg.kind == "affine":
-            lifted["b"] = b @ p["b"] @ c
-        else:
-            lifted["z"] = b @ p["z"]
-        out.append(make_segment(seg.kind, lifted, b @ seg.start @ c, b @ seg.end @ c))
-    return out
-
-
-def _restricted_inverse(
-    l1: np.ndarray,
-    r1: Subspace,
-    rl1: Subspace,
-    n_plus: Subspace,
-    tol: ToleranceConfig,
-) -> np.ndarray:
-    """Inverse of l1 restricted to r1, extended by zero on the complement.
-
-    Sends range(l1) back through the bijection l1|_r1 and kills n_plus.
-    """
-    if n_plus.dim == 0:
-        proj = np.eye(l1.shape[0])
-    else:
-        proj = oblique_projection(rl1, n_plus, tol).projector
-    c = l1 @ r1.basis
-    return r1.basis @ np.linalg.pinv(c) @ proj
-
-
-def _sign_flip_stage(
-    start_matrix: np.ndarray,
-    target: np.ndarray,
-    u_full: np.ndarray,
-    vt_full: np.ndarray,
-    k: int,
-) -> PathSegment:
-    """Rotate the single negated singular direction back, absorbing a sign.
-
-    ``u_full`` and ``vt_full`` are the full singular frames of the rank-k
-    target.  Prefers the spare range direction u_full[:, k]; falls back to
-    the spare kernel direction vt_full[k].  When neither side has room the
-    two endpoints genuinely lie in different invertible components.
-    """
-    rows, cols = target.shape
-    if rows > k:
-        return _half_turn(start_matrix, u_full[:, 0], u_full[:, k], "range", target)
-    if cols > k:
-        return _half_turn(start_matrix, vt_full[0], vt_full[k], "kernel", target)
-    raise DisconnectedComponentsError(
-        "endpoints lie in different invertible components: the factor "
-        "connecting them has negative determinant and there is no spare "
-        "direction to rotate the sign away"
-    )
-
-
-def _gl_stage(
-    current: np.ndarray,
-    l1: np.ndarray,
-    r1: Subspace,
-    n_plus: Subspace,
-    k: int,
-    tol: ToleranceConfig,
-) -> list[PathSegment]:
-    """Connect current = G(l1) to l1, G invertible on range(l1).
-
-    Extracts the invertible factor in the singular frame of l1, connects it
-    to the canonical component point, and if the determinant sign is
-    negative rotates the one leftover negated direction back.
-    """
-    u_full, _, vt_full = np.linalg.svd(l1)
-    bf = u_full[:, :k]
-    rl1 = Subspace(l1.shape[0], bf)
-    l1_plus = _restricted_inverse(l1, r1, rl1, n_plus, tol)
-    g_small = bf.T @ (current @ l1_plus) @ bf
-    glpath, sign = gl_connect(g_small, tol)
-    c2 = bf.T @ l1
-    segments = _embed_gl_segments(glpath, bf, c2)
-    if sign < 0:
-        flipped = segments[-1].end if segments else current
-        segments.append(_sign_flip_stage(flipped, l1, u_full, vt_full, k))
-    return segments
+    return frame_connect(d, a, tol), sign
 
 
 def connect_fk(t1, t2, tol: ToleranceConfig = DEFAULT_TOL) -> OperatorPath:
     """Build an explicit path from t2 to t1 inside the rank-k stratum.
 
-    This is the chain construction with the shortest witness: one common
-    complement of the two kernels and one of the two ranges
-    (``discover_chain``).  ``chain_connect`` then slides t2 onto those
-    complements, connects the invertible factor that is left canonically,
-    absorbs a leftover sign by one rotation, and slides back up to t1.
-    Rank k is maintained at every parameter.
+    This is the frame path of ``frame_connect``: rescale the singular
+    values, then rotate the range frame and the kernel frame.  Rank k is
+    maintained at every parameter.
     """
-    return chain_connect(t1, t2, discover_chain(t1, t2, tol), tol)
+    return frame_connect(t1, t2, tol)
 
 
 def connect_phi(
@@ -638,16 +632,16 @@ def connect_phi(
     """Path between two operators with fixed kernel dimension and corank.
 
     At fixed shape those two numbers pin the rank, so the construction is
-    the rank-stratum assembly; this entry point verifies the membership
+    the rank-stratum frame path; this entry point verifies the membership
     data first and rejects the invertible-by-invertible case, which is
     genuinely not path connected.
     """
     t1 = as_matrix(t1)
     t2 = as_matrix(t2)
     if t1.shape != t2.shape:
-        raise ValueError("endpoints must share a shape")
+        raise InputError("endpoints must share a shape")
     if kernel_dim < 0 or corank < 0:
-        raise ValueError("kernel dimension and corank must be nonnegative")
+        raise InputError("kernel dimension and corank must be nonnegative")
     if kernel_dim == 0 and corank == 0:
         raise DisconnectedComponentsError(
             "the set of invertible operators is not path connected over "
@@ -657,11 +651,11 @@ def connect_phi(
     for name, t in (("t1", t1), ("t2", t2)):
         k = rank_of(t, tol)
         if cols - k != kernel_dim:
-            raise ValueError(
+            raise InputError(
                 f"{name} has kernel dimension {cols - k}, expected {kernel_dim}"
             )
         if rows - k != corank:
-            raise ValueError(f"{name} has corank {rows - k}, expected {corank}")
+            raise InputError(f"{name} has corank {rows - k}, expected {corank}")
     return connect_fk(t1, t2, tol)
 
 
@@ -701,21 +695,17 @@ class ChainWitness:
 
 def _equal_rank_frames(
     t1, t2, tol: ToleranceConfig
-) -> tuple[np.ndarray, np.ndarray, int, tuple[Subspace, Subspace], tuple[Subspace, Subspace]]:
-    """Both endpoints as matrices with their common rank, kernels and ranges.
+) -> tuple[np.ndarray, np.ndarray, tuple[Subspace, Subspace], tuple[Subspace, Subspace]]:
+    """Both endpoints as matrices with their kernels and ranges.
 
-    One SVD per endpoint.  Raises ValueError when the shapes or the ranks
-    differ.
+    One SVD per endpoint, both cut at the common rank.  Raises InputError
+    when the shapes or the ranks differ.
     """
-    t1 = as_matrix(t1)
-    t2 = as_matrix(t2)
-    if t1.shape != t2.shape:
-        raise ValueError("endpoints must share a shape")
-    k1, ker1, rng1 = rank_kernel_range(t1, tol)
-    k2, ker2, rng2 = rank_kernel_range(t2, tol)
-    if k1 != k2:
-        raise ValueError(f"rank mismatch: {k1} vs {k2}; endpoints lie in different strata")
-    return t1, t2, k1, (ker1, ker2), (rng1, rng2)
+    t1, t2, k, (u1, _, vt1), (u2, _, vt2) = _equal_rank_svds(t1, t2, tol)
+    rows, cols = t1.shape
+    kernels = (Subspace(cols, vt1[k:].T), Subspace(cols, vt2[k:].T))
+    ranges = (Subspace(rows, u1[:, :k]), Subspace(rows, u2[:, :k]))
+    return t1, t2, kernels, ranges
 
 
 def _validate_witness(
@@ -749,11 +739,10 @@ def chain_connect(
 
     The kernel chain re-anchors the kernel one link at a time by right
     projections; the range chain re-anchors the range by left projections;
-    the closing stage compares the final chained operator with t_star
-    through an invertible factor, connected canonically with a possible
-    sign-absorbing rotation.
+    the closing stage projects t_star onto the last complements and joins
+    the result to the final chained operator with ``frame_connect``.
     """
-    t0, t_star, k, kernels, ranges = _equal_rank_frames(t0, t_star, tol)
+    t0, t_star, kernels, ranges = _equal_rank_frames(t0, t_star, tol)
     kernel_nodes = [kernels[0], *witness.kernels, kernels[1]]
     range_nodes = [ranges[0], *witness.ranges, ranges[1]]
     _validate_witness(witness, kernel_nodes, range_nodes, tol)
@@ -778,7 +767,7 @@ def chain_connect(
         chained.append(cur)
     t_mn = cur
     stages = []
-    # closing stage: t_star -> w1 -> w2 -> (invertible factor) -> t_mn
+    # closing stage: t_star -> w1 -> w2 -> (singular frames) -> t_mn
     r_last = witness.kernel_complements[m]
     n_m = kernel_nodes[m]
     w1 = t_star
@@ -791,9 +780,7 @@ def chain_connect(
     if s_last.dim > 0:
         stages.append(reverse_path(left_project_path(w1, f_n, s_last, tol)))
         w2 = oblique_projection(f_n, s_last, tol).projector @ w1
-    gl_segments = _gl_stage(w2, t_mn, r_last, s_last, k, tol)
-    if gl_segments:
-        stages.append(OperatorPath(tuple(gl_segments), t0.shape))
+    stages.append(frame_connect(t_mn, w2, tol))
     # walk the range chain back down, then the kernel chain
     for i in range(n_chain, 0, -1):
         if witness.range_complements[i - 1].dim > 0:
@@ -815,7 +802,7 @@ def discover_chain(
     t0, t_star, tol: ToleranceConfig = DEFAULT_TOL
 ) -> ChainWitness:
     """Shortest witness between same-rank operators: one common complement a side."""
-    _, _, _, kernels, ranges = _equal_rank_frames(t0, t_star, tol)
+    _, _, kernels, ranges = _equal_rank_frames(t0, t_star, tol)
     r1 = common_complement(*kernels, tol)
     s1 = common_complement(*ranges, tol)
     return ChainWitness((), (r1,), (), (s1,))

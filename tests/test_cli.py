@@ -102,6 +102,28 @@ class TestGenConnectCertify:
         assert code == 4
         assert "components" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "t2, mode, message",
+        [
+            (np.eye(2), "fk", "endpoints must share a shape"),
+            (np.eye(2, 3) * [[1.0], [0.0]], "fk", "rank mismatch: 2 vs 1"),
+            (np.eye(2, 3) * [[1.0], [0.0]], "phi", "t2 has kernel dimension 2, expected 1"),
+        ],
+        ids=["shape", "rank", "phi-kernel-dim"],
+    )
+    def test_rejected_pair_exits_4(self, tmp_path, capsys, t2, mode, message):
+        pair = tmp_path / "pair.json"
+        obj = {
+            "kind": "phi-pair", "m": 3, "n": 2, "k": 2, "seed": 0,
+            "T1": ser.matrix_to_obj(np.eye(2, 3)),
+            "T2": ser.matrix_to_obj(t2),
+        }
+        ser.save_json(obj, pair)
+        code = run(["connect", "--in", pair, "--mode", mode,
+                    "--out", tmp_path / "p.json"])
+        assert code == 4
+        assert message in capsys.readouterr().err
+
 
 class TestOtherCommands:
     def test_dim_prints(self, capsys):

@@ -1,3 +1,4 @@
+import re
 from collections import Counter
 
 import numpy as np
@@ -11,6 +12,7 @@ from strata import (
     GraphParam,
     Subspace,
     audit_flip_path,
+    certify_path,
     chain_connect,
     connect_fk,
     connect_phi,
@@ -18,6 +20,7 @@ from strata import (
     corrected_flip_path,
     discover_chain,
     eval_path,
+    frame_connect,
     gl_connect,
     is_direct_sum,
     kernel_basis,
@@ -35,10 +38,12 @@ from strata import (
 from strata.errors import (
     DirectSumError,
     DisconnectedComponentsError,
+    StrataError,
     WitnessError,
 )
 from strata.instances import InstanceSpec, gen_instance
 from strata.paths import OperatorPath, locate, sample_parameters
+from strata.subspaces import maxabs
 
 from conftest import random_split, span
 
@@ -47,6 +52,11 @@ def is_constant(path):
     """A single do-nothing leg: affine with a zero slope."""
     kinds = [s.kind for s in path.segments]
     return kinds == ["affine"] and not path.segments[0].payload["b"].any()
+
+
+def leg_names(path):
+    """Each leg as "affine" or the side of its rotation, space separated."""
+    return " ".join(s.kind if s.kind == "affine" else s.payload["side"] for s in path.segments)
 
 
 def grid_eval(path, num=101):
@@ -478,20 +488,23 @@ class TestConnectFk:
         for w in grid_eval(p, 101):
             assert rank_of(w) == 2
 
-    def test_is_the_chain_construction(self):
+    def test_is_the_frame_construction(self):
         shapes = [(2, 3, 1), (3, 4, 2), (5, 6, 3), (4, 2, 1), (5, 6, 4)]  # (m cols, n rows, k)
         for seed in range(20):
             m, n, k = shapes[seed % len(shapes)]
             payload = gen_instance(InstanceSpec(m=m, n=n, k=k, seed=seed, kind="fk-pair"))
             t1, t2 = payload["T1"], payload["T2"]
             p = connect_fk(t1, t2)
-            q = chain_connect(t1, t2, discover_chain(t1, t2))
+            q = frame_connect(t1, t2)
             assert len(p.segments) == len(q.segments)
             for t in np.linspace(0.0, 1.0, 21):
                 assert np.max(np.abs(eval_path(p, t) - eval_path(q, t))) <= 1e-12
+            # one singular-value leg, the two frame rotations, optional tail legs
+            legs = leg_names(p)
+            assert re.fullmatch(r"(affine )?affine range kernel( affine)?", legs), legs
 
     def test_factorization_count(self, monkeypatch):
-        # one 6x5 rank-3 pair: one SVD per endpoint for rank, kernel and range
+        # one 6x5 rank-3 pair: one full SVD per endpoint, nothing inverted
         payload = gen_instance(InstanceSpec(m=5, n=6, k=3, seed=0, kind="fk-pair"))
         calls = Counter()
 
@@ -504,11 +517,12 @@ class TestConnectFk:
 
             return counted
 
-        for name in ("svd", "inv"):
+        for name in ("svd", "inv", "pinv"):
             monkeypatch.setattr(np.linalg, name, counting(name))
         connect_fk(payload["T1"], payload["T2"])
-        assert 0 < calls["svd"] <= 36
-        assert 0 < calls["inv"] <= 7
+        assert 0 < calls["svd"] <= 2
+        assert calls["inv"] == 0
+        assert calls["pinv"] == 0
 
     def test_random_rank_constancy(self, rng):
         for seed in range(30):
@@ -605,3 +619,122 @@ class TestChains:
         assert eval_path(p, 1.0) == pytest.approx(t0, abs=1e-9)
         for w_ in grid_eval(p, 151):
             assert rank_of(w_) == 1
+
+
+def frame_signs(x, y):
+    """Whether U_x U_y^T and V_x V_y^T have determinant -1, for LAPACK's frames."""
+    (ux, _, vtx), (uy, _, vty) = np.linalg.svd(x), np.linalg.svd(y)
+    det = np.linalg.det
+    return bool(det(ux) * det(uy) < 0), bool(det(vtx) * det(vty) < 0)
+
+
+TALL = np.array([[1.0, 0.0], [0.0, 2.0], [0.0, 0.0]])  # 3x2 rank 2: spare range column only
+
+
+class TestFrameConnect:
+    @pytest.mark.parametrize(
+        "x, y, signs",
+        [
+            # both determinants -1: one paired column flip
+            (np.diag([1.0, 2.0, 0.0]), np.diag([2.0, 1.0, 0.0]), (True, True)),
+            # range side -1, spare range column
+            (TALL, np.array([[1.0, 0.0], [0.0, -1.0], [0.0, 0.0]]), (True, False)),
+            # kernel side -1 with no spare kernel column: moved to the range side
+            (TALL, np.array([[-1.0, 0.0], [0.0, 3.0], [0.0, 0.0]]), (False, True)),
+            # kernel side -1, spare kernel column
+            (TALL.T, np.array([[-1.0, 0.0, 0.0], [0.0, 3.0, 0.0]]), (False, True)),
+            # range side -1 with no spare range column: moved to the kernel side
+            (TALL.T, np.array([[1.0, 0.0, 0.0], [0.0, -1.0, 0.0]]), (True, False)),
+        ],
+        ids=["both", "range-spare", "range-spare-via-pair", "kernel-spare", "kernel-spare-via-pair"],
+    )
+    def test_sign_branches(self, x, y, signs):
+        assert frame_signs(x, y) == signs  # the pair reaches the intended branch
+        k = rank_of(x)
+        p = frame_connect(x, y)
+        cert = certify_path(p, k, grid=1001)
+        assert cert.verdict == "pass"
+        assert all(rec.rank == k for rec in cert.per_sample)
+        assert maxabs(eval_path(p, 0.0) - y) <= 1e-12 * (1 + maxabs(y))
+        assert maxabs(eval_path(p, 1.0) - x) <= 1e-12 * (1 + maxabs(x))
+
+    def test_tail_legs(self):
+        # singular values below the rank cut are dropped first and restored last
+        rng = np.random.default_rng(3)
+
+        def rank_two_with_tail(tail):
+            u = np.linalg.qr(rng.standard_normal((4, 4)))[0]
+            v = np.linalg.qr(rng.standard_normal((3, 3)))[0]
+            return (u[:, :3] * [1.0, 0.5, tail]) @ v.T
+
+        x, y = rank_two_with_tail(2e-11), rank_two_with_tail(5e-11)
+        p = frame_connect(x, y)
+        assert leg_names(p) == "affine affine range kernel affine"
+        cert = certify_path(p, 2, grid=1001)
+        assert cert.verdict == "pass"
+        assert maxabs(eval_path(p, 0.0) - y) <= 1e-12 * (1 + maxabs(y))
+        assert maxabs(eval_path(p, 1.0) - x) <= 1e-12 * (1 + maxabs(x))
+
+    def test_no_spare_column_raises(self):
+        x, y = np.diag([1.0, 2.0, 3.0]), np.diag([-1.0, 2.0, 3.0])
+        assert frame_signs(x, y) in ((True, False), (False, True))
+        with pytest.raises(DisconnectedComponentsError):
+            frame_connect(x, y)
+
+
+class TestConditioning:
+    @staticmethod
+    def pairs(kappa):
+        """20 seeded 6x5 rank-3 pairs with singular values 1 .. 1/kappa."""
+        s = np.logspace(0.0, -np.log10(kappa), 3)
+
+        def one(rng):
+            u = np.linalg.qr(rng.standard_normal((6, 3)))[0]
+            v = np.linalg.qr(rng.standard_normal((5, 3)))[0]
+            return (u * s) @ v.T
+
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            yield one(rng), one(rng)
+
+    @staticmethod
+    def assert_certified(p, t1, t2):
+        cert = certify_path(p, 3, grid=1001)
+        assert cert.verdict == "pass"
+        assert maxabs(eval_path(p, 0.0) - t2) <= 1e-9
+        assert maxabs(eval_path(p, 1.0) - t1) <= 1e-9
+
+    @pytest.mark.parametrize("kappa", [1e5, 1e6, 1e8])
+    def test_connect_fk_and_phi(self, kappa):
+        for t1, t2 in self.pairs(kappa):
+            self.assert_certified(connect_fk(t1, t2), t1, t2)
+            self.assert_certified(connect_phi(t1, t2, 2, 3), t1, t2)
+
+    @pytest.mark.parametrize("kappa", [1e5, 1e6])
+    def test_chain_connect(self, kappa):
+        for t1, t2 in self.pairs(kappa):
+            self.assert_certified(chain_connect(t1, t2, discover_chain(t1, t2)), t1, t2)
+
+
+class TestInputErrors:
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: connect_fk(np.eye(2), np.eye(3)),
+            lambda: connect_fk(np.eye(2), np.diag([1.0, 0.0])),
+            lambda: discover_chain(np.eye(2), np.ones((2, 3))),
+            lambda: discover_chain(np.eye(2), np.diag([1.0, 0.0])),
+            lambda: connect_phi(TALL.T, TALL.T, 2, 0),
+            lambda: connect_phi(TALL.T, TALL.T, 1, 1),
+            lambda: gl_connect(np.ones((2, 3))),
+            lambda: gl_connect(np.diag([1.0, 0.0])),
+        ],
+        ids=[
+            "fk-shape", "fk-rank", "chain-shape", "chain-rank",
+            "phi-kernel-dim", "phi-corank", "gl-nonsquare", "gl-singular",
+        ],
+    )
+    def test_rejections_are_typed(self, call):
+        with pytest.raises(StrataError) as exc:
+            call()
+        assert isinstance(exc.value, ValueError)
