@@ -137,8 +137,6 @@ def certify_path(
     passes would be vacuous.  Failures are listed by the local parameter
     of the leg they occur on.
     """
-    if grid < 2:
-        raise ValueError("grid must contain at least 2 points")
     samples = sample_parameters(path, grid)
     values = eval_path_batch(path, samples)
     svals = np.linalg.svd(values, compute_uv=False)

@@ -36,7 +36,6 @@ from .errors import (
 )
 from .projections import (
     GraphParam,
-    alpha_from_complements,
     alpha_operator,
     oblique_projection,
 )
@@ -101,15 +100,19 @@ class PathSegment:
             raise ValueError(f"unknown segment kind {self.kind!r}")
 
 
-def _rotate(a: np.ndarray, z: np.ndarray, theta: np.ndarray, ts: np.ndarray) -> np.ndarray:
+def _rotate(
+    a: np.ndarray, z: np.ndarray, theta: np.ndarray, ts: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
     """R(t) @ a for each t, as a + Z (G(t*theta) - I) Z.T a, never forming R.
 
     The samples run in chunks, so the plane coordinates of one chunk stay
-    near ROTATE_CHUNK_BYTES however many samples are asked for.
+    near ROTATE_CHUNK_BYTES however many samples are asked for.  ``out``,
+    when given, receives the result and may be a strided view.
     """
     y = z.T @ a
     y1, y2 = y[0::2][None], y[1::2][None]
-    out = np.empty((ts.size,) + a.shape)
+    if out is None:
+        out = np.empty((ts.size,) + a.shape)
     step = max(1, ROTATE_CHUNK_BYTES // max(1, y.nbytes))
     for lo in range(0, ts.size, step):
         angles = ts[lo : lo + step, None] * theta[None, :]
@@ -118,22 +121,35 @@ def _rotate(a: np.ndarray, z: np.ndarray, theta: np.ndarray, ts: np.ndarray) -> 
         d = np.empty((angles.shape[0],) + y.shape)
         d[:, 0::2] = cos_m1 * y1 - sin * y2
         d[:, 1::2] = sin * y1 + cos_m1 * y2
-        np.matmul(z, d, out=out[lo : lo + step])
+        chunk = out[lo : lo + step]
+        if chunk.flags.c_contiguous:
+            np.matmul(z, d, out=chunk)
+        else:  # a matmul into a strided view rounds differently
+            chunk[...] = z @ d
     out += a
     return out
 
 
-def eval_segment_batch(seg: PathSegment, ts: np.ndarray) -> np.ndarray:
-    """Evaluate one segment at an array of local parameters in [0, 1]."""
+def eval_segment_batch(
+    seg: PathSegment, ts: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
+    """Evaluate one segment at an array of local parameters in [0, 1].
+
+    ``out``, when given, is filled and returned; its values are the same
+    as those of the call without it.
+    """
     ts = np.asarray(ts, dtype=float)
     p = seg.payload
     if seg.kind == "affine":
-        out = ts[:, None, None] * p["b"]
+        out = np.multiply(ts[:, None, None], p["b"], out=out)
         out += p["a"]
         return out
     if p["side"] == "range":
-        return _rotate(p["a"], p["z"], p["theta"], ts)
-    return _rotate(p["a"].T, p["z"], p["theta"], ts).transpose(0, 2, 1)
+        return _rotate(p["a"], p["z"], p["theta"], ts, out)
+    if out is None:  # a transposed layout: later products with the result round by it
+        out = np.empty((ts.size,) + p["a"].T.shape).transpose(0, 2, 1)
+    _rotate(p["a"].T, p["z"], p["theta"], ts, out.transpose(0, 2, 1))
+    return out
 
 
 def eval_segment(seg: PathSegment, t: float) -> np.ndarray:
@@ -231,7 +247,7 @@ def locate(path: OperatorPath, t: float) -> tuple[int, float]:
     Segments share the unit interval equally.
     """
     if not 0.0 <= t <= 1.0:
-        raise ValueError(f"path parameter {t} outside [0, 1]")
+        raise InputError(f"path parameter {t} outside [0, 1]")
     nseg = len(path.segments)
     x = t * nseg
     idx = min(int(math.floor(x)), nseg - 1)
@@ -250,9 +266,10 @@ def eval_path_batch(path: OperatorPath, samples) -> np.ndarray:
         return out
     _, segs, locals_ = zip(*samples)
     segs, locals_ = np.array(segs), np.array(locals_, dtype=float)
-    for seg_idx in np.unique(segs).tolist():
-        positions = np.flatnonzero(segs == seg_idx)
-        out[positions] = eval_segment_batch(path.segments[seg_idx], locals_[positions])
+    # each run of samples on one segment is evaluated straight into its slice
+    bounds = [0, *(np.flatnonzero(np.diff(segs)) + 1).tolist(), len(segs)]
+    for lo, hi in zip(bounds, bounds[1:]):
+        eval_segment_batch(path.segments[segs[lo]], locals_[lo:hi], out[lo:hi])
     return out
 
 
@@ -263,7 +280,7 @@ def sample_parameters(path: OperatorPath, grid: int) -> list[tuple[float, int, f
     of an affine leg has measure zero and escapes any uniform grid.
     """
     if grid < 2:
-        raise ValueError("grid must contain at least 2 points")
+        raise InputError("grid must contain at least 2 points")
     nseg = len(path.segments)
     # the same IEEE operations as ``locate``, on the whole grid at once
     t = np.arange(grid) / (grid - 1)
@@ -292,17 +309,6 @@ def reverse_path(path: OperatorPath) -> OperatorPath:
     return OperatorPath(segs, path.shape)
 
 
-def _assemble(stage_paths, shape, fallback) -> OperatorPath:
-    """Concatenate stage paths, dropping do-nothing constant legs (affine, b = 0)."""
-    segments = []
-    for stage in stage_paths:
-        segments.extend(stage.segments)
-    kept = [s for s in segments if s.kind == "rotation" or s.payload["b"].any()]
-    if not kept:
-        return constant_path(fallback)
-    return OperatorPath(tuple(kept), shape)
-
-
 # ---------------------------------------------------------------------------
 # projector flip families
 
@@ -319,14 +325,14 @@ def literal_flip_path(
     leaves the admissible set at its midpoint whenever the tilt is nonzero.
     """
     if r.dim == 0:
-        raise ValueError("the complement must have positive dimension")
+        raise InputError("the complement must have positive dimension")
     n = r.ambient_dim
     if e_star.dim == 0:
         return constant_path(np.zeros((n, n)))
     if not subspaces_equal(alpha.domain, e_star) or not subspaces_equal(alpha.codomain, r):
-        raise ValueError("graph parameter does not match the given decomposition")
+        raise InputError("graph parameter does not match the given decomposition")
     if alpha.is_zero():
-        raise ValueError("the tilt must be nonzero when the base subspace is nonzero")
+        raise InputError("the tilt must be nonzero when the base subspace is nonzero")
     proj = oblique_projection(e_star, r, tol).projector
     ap = alpha_operator(alpha) @ proj
     leg1 = make_segment("affine", {"a": proj, "b": ap}, proj, proj + ap)
@@ -363,7 +369,7 @@ def corrected_flip_path(
     t_mat = as_matrix(t_mat)
     rows, cols = t_mat.shape
     if rank_of(t_mat, tol) != k:
-        raise ValueError(f"matrix rank is not the declared {k}")
+        raise InputError(f"matrix rank is not the declared {k}")
     if k == 0:
         return constant_path(t_mat)
     if side is None:
@@ -378,9 +384,9 @@ def corrected_flip_path(
                 "rotate through"
             )
     if side == "range" and rows <= k:
-        raise ValueError("side='range' needs more rows than the rank")
+        raise InputError("side='range' needs more rows than the rank")
     if side == "kernel" and cols <= k:
-        raise ValueError("side='kernel' needs more columns than the rank")
+        raise InputError("side='kernel' needs more columns than the rank")
     u_full, _, vt_full = np.linalg.svd(t_mat)
     if side == "range":
         w = u_full[:, k]
@@ -405,29 +411,30 @@ def corrected_flip_path(
 # one-sided projection lines
 
 
+def _line(a: np.ndarray, b: np.ndarray) -> PathSegment:
+    """The straight leg from a to b."""
+    return make_segment("affine", {"a": a, "b": b - a}, a, b)
+
+
 def left_project_path(
     t0, f_star: Subspace, n_sub: Subspace, tol: ToleranceConfig = DEFAULT_TOL
 ) -> OperatorPath:
     """Slide the range of an operator onto a reference complement.
 
     With the codomain split both by range(t0) and by f_star against the
-    same complement n_sub, the family (P + s*aP) t0 moves the projected
-    operator at s=0 back up to t0 at s=1, keeping the kernel fixed and the
-    range on the tilted family of complements throughout.
+    same complement n_sub, and P the projector onto f_star along n_sub,
+    this is the straight leg P t0 -> t0.  Range(t0) is the graph of a map
+    a from f_star into n_sub, so (I - P) t0 = aP t0 and the leg is the
+    family (P + s*aP) t0: the kernel stays fixed and the range moves
+    through the tilted family of complements of n_sub.
     """
     t0 = as_matrix(t0)
     if n_sub.dim == 0:
-        raise ValueError("the complement must have positive dimension")
-    rng = range_basis(t0, tol)
-    for name, sub in (("range(t0)", rng), ("f_star", f_star)):
+        raise InputError("the complement must have positive dimension")
+    for name, sub in (("range(t0)", range_basis(t0, tol)), ("f_star", f_star)):
         require_direct_sum([sub, n_sub], tol, f"{name} (+) the reference subspace")
-    alpha = alpha_from_complements(rng, f_star, n_sub, tol)
     proj = oblique_projection(f_star, n_sub, tol).projector
-    if alpha.is_zero():
-        return constant_path(proj @ t0)
-    ap = alpha_operator(alpha) @ proj
-    seg = make_segment("affine", {"a": proj @ t0, "b": ap @ t0}, proj @ t0, t0)
-    return OperatorPath((seg,), t0.shape)
+    return OperatorPath((_line(proj @ t0, t0),), t0.shape)
 
 
 def right_project_path(
@@ -436,24 +443,19 @@ def right_project_path(
     """Slide the kernel of an operator onto a reference subspace.
 
     With the domain split both by kernel(t0) and by e_star against the same
-    complement r0, the family t0 (P_r0 - s*aP) moves the right-projected
-    operator at s=0 back up to t0 at s=1, keeping the range fixed and the
-    kernel on a tilted family throughout.
+    complement r0, and P the projector onto r0 along e_star, this is the
+    straight leg t0 P -> t0.  Kernel(t0) is the graph of a map a from
+    e_star into r0, so t0 (I - P) = -t0 aP' with P' = I - P, and the leg is
+    the family t0 (P - s*aP'): the range stays fixed and the kernel moves
+    through a tilted family.
     """
     t0 = as_matrix(t0)
     if r0.dim == 0:
-        raise ValueError("the complement must have positive dimension")
-    ker = kernel_basis(t0, tol)
-    for name, sub in (("kernel(t0)", ker), ("e_star", e_star)):
+        raise InputError("the complement must have positive dimension")
+    for name, sub in (("kernel(t0)", kernel_basis(t0, tol)), ("e_star", e_star)):
         require_direct_sum([sub, r0], tol, f"{name} (+) the reference subspace")
-    alpha = alpha_from_complements(ker, e_star, r0, tol)
-    p_estar = oblique_projection(e_star, r0, tol).projector
-    p_r0 = np.eye(t0.shape[1]) - p_estar
-    if alpha.is_zero():
-        return constant_path(t0 @ p_r0)
-    ap = alpha_operator(alpha) @ p_estar
-    seg = make_segment("affine", {"a": t0 @ p_r0, "b": -(t0 @ ap)}, t0 @ p_r0, t0)
-    return OperatorPath((seg,), t0.shape)
+    proj = oblique_projection(r0, e_star, tol).projector
+    return OperatorPath((_line(t0 @ proj, t0),), t0.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -714,22 +716,18 @@ def _validate_witness(
     range_nodes: list[Subspace],
     tol: ToleranceConfig,
 ) -> None:
-    for j, comp in enumerate(witness.kernel_complements, start=1):
-        for node, side in ((kernel_nodes[j - 1], "left"), (kernel_nodes[j], "right")):
-            check = is_direct_sum([node, comp], tol)
-            if not check.ok:
-                raise WitnessError(
-                    f"kernel chain slot {j}: complement does not split the "
-                    f"{side} kernel (condition {check.condition_number:.3e})"
-                )
-    for i, comp in enumerate(witness.range_complements, start=1):
-        for node, side in ((range_nodes[i - 1], "left"), (range_nodes[i], "right")):
-            check = is_direct_sum([node, comp], tol)
-            if not check.ok:
-                raise WitnessError(
-                    f"range chain slot {i}: complement does not split the "
-                    f"{side} range (condition {check.condition_number:.3e})"
-                )
+    for side, nodes, comps in (
+        ("kernel", kernel_nodes, witness.kernel_complements),
+        ("range", range_nodes, witness.range_complements),
+    ):
+        for j, comp in enumerate(comps, start=1):
+            for node, which in ((nodes[j - 1], "left"), (nodes[j], "right")):
+                check = is_direct_sum([node, comp], tol)
+                if not check.ok:
+                    raise WitnessError(
+                        f"{side} chain slot {j}: complement does not split the "
+                        f"{which} {side} (condition {check.condition_number:.3e})"
+                    )
 
 
 def chain_connect(
@@ -737,10 +735,15 @@ def chain_connect(
 ) -> OperatorPath:
     """Path from t_star to t0 through the stages named by a chain witness.
 
-    The kernel chain re-anchors the kernel one link at a time by right
-    projections; the range chain re-anchors the range by left projections;
-    the closing stage projects t_star onto the last complements and joins
-    the result to the final chained operator with ``frame_connect``.
+    Going forward from t0, kernel link j multiplies on the right by the
+    projector onto kernel_complements[j-1] along kernels[j-1], and range
+    link i multiplies on the left by the projector onto ranges[i-1] along
+    range_complements[i-1].  The path joins t_star to the last of
+    these chained operators with ``frame_connect``, then walks back to t0
+    along straight legs between consecutive chained operators: each such
+    leg is a right or left projection leg, so the rank holds along it.
+    The last complement on each side is validated like the others but
+    builds nothing, since ``frame_connect`` needs no common splitting.
     """
     t0, t_star, kernels, ranges = _equal_rank_frames(t0, t_star, tol)
     kernel_nodes = [kernels[0], *witness.kernels, kernels[1]]
@@ -748,54 +751,16 @@ def chain_connect(
     _validate_witness(witness, kernel_nodes, range_nodes, tol)
     if np.array_equal(t0, t_star):
         return constant_path(t0)
-    m = len(witness.kernels)
-    n_chain = len(witness.ranges)
-    # forward chained operators
     chained = [t0]
-    cur = t0
-    for j in range(1, m + 1):
-        proj = oblique_projection(
-            witness.kernel_complements[j - 1], kernel_nodes[j], tol
-        ).projector
-        cur = cur @ proj
-        chained.append(cur)
-    for i in range(1, n_chain + 1):
-        proj = oblique_projection(
-            range_nodes[i], witness.range_complements[i - 1], tol
-        ).projector
-        cur = proj @ cur
-        chained.append(cur)
-    t_mn = cur
-    stages = []
-    # closing stage: t_star -> w1 -> w2 -> (singular frames) -> t_mn
-    r_last = witness.kernel_complements[m]
-    n_m = kernel_nodes[m]
-    w1 = t_star
-    if r_last.dim > 0 and n_m.dim > 0:
-        stages.append(reverse_path(right_project_path(t_star, n_m, r_last, tol)))
-        w1 = t_star @ oblique_projection(r_last, n_m, tol).projector
-    s_last = witness.range_complements[n_chain]
-    f_n = range_nodes[n_chain]
-    w2 = w1
-    if s_last.dim > 0:
-        stages.append(reverse_path(left_project_path(w1, f_n, s_last, tol)))
-        w2 = oblique_projection(f_n, s_last, tol).projector @ w1
-    stages.append(frame_connect(t_mn, w2, tol))
-    # walk the range chain back down, then the kernel chain
-    for i in range(n_chain, 0, -1):
-        if witness.range_complements[i - 1].dim > 0:
-            stages.append(
-                left_project_path(
-                    chained[m + i - 1], range_nodes[i], witness.range_complements[i - 1], tol
-                )
-            )
-    for j in range(m, 0, -1):
-        stages.append(
-            right_project_path(
-                chained[j - 1], kernel_nodes[j], witness.kernel_complements[j - 1], tol
-            )
-        )
-    return _assemble(stages, t0.shape, t0)
+    for node, comp in zip(witness.kernels, witness.kernel_complements):
+        chained.append(chained[-1] @ oblique_projection(comp, node, tol).projector)
+    for node, comp in zip(witness.ranges, witness.range_complements):
+        chained.append(oblique_projection(node, comp, tol).projector @ chained[-1])
+    segments = list(frame_connect(chained[-1], t_star, tol).segments)
+    segments += [_line(chained[i], chained[i - 1]) for i in range(len(chained) - 1, 0, -1)]
+    # drop do-nothing legs, such as a frame stage between equal operators
+    kept = [s for s in segments if s.kind == "rotation" or s.payload["b"].any()]
+    return OperatorPath(tuple(kept), t0.shape)
 
 
 def discover_chain(

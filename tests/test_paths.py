@@ -11,6 +11,8 @@ from strata import (
     ChainWitness,
     GraphParam,
     Subspace,
+    alpha_from_complements,
+    alpha_operator,
     audit_flip_path,
     certify_path,
     chain_connect,
@@ -41,7 +43,7 @@ from strata.errors import (
     StrataError,
     WitnessError,
 )
-from strata.instances import InstanceSpec, gen_instance
+from strata.instances import InstanceSpec, gen_instance, random_subspace
 from strata.paths import OperatorPath, locate, sample_parameters
 from strata.subspaces import maxabs
 
@@ -67,6 +69,40 @@ def ambient_tilt(e_star, r, mapping):
     """GraphParam whose ambient action is the given matrix on e_star."""
     coeff = r.basis.T @ np.asarray(mapping, dtype=float) @ e_star.basis
     return GraphParam(e_star, r, coeff)
+
+
+def count_factorizations(monkeypatch):
+    """Counter of np.linalg svd, inv and pinv calls made from now on."""
+    calls = Counter()
+
+    def counting(name):
+        original = getattr(np.linalg, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        return counted
+
+    for name in ("svd", "inv", "pinv"):
+        monkeypatch.setattr(np.linalg, name, counting(name))
+    return calls
+
+
+def seeded_fk_pairs():
+    """20 seeded fk-pairs over five shapes (m cols, n rows, k)."""
+    shapes = [(2, 3, 1), (3, 4, 2), (5, 6, 3), (4, 2, 1), (5, 6, 4)]
+    for seed in range(20):
+        m, n, k = shapes[seed % len(shapes)]
+        payload = gen_instance(InstanceSpec(m=m, n=n, k=k, seed=seed, kind="fk-pair"))
+        yield payload["T1"], payload["T2"]
+
+
+def assert_same_path(p, q):
+    """Same leg count and the same values at 21 parameters."""
+    assert len(p.segments) == len(q.segments)
+    for t in np.linspace(0.0, 1.0, 21):
+        assert np.max(np.abs(eval_path(p, t) - eval_path(q, t))) <= 1e-12
 
 
 class TestSegmentsAndEval:
@@ -389,6 +425,46 @@ class TestProjectPaths:
         with pytest.raises(DirectSumError):
             right_project_path(t0, span([1, 0]), span([0, 1]))
 
+    @staticmethod
+    def well_split(rng, n, d):
+        """Two d-dimensional subspaces and one complement of both, all well conditioned."""
+        while True:
+            a, b = random_subspace(rng, n, d), random_subspace(rng, n, d)
+            c = random_subspace(rng, n, n - d)
+            if all(is_direct_sum([x, c]).condition_number < 1e3 for x in (a, b)):
+                return a, b, c
+
+    def test_legs_follow_graph_formula(self):
+        # the straight legs are the graph families (P + s*aP) t0 and t0 (P' - s*aP)
+        def assert_follows(p, want, t0):
+            scale = 1e-10 * (1.0 + maxabs(t0))
+            for s in np.linspace(0.0, 1.0, 11):
+                assert maxabs(eval_path(p, s) - want(s)) <= scale
+
+        for n in range(2, 9):
+            rng = np.random.default_rng(300 + n)
+            for _ in range(15):
+                d = int(rng.integers(1, n))
+                other = int(rng.integers(d, 9))
+                # left: range(t0) and f_star both complement n_sub
+                range0, f_star, n_sub = self.well_split(rng, n, d)
+                t0 = range0.basis @ rng.standard_normal((d, other))
+                ap = alpha_operator(alpha_from_complements(range_basis(t0), f_star, n_sub))
+                proj = oblique_projection(f_star, n_sub).projector
+                assert_follows(
+                    left_project_path(t0, f_star, n_sub), lambda s: (proj + s * ap @ proj) @ t0, t0
+                )
+                # right: kernel(t1) and e_star both complement r0
+                ker, e_star, r0 = self.well_split(rng, n, n - d)
+                t1 = rng.standard_normal((other, d)) @ orthogonal_complement(ker).basis.T
+                ap = alpha_operator(alpha_from_complements(kernel_basis(t1), e_star, r0))
+                proj = oblique_projection(e_star, r0).projector
+                assert_follows(
+                    right_project_path(t1, e_star, r0),
+                    lambda s: t1 @ (np.eye(n) - proj - s * ap @ proj),
+                    t1,
+                )
+
     def test_right_kernel_tilts_along_path(self, rng):
         t0 = rng.uniform(-1, 1, (2, 3))  # rank 2, kernel dim 1
         ker = kernel_basis(t0)
@@ -489,16 +565,9 @@ class TestConnectFk:
             assert rank_of(w) == 2
 
     def test_is_the_frame_construction(self):
-        shapes = [(2, 3, 1), (3, 4, 2), (5, 6, 3), (4, 2, 1), (5, 6, 4)]  # (m cols, n rows, k)
-        for seed in range(20):
-            m, n, k = shapes[seed % len(shapes)]
-            payload = gen_instance(InstanceSpec(m=m, n=n, k=k, seed=seed, kind="fk-pair"))
-            t1, t2 = payload["T1"], payload["T2"]
+        for t1, t2 in seeded_fk_pairs():
             p = connect_fk(t1, t2)
-            q = frame_connect(t1, t2)
-            assert len(p.segments) == len(q.segments)
-            for t in np.linspace(0.0, 1.0, 21):
-                assert np.max(np.abs(eval_path(p, t) - eval_path(q, t))) <= 1e-12
+            assert_same_path(p, frame_connect(t1, t2))
             # one singular-value leg, the two frame rotations, optional tail legs
             legs = leg_names(p)
             assert re.fullmatch(r"(affine )?affine range kernel( affine)?", legs), legs
@@ -506,19 +575,7 @@ class TestConnectFk:
     def test_factorization_count(self, monkeypatch):
         # one 6x5 rank-3 pair: one full SVD per endpoint, nothing inverted
         payload = gen_instance(InstanceSpec(m=5, n=6, k=3, seed=0, kind="fk-pair"))
-        calls = Counter()
-
-        def counting(name):
-            original = getattr(np.linalg, name)
-
-            def counted(*args, **kwargs):
-                calls[name] += 1
-                return original(*args, **kwargs)
-
-            return counted
-
-        for name in ("svd", "inv", "pinv"):
-            monkeypatch.setattr(np.linalg, name, counting(name))
+        calls = count_factorizations(monkeypatch)
         connect_fk(payload["T1"], payload["T2"])
         assert 0 < calls["svd"] <= 2
         assert calls["inv"] == 0
@@ -590,6 +647,23 @@ class TestChains:
     def test_rank_mismatch(self):
         with pytest.raises(ValueError):
             discover_chain(np.eye(2), np.diag([1.0, 0.0]))
+
+    def test_discovered_chain_is_the_frame_construction(self):
+        # the last complements build nothing: the chain is one frame stage
+        for t1, t2 in seeded_fk_pairs():
+            p = chain_connect(t1, t2, discover_chain(t1, t2))
+            assert_same_path(p, frame_connect(t1, t2))
+
+    def test_factorization_count(self, monkeypatch):
+        # one 6x5 rank-3 pair: two frame SVDs, four witness checks, two frame-stage SVDs
+        payload = gen_instance(InstanceSpec(m=5, n=6, k=3, seed=0, kind="fk-pair"))
+        t1, t2 = payload["T1"], payload["T2"]
+        witness = discover_chain(t1, t2)
+        calls = count_factorizations(monkeypatch)
+        chain_connect(t1, t2, witness)
+        assert 0 < calls["svd"] <= 8
+        assert calls["inv"] == 0
+        assert calls["pinv"] == 0
 
     def test_length_two_kernel_chain(self):
         # handcrafted chain through two intermediate kernels in R^3:
@@ -710,7 +784,7 @@ class TestConditioning:
             self.assert_certified(connect_fk(t1, t2), t1, t2)
             self.assert_certified(connect_phi(t1, t2, 2, 3), t1, t2)
 
-    @pytest.mark.parametrize("kappa", [1e5, 1e6])
+    @pytest.mark.parametrize("kappa", [1e5, 1e6, 1e8, 3e9])
     def test_chain_connect(self, kappa):
         for t1, t2 in self.pairs(kappa):
             self.assert_certified(chain_connect(t1, t2, discover_chain(t1, t2)), t1, t2)
@@ -728,10 +802,31 @@ class TestInputErrors:
             lambda: connect_phi(TALL.T, TALL.T, 1, 1),
             lambda: gl_connect(np.ones((2, 3))),
             lambda: gl_connect(np.diag([1.0, 0.0])),
+            lambda: left_project_path(np.eye(2), Subspace.full(2), Subspace.zero(2)),
+            lambda: right_project_path(np.eye(2), Subspace.full(2), Subspace.zero(2)),
+            lambda: literal_flip_path(
+                Subspace.full(2), Subspace.zero(2),
+                GraphParam(Subspace.full(2), Subspace.zero(2), np.zeros((0, 2))),
+            ),
+            lambda: literal_flip_path(
+                span([1, 0]), span([0, 1]), GraphParam(span([1, 1]), span([0, 1]), [[1.0]])
+            ),
+            lambda: literal_flip_path(
+                span([1, 0]), span([0, 1]), GraphParam(span([1, 0]), span([0, 1]), [[0.0]])
+            ),
+            lambda: corrected_flip_path(np.eye(2), 1),
+            lambda: corrected_flip_path(np.eye(2), 2, side="range"),
+            lambda: corrected_flip_path(np.eye(2), 2, side="kernel"),
+            lambda: certify_path(constant_path(np.eye(2)), 2, grid=1),
+            lambda: sample_parameters(constant_path(np.eye(2)), 1),
+            lambda: locate(constant_path(np.eye(2)), 1.5),
         ],
         ids=[
             "fk-shape", "fk-rank", "chain-shape", "chain-rank",
             "phi-kernel-dim", "phi-corank", "gl-nonsquare", "gl-singular",
+            "left-no-room", "right-no-room", "literal-no-room", "literal-mismatch",
+            "literal-zero-tilt", "corrected-rank", "corrected-range-side",
+            "corrected-kernel-side", "certify-grid", "sample-grid", "locate-range",
         ],
     )
     def test_rejections_are_typed(self, call):
