@@ -5,8 +5,9 @@ two singular values bracketing it, plus any requested direct-sum and
 kernel-identity evidence, so a tolerance dispute can be re-adjudicated
 offline from the file alone.  Midpoints of affine legs are always forced
 into the sample set; a defect parked exactly there would otherwise slip
-through every uniform grid.  ``audit_flip_path`` runs the same per-sample
-membership check on a flip path without the rank part.
+through every uniform grid.  ``audit_flip_path`` runs the same membership
+checks on a flip path without the rank part.  The membership evidence is
+computed over chunks of the sample stack, one stacked SVD per step.
 """
 
 from __future__ import annotations
@@ -16,17 +17,16 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .errors import InputError
 from .paths import OperatorPath, eval_path_batch, sample_parameters
 from .subspaces import (
     ANGLE_TOL,
     DEFAULT_TOL,
     Subspace,
     ToleranceConfig,
-    is_direct_sum,
     maxabs,
-    principal_angles,
+    principal_angle_stack,
     rank_from_singular_values,
-    rank_kernel_range,
 )
 
 __all__ = [
@@ -40,6 +40,7 @@ __all__ = [
 
 ENDPOINT_PASS_TOL = 1e-9
 SIGMA_GAP_MIN = 1e6
+MEMBERSHIP_CHUNK_BYTES = 1 << 22  # working memory of one membership chunk
 
 
 @dataclass(frozen=True)
@@ -63,31 +64,95 @@ class MembershipSpec:
         )
 
 
-def _membership_checks(
-    w: np.ndarray, spec: MembershipSpec, tol: ToleranceConfig
-) -> dict[str, tuple[float, bool]]:
-    """Residual and pass flag of each check ``spec`` asks for, at one sample.
+def _check_ambient(spec: MembershipSpec, shape: tuple[int, int]) -> None:
+    """Reject a spec whose subspaces do not live where the path's matrices act."""
+    rows, cols = shape
+    for name, space, side, n in (
+        ("range_complement", spec.range_complement, "codomain", rows),
+        ("kernel_complement", spec.kernel_complement, "domain", cols),
+        ("kernel_equals", spec.kernel_equals, "domain", cols),
+    ):
+        if space is not None and space.ambient_dim != n:
+            raise InputError(
+                f"membership {name} lives in R^{space.ambient_dim}, "
+                f"but the path's {side} is R^{n}"
+            )
 
-    The sample's kernel and range come from one SVD.  A kernel of the wrong
-    dimension has angle inf to the expected one.
+
+def _direct_sum_column(
+    bases: np.ndarray, other: Subspace, tol: ToleranceConfig
+) -> tuple[np.ndarray, np.ndarray]:
+    """``is_direct_sum([sample subspace, other])`` over a stack of sample bases.
+
+    Same column order, same condition number rule (inf for a singular
+    stack) and the same dimension count, with one SVD for the stack.
     """
-    _, ker, rng = rank_kernel_range(w, tol)
-    out = {}
-    if spec.range_complement is not None:
-        check = is_direct_sum([rng, spec.range_complement], tol)
-        out["range_complement_cond"] = (float(check.condition_number), check.ok)
-    if spec.kernel_complement is not None:
-        check = is_direct_sum([ker, spec.kernel_complement], tol)
-        out["kernel_complement_cond"] = (float(check.condition_number), check.ok)
-    if spec.kernel_equals is not None:
-        want = spec.kernel_equals
-        if ker.dim != want.dim:
-            angle = float("inf")
-        elif ker.dim == 0:
-            angle = 0.0
-        else:
-            angle = float(np.max(principal_angles(ker, want)))
-        out["kernel_angle"] = (angle, angle < ANGLE_TOL)
+    count, n, d = bases.shape
+    parts = [p for p in (bases, np.broadcast_to(other.basis, (count, n, other.dim))) if p.shape[-1]]
+    if not parts:
+        cond = np.ones(count)
+    else:
+        s = np.linalg.svd(np.concatenate(parts, axis=-1), compute_uv=False)
+        cond = np.full(count, np.inf)
+        np.divide(s[:, 0], s[:, -1], out=cond, where=s[:, -1] > 0.0)
+    return cond, (d + other.dim == n) & (cond <= tol.membership_cond_max)
+
+
+def _membership_columns(
+    values: np.ndarray, spec: MembershipSpec, tol: ToleranceConfig
+) -> dict[str, tuple[np.ndarray, np.ndarray]]:
+    """Residual and pass flag of each check ``spec`` asks for, at every sample.
+
+    Each chunk of samples takes one full SVD; its kernels and ranges are cut
+    at ranks read from that SVD's own singular values (those of a
+    ``compute_uv=False`` call can differ in the last bit).  Samples of equal
+    rank share one stacked SVD per check.  A kernel of the wrong dimension
+    has angle inf to the expected one.  The values equal those of the checks
+    made one sample at a time with ``rank_kernel_range``, ``is_direct_sum``
+    and ``principal_angles``.
+    """
+    count, rows, cols = values.shape
+    fields = (
+        ("range_complement_cond", spec.range_complement),
+        ("kernel_complement_cond", spec.kernel_complement),
+        ("kernel_angle", spec.kernel_equals),
+    )
+    out = {
+        name: (np.empty(count), np.empty(count, dtype=bool))
+        for name, field in fields
+        if field is not None
+    }
+    # per sample: U and V^T, their slices copied into the stacked direct-sum
+    # bases, and the angle step's bases and products
+    step = max(1, MEMBERSHIP_CHUNK_BYTES // (6 * (rows * rows + cols * cols) * values.itemsize))
+    for lo in range(0, count, step):
+        u, s, vt = np.linalg.svd(values[lo : lo + step], full_matrices=True)
+        ranks = rank_from_singular_values(s, tol)
+        for k in np.unique(ranks).tolist():
+            group = np.flatnonzero(ranks == k)
+            rows_out = lo + group
+            results = {}
+            if spec.range_complement is not None:
+                results["range_complement_cond"] = _direct_sum_column(
+                    u[group, :, :k], spec.range_complement, tol
+                )
+            kernels = np.swapaxes(vt[group, k:, :], -1, -2)
+            if spec.kernel_complement is not None:
+                results["kernel_complement_cond"] = _direct_sum_column(
+                    kernels, spec.kernel_complement, tol
+                )
+            if spec.kernel_equals is not None:
+                want = spec.kernel_equals
+                if cols - k != want.dim:
+                    angle = np.full(group.size, np.inf)
+                elif want.dim == 0:
+                    angle = np.zeros(group.size)
+                else:
+                    angle = np.max(principal_angle_stack(kernels, want.basis), axis=-1)
+                results["kernel_angle"] = (angle, angle < ANGLE_TOL)
+            for name, (value, passed) in results.items():
+                out[name][0][rows_out] = value
+                out[name][1][rows_out] = passed
     return out
 
 
@@ -137,6 +202,8 @@ def certify_path(
     passes would be vacuous.  Failures are listed by the local parameter
     of the leg they occur on.
     """
+    if membership is not None:
+        _check_ambient(membership, path.shape)
     samples = sample_parameters(path, grid)
     values = eval_path_batch(path, samples)
     svals = np.linalg.svd(values, compute_uv=False)
@@ -153,10 +220,11 @@ def certify_path(
         ok &= sigma_k / floor >= sigma_gap_min
     residuals = [None] * n
     if membership is not None and membership.any():
-        for i, w in enumerate(values):
-            checks = _membership_checks(w, membership, tol)
-            residuals[i] = {name: value for name, (value, _) in checks.items()}
-            ok[i] &= all(passed for _, passed in checks.values())
+        columns = _membership_columns(values, membership, tol)
+        per_sample = zip(*(value.tolist() for value, _ in columns.values()))
+        residuals = [dict(zip(columns, row)) for row in per_sample]
+        for _, passed in columns.values():
+            ok &= passed
     ts, segs, locals_ = zip(*samples)
     columns = (
         ts,
@@ -221,28 +289,31 @@ def audit_flip_path(
     """
     expected_kernel, complement = s_spec
     spec = MembershipSpec(range_complement=complement, kernel_equals=expected_kernel)
+    _check_ambient(spec, path.shape)
     samples = sample_parameters(path, grid)
     values = eval_path_batch(path, samples)
     degenerate = maxabs(values) == 0.0
+    if degenerate:
+        zeros, trues = [0.0] * len(samples), [True] * len(samples)
+        checks = (zeros, trues, zeros, trues)
+    else:
+        columns = _membership_columns(values, spec, tol)
+        (cond, split_ok), (angle, kernel_ok) = columns.values()
+        checks = (cond.tolist(), split_ok.tolist(), angle.tolist(), kernel_ok.tolist())
     records = []
     failures = set()
-    for (t, seg, local), w in zip(samples, values):
-        if degenerate:
-            range_check, kernel_check = (0.0, True), (0.0, True)
-        else:
-            checks = _membership_checks(w, spec, tol)
-            range_check, kernel_check = checks["range_complement_cond"], checks["kernel_angle"]
+    for (t, seg, local), cond, split_ok, angle, kernel_ok in zip(samples, *checks):
         records.append(
             {
                 "t": t,
                 "segment": seg,
                 "local_t": local,
-                "range_split_ok": bool(range_check[1]),
-                "range_condition": range_check[0],
-                "kernel_ok": bool(kernel_check[1]),
-                "kernel_angle": kernel_check[0],
+                "range_split_ok": split_ok,
+                "range_condition": cond,
+                "kernel_ok": kernel_ok,
+                "kernel_angle": angle,
             }
         )
-        if not (range_check[1] and kernel_check[1]):
+        if not (split_ok and kernel_ok):
             failures.add(local)
     return FlipAudit(len(samples), degenerate, tuple(records), tuple(sorted(failures)))

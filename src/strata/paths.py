@@ -36,6 +36,7 @@ from .errors import (
 )
 from .projections import (
     GraphParam,
+    _decomposition,
     alpha_operator,
     oblique_projection,
 )
@@ -97,7 +98,7 @@ class PathSegment:
 
     def __post_init__(self):
         if self.kind not in SEGMENT_KINDS:
-            raise ValueError(f"unknown segment kind {self.kind!r}")
+            raise InputError(f"unknown segment kind {self.kind!r}")
 
 
 def _rotate(
@@ -158,11 +159,11 @@ def eval_segment(seg: PathSegment, t: float) -> np.ndarray:
 
 def _check_planes(z: np.ndarray, theta: np.ndarray) -> None:
     if theta.ndim != 1 or z.ndim != 2 or z.shape[1] != 2 * theta.size:
-        raise ValueError("a rotation needs one angle per pair of plane columns")
+        raise InputError("a rotation needs one angle per pair of plane columns")
     if not np.all(np.isfinite(theta)):
-        raise ValueError("rotation angles must be finite")
+        raise InputError("rotation angles must be finite")
     if maxabs(z.T @ z - np.eye(z.shape[1])) > PLANE_TOL:
-        raise ValueError("rotation planes must have orthonormal columns")
+        raise InputError("rotation planes must have orthonormal columns")
 
 
 def _endpoint_slack(payload: dict) -> float:
@@ -180,13 +181,13 @@ def make_segment(kind: str, payload: dict, start=None, end=None) -> PathSegment:
     for key, value in payload.items():
         if key == "side":
             if value not in ("range", "kernel"):
-                raise ValueError(f"invalid rotation side {value!r}")
+                raise InputError(f"invalid rotation side {value!r}")
             clean[key] = value
         else:
             clean[key] = np.asarray(value, dtype=float)
     probe = PathSegment(kind, clean, np.zeros((1, 1)), np.zeros((1, 1)))
     if set(clean) != PAYLOAD_FIELDS[kind]:
-        raise ValueError(
+        raise InputError(
             f"segment {kind!r} needs fields {sorted(PAYLOAD_FIELDS[kind])}, "
             f"got {sorted(clean)}"
         )
@@ -216,14 +217,14 @@ class OperatorPath:
         object.__setattr__(self, "segments", segs)
         object.__setattr__(self, "shape", tuple(self.shape))
         if not segs:
-            raise ValueError("a path needs at least one segment")
+            raise InputError("a path needs at least one segment")
         for seg in segs:
             if seg.start.shape != self.shape or seg.end.shape != self.shape:
-                raise ValueError("segment endpoint shape disagrees with path shape")
+                raise InputError("segment endpoint shape disagrees with path shape")
         for left, right in zip(segs, segs[1:]):
             gap = maxabs(left.end - right.start)
             if gap > CHAIN_TOL * (1.0 + maxabs(left.end)):
-                raise ValueError(
+                raise InputError(
                     f"consecutive segments do not chain (gap {gap:.3e})"
                 )
 
@@ -433,7 +434,7 @@ def left_project_path(
         raise InputError("the complement must have positive dimension")
     for name, sub in (("range(t0)", range_basis(t0, tol)), ("f_star", f_star)):
         require_direct_sum([sub, n_sub], tol, f"{name} (+) the reference subspace")
-    proj = oblique_projection(f_star, n_sub, tol).projector
+    proj = _decomposition(f_star, n_sub).projector
     return OperatorPath((_line(proj @ t0, t0),), t0.shape)
 
 
@@ -454,7 +455,7 @@ def right_project_path(
         raise InputError("the complement must have positive dimension")
     for name, sub in (("kernel(t0)", kernel_basis(t0, tol)), ("e_star", e_star)):
         require_direct_sum([sub, r0], tol, f"{name} (+) the reference subspace")
-    proj = oblique_projection(r0, e_star, tol).projector
+    proj = _decomposition(r0, e_star).projector
     return OperatorPath((_line(t0 @ proj, t0),), t0.shape)
 
 
@@ -686,11 +687,11 @@ class ChainWitness:
         object.__setattr__(self, "ranges", tuple(self.ranges))
         object.__setattr__(self, "range_complements", tuple(self.range_complements))
         if len(self.kernel_complements) != len(self.kernels) + 1:
-            raise ValueError(
+            raise InputError(
                 "need exactly one kernel complement per consecutive kernel pair"
             )
         if len(self.range_complements) != len(self.ranges) + 1:
-            raise ValueError(
+            raise InputError(
                 "need exactly one range complement per consecutive range pair"
             )
 
@@ -751,11 +752,11 @@ def chain_connect(
     _validate_witness(witness, kernel_nodes, range_nodes, tol)
     if np.array_equal(t0, t_star):
         return constant_path(t0)
-    chained = [t0]
+    chained = [t0]  # each link's pair was split-checked by _validate_witness
     for node, comp in zip(witness.kernels, witness.kernel_complements):
-        chained.append(chained[-1] @ oblique_projection(comp, node, tol).projector)
+        chained.append(chained[-1] @ _decomposition(comp, node).projector)
     for node, comp in zip(witness.ranges, witness.range_complements):
-        chained.append(oblique_projection(node, comp, tol).projector @ chained[-1])
+        chained.append(_decomposition(node, comp).projector @ chained[-1])
     segments = list(frame_connect(chained[-1], t_star, tol).segments)
     segments += [_line(chained[i], chained[i - 1]) for i in range(len(chained) - 1, 0, -1)]
     # drop do-nothing legs, such as a frame stage between equal operators

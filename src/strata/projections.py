@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InternalConsistencyError
+from .errors import InputError, InternalConsistencyError
 from .subspaces import (
     DEFAULT_TOL,
     Subspace,
@@ -54,9 +54,9 @@ class Decomposition:
         object.__setattr__(self, "projector", p)
         n = self.part.ambient_dim
         if self.complement.ambient_dim != n:
-            raise ValueError("part and complement live in different spaces")
+            raise InputError("part and complement live in different spaces")
         if p.shape != (n, n):
-            raise ValueError(f"projector must be {n}x{n}, got {p.shape}")
+            raise InputError(f"projector must be {n}x{n}, got {p.shape}")
         scale = 1.0 + maxabs(p)
         if maxabs(p @ p - p) > IDEMPOTENCY_TOL * scale:
             raise InternalConsistencyError("projector is not idempotent")
@@ -87,9 +87,9 @@ class GraphParam:
         c = as_matrix(self.coeff)
         object.__setattr__(self, "coeff", c)
         if self.domain.ambient_dim != self.codomain.ambient_dim:
-            raise ValueError("domain and codomain live in different spaces")
+            raise InputError("domain and codomain live in different spaces")
         if c.shape != (self.codomain.dim, self.domain.dim):
-            raise ValueError(
+            raise InputError(
                 f"coeff must be {self.codomain.dim}x{self.domain.dim}, got {c.shape}"
             )
         require_direct_sum(
@@ -119,6 +119,11 @@ def oblique_projection(
     two subspaces do not decompose the space.
     """
     require_direct_sum([part, complement], tol, "part (+) complement")
+    return _decomposition(part, complement)
+
+
+def _decomposition(part: Subspace, complement: Subspace) -> Decomposition:
+    """``oblique_projection`` for a pair its caller has already checked."""
     n, d = part.ambient_dim, part.dim
     if d == 0:
         return Decomposition(part, complement, np.zeros((n, n)))
@@ -138,7 +143,7 @@ def alpha_from_complements(
     for name, sub in (("e1", e1), ("e_star", e_star)):
         require_direct_sum([sub, r], tol, f"{name} (+) r")
     if e1.dim != e_star.dim:
-        raise ValueError("e1 and e_star must have equal dimensions")
+        raise InputError("e1 and e_star must have equal dimensions")
     if e_star.dim == 0:
         return GraphParam(e_star, r, np.zeros((r.dim, 0)))
     proj = oblique_projection(e1, r, tol).projector
@@ -173,9 +178,9 @@ def projection_update(
     test.
     """
     if not subspaces_equal(g.domain, base.part):
-        raise ValueError("graph domain must equal the base projector's range")
+        raise InputError("graph domain must equal the base projector's range")
     if not subspaces_equal(g.codomain, base.complement):
-        raise ValueError("graph codomain must equal the base projector's kernel")
+        raise InputError("graph codomain must equal the base projector's kernel")
     p_new = base.projector + alpha_operator(g) @ base.projector
     new_part = graph_subspace(g, tol)
     p_check = oblique_projection(new_part, base.complement, tol).projector

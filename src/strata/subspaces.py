@@ -12,9 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
-from .errors import DirectSumError
+from .errors import DirectSumError, InputError
 
 __all__ = [
     "ToleranceConfig",
@@ -46,7 +45,7 @@ def as_matrix(a) -> np.ndarray:
     """Coerce to a 2-d float array, rejecting anything else."""
     m = np.asarray(a, dtype=float)
     if m.ndim != 2:
-        raise ValueError(f"expected a 2-d array, got shape {m.shape}")
+        raise InputError(f"expected a 2-d array, got shape {m.shape}")
     return m
 
 
@@ -65,9 +64,9 @@ class ToleranceConfig:
 
     def __post_init__(self):
         if not 0.0 < self.rank_rel_tol < 1.0:
-            raise ValueError("rank_rel_tol must lie strictly between 0 and 1")
+            raise InputError("rank_rel_tol must lie strictly between 0 and 1")
         if self.membership_cond_max <= 1.0:
-            raise ValueError("membership_cond_max must exceed 1")
+            raise InputError("membership_cond_max must exceed 1")
 
 
 DEFAULT_TOL = ToleranceConfig()
@@ -89,17 +88,17 @@ class Subspace:
         b = as_matrix(self.basis)
         object.__setattr__(self, "basis", b)
         if self.ambient_dim < 1:
-            raise ValueError("ambient_dim must be positive")
+            raise InputError("ambient_dim must be positive")
         if b.shape[0] != self.ambient_dim:
-            raise ValueError(
+            raise InputError(
                 f"basis has {b.shape[0]} rows, ambient dimension is {self.ambient_dim}"
             )
         if b.shape[1] > self.ambient_dim:
-            raise ValueError("subspace dimension exceeds ambient dimension")
+            raise InputError("subspace dimension exceeds ambient dimension")
         if b.shape[1] > 0:
             gram = b.T @ b
             if np.max(np.abs(gram - np.eye(b.shape[1]))) > 1e-8:
-                raise ValueError(
+                raise InputError(
                     "basis columns are not orthonormal; use Subspace.from_columns"
                 )
 
@@ -111,7 +110,7 @@ class Subspace:
     def from_columns(cls, columns, tol: ToleranceConfig = DEFAULT_TOL) -> "Subspace":
         """Build the span of linearly independent columns.
 
-        Raises ValueError when the columns are numerically dependent, i.e.
+        Raises InputError when the columns are numerically dependent, i.e.
         the smallest singular value falls below the rank cutoff.
         """
         m = as_matrix(columns)
@@ -119,7 +118,7 @@ class Subspace:
         if d == 0:
             return cls(n, np.zeros((n, 0)))
         if rank_from_singular_values(np.linalg.svd(m, compute_uv=False), tol) < d:
-            raise ValueError("columns are numerically linearly dependent")
+            raise InputError("columns are numerically linearly dependent")
         q, _ = np.linalg.qr(m)
         return cls(n, q)
 
@@ -173,7 +172,7 @@ def rank_of(a, tol: ToleranceConfig = DEFAULT_TOL) -> int:
     """Numerical rank: count of singular values above the relative cutoff."""
     m = as_matrix(a)
     if m.size == 0:
-        raise ValueError("matrix must be nonempty")
+        raise InputError("matrix must be nonempty")
     return rank_from_singular_values(np.linalg.svd(m, compute_uv=False), tol)
 
 
@@ -186,7 +185,7 @@ def rank_kernel_range(a, tol: ToleranceConfig = DEFAULT_TOL) -> tuple[int, Subsp
     """
     m = as_matrix(a)
     if m.size == 0:
-        raise ValueError("matrix must be nonempty")
+        raise InputError("matrix must be nonempty")
     u, s, vt = np.linalg.svd(m, full_matrices=True)
     k = rank_from_singular_values(s, tol)
     return k, Subspace(m.shape[1], vt[k:, :].T), Subspace(m.shape[0], u[:, :k])
@@ -211,11 +210,11 @@ def is_direct_sum(parts, tol: ToleranceConfig = DEFAULT_TOL) -> DirectSumCheck:
     """
     parts = list(parts)
     if not parts:
-        raise ValueError("need at least one subspace")
+        raise InputError("need at least one subspace")
     n = parts[0].ambient_dim
     for p in parts:
         if p.ambient_dim != n:
-            raise ValueError(
+            raise InputError(
                 f"ambient dimension mismatch: {p.ambient_dim} vs {n}"
             )
     dim_total = sum(p.dim for p in parts)
@@ -251,7 +250,7 @@ def sum_and_intersection(
     exact integer statement.
     """
     if e1.ambient_dim != e2.ambient_dim:
-        raise ValueError("ambient dimension mismatch")
+        raise InputError("ambient dimension mismatch")
     n = e1.ambient_dim
     d1, d2 = e1.dim, e2.dim
     if d1 + d2 == 0:
@@ -301,9 +300,9 @@ def common_complement(
     conditioned all the way down to the intersection-detection threshold.
     """
     if e1.ambient_dim != e2.ambient_dim:
-        raise ValueError("ambient dimension mismatch")
+        raise InputError("ambient dimension mismatch")
     if e1.dim != e2.dim:
-        raise ValueError(
+        raise InputError(
             f"dimension mismatch: {e1.dim} vs {e2.dim}; a common complement needs equal dimensions"
         )
     total, inter = sum_and_intersection(e1, e2, tol)
@@ -322,6 +321,55 @@ def common_complement(
     return Subspace.from_columns(cols, tol)
 
 
+def _orth(a: np.ndarray) -> np.ndarray:
+    """Orthonormal bases of the column spaces of a stack, as ``scipy.linalg.orth``.
+
+    Left singular vectors above eps * max(M, N) * s_max, each matrix in
+    Fortran order as LAPACK returns it to scipy (``np.dot`` rounds by the
+    layout of a one-column operand).  The cut must keep the same number of
+    columns in every matrix of the stack; for the orthonormal bases of
+    ``Subspace`` it keeps them all.
+    """
+    u, s, vh = np.linalg.svd(a, full_matrices=False)
+    rcond = np.finfo(s.dtype).eps * max(u.shape[-2], vh.shape[-1])
+    cut = np.amax(s, axis=-1, initial=0.0, keepdims=True) * rcond
+    counts = np.sum(s > cut, axis=-1)
+    num = int(np.max(counts))
+    if np.any(counts != num):
+        raise InputError("every basis of a stack must have the same numerical rank")
+    return np.swapaxes(np.swapaxes(u[..., :num], -1, -2).copy(), -1, -2)
+
+
+def principal_angle_stack(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Principal angles between the column spaces of a[i] and b, for each i.
+
+    ``a`` is a stack (S, n, p) of bases and ``b`` one (n, q) basis or a
+    stack of them.  These are the steps of ``scipy.linalg.subspace_angles``
+    (Bjorck & Golub 1973, Knyazev & Argentati 2002) taken over the whole
+    stack, so row i equals scipy's angles for that pair bit for bit,
+    in scipy's order: cosines from the singular values of qa.T qb, and
+    where a cosine squared reaches 1/2, sines from the singular values of
+    the residual of the wider basis.  Shape (S, min(p, q)).
+    """
+    qa = _orth(a)
+    qb = _orth(b)
+    qb = np.broadcast_to(qb, qa.shape[:1] + qb.shape[-2:])
+    # one np.dot per pair, as scipy does: when a basis has one column, a
+    # stacked matmul picks another BLAS kernel and rounds differently
+    cross = np.stack([np.dot(x.T, y) for x, y in zip(qa, qb)])
+    sigma = np.linalg.svd(cross, compute_uv=False)
+    if qa.shape[-1] >= qb.shape[-1]:
+        resid = qb - np.stack([np.dot(x, c) for x, c in zip(qa, cross)])
+    else:
+        resid = qa - np.stack([np.dot(y, c.T) for y, c in zip(qb, cross)])
+    mask = sigma**2 >= 0.5
+    sines = np.zeros(sigma.shape)
+    need = mask.any(axis=-1)  # scipy takes the sine SVD only when some cosine asks for it
+    if need.any():
+        sines[need] = np.arcsin(np.clip(np.linalg.svd(resid[need], compute_uv=False), -1.0, 1.0))
+    return np.where(mask, sines, np.arccos(np.clip(sigma[..., ::-1], -1.0, 1.0)))
+
+
 def principal_angles(a: Subspace, b: Subspace) -> np.ndarray:
     """Canonical angles between two subspaces, ascending, in radians.
 
@@ -329,11 +377,10 @@ def principal_angles(a: Subspace, b: Subspace) -> np.ndarray:
     keep full precision instead of the sqrt(eps) floor of plain arccos.
     """
     if a.ambient_dim != b.ambient_dim:
-        raise ValueError("ambient dimension mismatch")
+        raise InputError("ambient dimension mismatch")
     if a.dim == 0 or b.dim == 0:
         return np.zeros(0)
-    angles = scipy.linalg.subspace_angles(a.basis, b.basis)
-    return np.sort(angles)
+    return np.sort(principal_angle_stack(a.basis[None], b.basis)[0])
 
 
 def subspaces_equal(a: Subspace, b: Subspace, angle_tol: float = ANGLE_TOL) -> bool:

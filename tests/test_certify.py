@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st_hyp
 
@@ -15,13 +16,29 @@ from strata import (
     kernel_basis,
     literal_flip_path,
 )
-from strata.certify import SIGMA_GAP_MIN, SampleRecord, _membership_checks
-from strata.instances import InstanceSpec, gen_instance
-from strata.paths import eval_path_batch, sample_parameters
+from strata.certify import SIGMA_GAP_MIN, FlipAudit, SampleRecord
+from strata.errors import InputError
+from strata.instances import InstanceSpec, gen_instance, random_subspace
+from strata.paths import (
+    OperatorPath,
+    _line,
+    eval_path_batch,
+    left_project_path,
+    right_project_path,
+    sample_parameters,
+)
 from strata.serialization import certificate_to_obj
-from strata.subspaces import DEFAULT_TOL, rank_from_singular_values
+from strata.subspaces import (
+    ANGLE_TOL,
+    DEFAULT_TOL,
+    ToleranceConfig,
+    is_direct_sum,
+    maxabs,
+    rank_from_singular_values,
+    rank_kernel_range,
+)
 
-from conftest import span
+from conftest import random_split, span
 
 
 def tilt(e_star, r, ambient):
@@ -132,6 +149,85 @@ class TestCertify:
         assert cert.verdict == "fail"
 
 
+def principal_angles(a, b):
+    """scipy's angles, sorted: the oracle of the library's stacked ones."""
+    if a.dim == 0 or b.dim == 0:
+        return np.zeros(0)
+    return np.sort(scipy.linalg.subspace_angles(a.basis, b.basis))
+
+
+def _membership_checks(
+    w: np.ndarray, spec: MembershipSpec, tol: ToleranceConfig
+) -> dict[str, tuple[float, bool]]:
+    """Residual and pass flag of each check ``spec`` asks for, at one sample.
+
+    The sample's kernel and range come from one SVD.  A kernel of the wrong
+    dimension has angle inf to the expected one.
+    """
+    _, ker, rng = rank_kernel_range(w, tol)
+    out = {}
+    if spec.range_complement is not None:
+        check = is_direct_sum([rng, spec.range_complement], tol)
+        out["range_complement_cond"] = (float(check.condition_number), check.ok)
+    if spec.kernel_complement is not None:
+        check = is_direct_sum([ker, spec.kernel_complement], tol)
+        out["kernel_complement_cond"] = (float(check.condition_number), check.ok)
+    if spec.kernel_equals is not None:
+        want = spec.kernel_equals
+        if ker.dim != want.dim:
+            angle = float("inf")
+        elif ker.dim == 0:
+            angle = 0.0
+        else:
+            angle = float(np.max(principal_angles(ker, want)))
+        out["kernel_angle"] = (angle, angle < ANGLE_TOL)
+    return out
+
+
+def _reference_audit(path, s_spec, grid, tol=DEFAULT_TOL):
+    """The flip audit, one sample at a time."""
+    expected_kernel, complement = s_spec
+    spec = MembershipSpec(range_complement=complement, kernel_equals=expected_kernel)
+    samples = sample_parameters(path, grid)
+    values = eval_path_batch(path, samples)
+    degenerate = maxabs(values) == 0.0
+    records = []
+    failures = set()
+    for (t, seg, local), w in zip(samples, values):
+        if degenerate:
+            range_check, kernel_check = (0.0, True), (0.0, True)
+        else:
+            checks = _membership_checks(w, spec, tol)
+            range_check, kernel_check = checks["range_complement_cond"], checks["kernel_angle"]
+        records.append(
+            {
+                "t": t,
+                "segment": seg,
+                "local_t": local,
+                "range_split_ok": bool(range_check[1]),
+                "range_condition": range_check[0],
+                "kernel_ok": bool(kernel_check[1]),
+                "kernel_angle": kernel_check[0],
+            }
+        )
+        if not (range_check[1] and kernel_check[1]):
+            failures.add(local)
+    return FlipAudit(len(samples), degenerate, tuple(records), tuple(sorted(failures)))
+
+
+def _typed_items(records):
+    """Each record's (key, value type) pairs, in order."""
+    return [[(key, type(value)) for key, value in rec.items()] for rec in records]
+
+
+def _assert_audit_matches_reference(path, s_spec, grid):
+    audit = audit_flip_path(path, s_spec, grid=grid)
+    ref = _reference_audit(path, s_spec, grid)
+    assert audit == ref
+    assert _typed_items(audit.records) == _typed_items(ref.records)
+    return audit
+
+
 def _reference_records(path, expected_k, grid, membership=None, tol=DEFAULT_TOL):
     """The certifier's per-sample loop, one sample at a time: records and failures."""
     samples = sample_parameters(path, grid)
@@ -169,6 +265,8 @@ def _assert_matches_reference(path, expected_k, grid, membership=None):
     assert [tuple(map(type, r)) for r in cert.per_sample] == [
         tuple(map(type, r)) for r in records
     ]
+    residuals = [r.membership_residuals or {} for r in cert.per_sample]
+    assert _typed_items(residuals) == _typed_items(r.membership_residuals or {} for r in records)
     assert cert.failures == failures
     e0, e1 = cert.endpoint_errors
     endpoints_ok = e0 <= 1e-9 * (1.0 + np.max(np.abs(path.start))) and e1 <= 1e-9 * (
@@ -221,6 +319,197 @@ class TestRecordReference:
         cases = (([1e-3, 1e-12], 2, "fail"), ([1.0, 1e-8], 1, "fail"), ([1.0, 1e-8], 2, "pass"))
         for diag, k, verdict in cases:
             assert _assert_matches_reference(constant_path(np.diag(diag)), k, 5).verdict == verdict
+
+
+def _spec_field(rng, choice, truth, ambient):
+    """None, the subspace that makes the check hold, or a random one of any dimension."""
+    if choice == 0:
+        return None
+    if choice == 1:
+        return truth
+    return random_subspace(rng, ambient, int(rng.integers(0, ambient + 1)))
+
+
+def _complement(rng, sub):
+    """A random subspace forming a direct sum with ``sub``."""
+    while True:
+        comp = random_subspace(rng, sub.ambient_dim, sub.ambient_dim - sub.dim)
+        if is_direct_sum([sub, comp]):
+            return comp
+
+
+def _project_path(rng, side, rows, cols, k, seed):
+    """A left or right projection leg of a random rank-k rows x cols matrix."""
+    t0 = gen_instance(InstanceSpec(m=cols, n=rows, k=k, seed=seed, kind="fk-pair"))["T1"]
+    _, ker, rng_t0 = rank_kernel_range(t0)
+    if side == "left":
+        n_sub = _complement(rng, rng_t0)
+        return left_project_path(t0, _complement(rng, n_sub), n_sub), ker, n_sub, rng_t0
+    r0 = _complement(rng, ker)
+    return right_project_path(t0, _complement(rng, r0), r0), ker, r0, rng_t0
+
+
+class TestMembershipReference:
+    """The stacked membership pass against the one-sample-at-a-time checks."""
+
+    @given(
+        st_hyp.sampled_from(["left", "right"]),
+        st_hyp.integers(2, 8),
+        st_hyp.integers(2, 8),
+        st_hyp.integers(0, 2**16),
+        st_hyp.tuples(*[st_hyp.integers(0, 2)] * 3),
+        st_hyp.one_of(st_hyp.integers(2, 40), st_hyp.sampled_from([101, 1001])),
+    )
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    def test_project_paths(self, side, rows, cols, seed, choices, grid):
+        rng = np.random.default_rng(seed)
+        k = int(rng.integers(1, min(rows, cols) + 1))
+        if side == "left":  # the complement of the range needs room
+            k = min(k, rows - 1)
+        path, ker, comp, rng_t0 = _project_path(rng, side, rows, cols, k, seed)
+        # the left leg keeps the kernel and moves the range through complements
+        # of comp; the right leg keeps the range and moves the kernel likewise
+        if side == "left":
+            truths = (comp, _complement(rng, ker), ker)
+        else:
+            truths = (_complement(rng, rng_t0), comp, ker)
+        spec = MembershipSpec(
+            *(
+                _spec_field(rng, choice, truth, truth.ambient_dim)
+                for choice, truth in zip(choices, truths)
+            )
+        )
+        cert = _assert_matches_reference(path, k, grid, spec)
+        holds = all(c < 2 for c in choices) and (side == "left" or choices[2] == 0)
+        if holds:
+            assert cert.verdict == "pass"
+
+    @given(
+        st_hyp.integers(2, 8),
+        st_hyp.integers(0, 2**16),
+        st_hyp.integers(2, 1001),
+        st_hyp.integers(0, 7),
+    )
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    def test_literal_flips(self, n, seed, grid, fields):
+        rng = np.random.default_rng(seed)
+        e_star, r = random_split(rng, n, int(rng.integers(1, n)))
+        path = literal_flip_path(e_star, r, tilt(e_star, r, rng.uniform(-1.0, 1.0, (n, n))))
+        audit = _assert_audit_matches_reference(path, (r, r), grid)
+        spec = MembershipSpec(*(r if fields >> i & 1 else None for i in range(3)))
+        cert = _assert_matches_reference(path, e_star.dim, grid, spec)
+        if grid % 2 == 1:  # the grid holds the midpoint of the second leg
+            assert 0.5 in audit.failures
+            if spec.range_complement is not None:
+                assert 0.5 in cert.failures
+
+    @pytest.mark.parametrize("fields", range(8))
+    def test_every_field_combination(self, fields):
+        rng = np.random.default_rng(fields)
+        for side in ("left", "right"):
+            path, ker, comp, rng_t0 = _project_path(rng, side, 5, 4, 2, fields)
+            others = (_complement(rng, rng_t0), _complement(rng, ker), ker)
+            spec = MembershipSpec(*(sub if fields >> i & 1 else None for i, sub in enumerate(others)))
+            _assert_matches_reference(path, 2, 101, spec)
+        e_star, r = random_split(rng, 4, 2)
+        flip = literal_flip_path(e_star, r, tilt(e_star, r, rng.uniform(-1.0, 1.0, (4, 4))))
+        spec = MembershipSpec(*(r if fields >> i & 1 else None for i in range(3)))
+        _assert_matches_reference(flip, 2, 101, spec)
+
+    @given(
+        st_hyp.integers(2, 6),
+        st_hyp.integers(2, 6),
+        st_hyp.integers(0, 2**16),
+        st_hyp.sampled_from([3, 11, 101, 1001]),
+    )
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    def test_rank_changes_along_the_path(self, rows, cols, seed, grid):
+        # straight legs 0 -> X -> Y -> Z between matrices of random ranks,
+        # so one chunk holds samples of several ranks
+        rng = np.random.default_rng(seed)
+        nodes = [np.zeros((rows, cols))]
+        for low in (1, 0, 0):
+            k = int(rng.integers(low, min(rows, cols) + 1))
+            nodes.append(rng.standard_normal((rows, k)) @ rng.standard_normal((k, cols)))
+        path = OperatorPath(tuple(_line(a, b) for a, b in zip(nodes, nodes[1:])), (rows, cols))
+        k_x, ker, rng_x = rank_kernel_range(nodes[1])
+        spec = MembershipSpec(
+            range_complement=_complement(rng, rng_x),
+            kernel_complement=_complement(rng, ker),
+            kernel_equals=ker,
+        )
+        cert = _assert_matches_reference(path, k_x, grid, spec)
+        assert len({r.rank for r in cert.per_sample}) > 1
+        _assert_audit_matches_reference(path, (ker, rng_x), grid)
+
+    def test_full_column_rank_and_zero_complements(self):
+        tall = gen_instance(InstanceSpec(m=3, n=5, k=3, seed=4, kind="fk-pair"))["T1"]
+        rng = np.random.default_rng(4)
+        path, ker, _, rng_t0 = _project_path(rng, "left", 5, 3, 3, 4)
+        assert ker.dim == 0
+        spec = MembershipSpec(
+            range_complement=_complement(rng, rng_t0),
+            kernel_complement=Subspace.full(3),
+            kernel_equals=Subspace.zero(3),
+        )
+        assert _assert_matches_reference(path, 3, 1001, spec).verdict == "pass"
+        assert _assert_matches_reference(constant_path(tall), 3, 101, spec).verdict == "pass"
+        # an invertible square path: the range is everything, its complement zero
+        square = constant_path(np.diag([2.0, 1.0, 3.0]))
+        full = MembershipSpec(Subspace.zero(3), Subspace.full(3), Subspace.zero(3))
+        assert _assert_matches_reference(square, 3, 11, full).verdict == "pass"
+        wrong = MembershipSpec(span([1, 0, 0]), Subspace.zero(3), span([0, 1, 0]))
+        cert = _assert_matches_reference(square, 3, 11, wrong)
+        assert cert.verdict == "fail"
+        assert cert.per_sample[0].membership_residuals["kernel_angle"] == float("inf")
+
+    def test_degenerate_audit(self):
+        zero = constant_path(np.zeros((3, 3)))
+        audit = _assert_audit_matches_reference(zero, (span([1, 0, 0]), span([0, 1, 0])), 11)
+        assert audit.degenerate and audit.passed
+        spec = MembershipSpec(span([1, 0, 0]), span([0, 1, 0]), Subspace.full(3))
+        assert _assert_matches_reference(zero, 0, 11, spec).verdict == "degenerate"
+
+    def test_svd_calls_are_batched(self, monkeypatch):
+        rng = np.random.default_rng(8)
+        path, ker, n_sub, _ = _project_path(rng, "left", 8, 8, 4, 8)
+        spec = MembershipSpec(range_complement=n_sub, kernel_equals=ker)
+        calls = {"svd": 0}
+        original = np.linalg.svd
+
+        def counted(*args, **kwargs):
+            calls["svd"] += 1
+            return original(*args, **kwargs)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("scipy factorization in the membership pass")
+
+        monkeypatch.setattr(np.linalg, "svd", counted)
+        for name in ("svd", "svdvals", "orth", "subspace_angles"):
+            monkeypatch.setattr(scipy.linalg, name, forbidden)
+        cert = certify_path(path, 4, grid=1001, membership=spec)
+        assert cert.verdict == "pass"
+        # the per-sample loop made 6007 (2003 in numpy, 4004 in scipy)
+        assert calls["svd"] <= 100, calls
+
+    @pytest.mark.parametrize(
+        "spec, field",
+        [
+            (MembershipSpec(kernel_equals=Subspace.zero(4)), "kernel_equals"),
+            (MembershipSpec(range_complement=Subspace.full(2)), "range_complement"),
+            (MembershipSpec(kernel_complement=Subspace.zero(4)), "kernel_complement"),
+        ],
+    )
+    def test_mismatched_spec_is_rejected(self, spec, field):
+        path = constant_path(np.diag([1.0, 1.0, 0.0]))
+        with pytest.raises(InputError, match=field):
+            certify_path(path, 2, grid=5, membership=spec)
+        if spec.kernel_equals is not None:
+            with pytest.raises(InputError, match=field):
+                audit_flip_path(path, (spec.kernel_equals, span([1, 0, 0], [0, 1, 0])))
+        if spec.range_complement is not None:
+            with pytest.raises(InputError, match=field):
+                audit_flip_path(path, (span([0, 0, 1]), spec.range_complement))
 
 
 class TestInstances:

@@ -9,7 +9,9 @@ from hypothesis import strategies as st_hyp
 
 from strata import (
     ChainWitness,
+    Decomposition,
     GraphParam,
+    MembershipSpec,
     Subspace,
     alpha_from_complements,
     alpha_operator,
@@ -31,6 +33,7 @@ from strata import (
     make_segment,
     oblique_projection,
     orthogonal_complement,
+    principal_angles,
     range_basis,
     rank_of,
     reverse_path,
@@ -465,6 +468,23 @@ class TestProjectPaths:
                     t1,
                 )
 
+    @pytest.mark.parametrize("side", ["left", "right"])
+    def test_factorization_count(self, monkeypatch, side):
+        # one SVD for the matrix's range or kernel, two split checks, one inverse
+        t0 = gen_instance(InstanceSpec(m=8, n=8, k=4, seed=3, kind="fk-pair"))["T1"]
+        rng = np.random.default_rng(3)
+        own = range_basis(t0) if side == "left" else kernel_basis(t0)
+        ref = random_subspace(rng, 8, 4)
+        while not is_direct_sum([own, ref]):
+            ref = random_subspace(rng, 8, 4)
+        star = random_subspace(rng, 8, 4)
+        while not is_direct_sum([star, ref]):
+            star = random_subspace(rng, 8, 4)
+        build = left_project_path if side == "left" else right_project_path
+        calls = count_factorizations(monkeypatch)
+        build(t0, star, ref)
+        assert (calls["svd"], calls["inv"], calls["pinv"]) == (3, 1, 0)
+
     def test_right_kernel_tilts_along_path(self, rng):
         t0 = rng.uniform(-1, 1, (2, 3))  # rank 2, kernel dim 1
         ker = kernel_basis(t0)
@@ -820,6 +840,18 @@ class TestInputErrors:
             lambda: certify_path(constant_path(np.eye(2)), 2, grid=1),
             lambda: sample_parameters(constant_path(np.eye(2)), 1),
             lambda: locate(constant_path(np.eye(2)), 1.5),
+            lambda: Subspace(2, np.ones((2, 1))),
+            lambda: Subspace.from_columns([[1.0, 2.0], [2.0, 4.0]]),
+            lambda: is_direct_sum([span([1, 0]), span([1, 0, 0])]),
+            lambda: principal_angles(span([1, 0]), span([1, 0, 0])),
+            lambda: Decomposition(span([1, 0]), span([0, 1]), np.eye(3)),
+            lambda: GraphParam(span([1, 0]), span([0, 1]), np.zeros((2, 2))),
+            lambda: make_segment("affine", {"a": np.eye(2)}),
+            lambda: OperatorPath((), (2, 2)),
+            lambda: certify_path(
+                constant_path(np.eye(3)), 3, grid=5,
+                membership=MembershipSpec(kernel_equals=Subspace.zero(4)),
+            ),
         ],
         ids=[
             "fk-shape", "fk-rank", "chain-shape", "chain-rank",
@@ -827,6 +859,9 @@ class TestInputErrors:
             "left-no-room", "right-no-room", "literal-no-room", "literal-mismatch",
             "literal-zero-tilt", "corrected-rank", "corrected-range-side",
             "corrected-kernel-side", "certify-grid", "sample-grid", "locate-range",
+            "subspace-not-orthonormal", "columns-dependent", "direct-sum-ambient",
+            "angles-ambient", "decomposition-shape", "graph-coeff-shape",
+            "segment-fields", "path-empty", "certify-spec-ambient",
         ],
     )
     def test_rejections_are_typed(self, call):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st_hyp
 
@@ -17,7 +18,7 @@ from strata import (
     subspaces_equal,
     sum_and_intersection,
 )
-from strata.subspaces import rank_from_singular_values
+from strata.subspaces import principal_angle_stack, rank_from_singular_values
 from strata.instances import random_subspace
 
 from conftest import span
@@ -336,3 +337,44 @@ class TestSubspaceType:
         b = span([2, 2, 1], [0, 0, -3])
         assert subspaces_equal(a, b)
         assert not subspaces_equal(a, span([1, 0, 0], [0, 0, 1]))
+
+
+def _angle_cases(rng, n):
+    """(a stack of bases, one basis) pairs: random, nearly equal, orthogonal."""
+    for d in range(1, n + 1):
+        for q in sorted({1, d, n}):
+            yield np.stack([random_subspace(rng, n, d).basis for _ in range(4)]), random_subspace(
+                rng, n, q
+            ).basis
+        # nearly equal: every angle below 1e-8
+        base = random_subspace(rng, n, d).basis
+        near = [np.linalg.qr(base + 1e-11 * rng.standard_normal(base.shape))[0] for _ in range(4)]
+        yield np.stack(near), base
+        if 2 * d <= n:
+            q_full, _ = np.linalg.qr(rng.standard_normal((n, n)))
+            yield np.stack([q_full[:, :d]] * 2), q_full[:, d : 2 * d]
+
+
+class TestPrincipalAngles:
+    """The stacked angles are scipy.linalg.subspace_angles, bit for bit."""
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_equals_scipy_exactly(self, n):
+        rng = np.random.default_rng(600 + n)
+        kinds = set()
+        for stack, b in _angle_cases(rng, n):
+            got = principal_angle_stack(stack, b)
+            for a, row in zip(stack, got):
+                want = scipy.linalg.subspace_angles(a, b)
+                assert np.array_equal(row, want)
+                assert np.array_equal(
+                    principal_angles(Subspace(n, a), Subspace(n, b)), np.sort(want)
+                )
+                if want.max() < 1e-8:
+                    kinds.add("near")
+                elif want.min() > np.pi / 2 - 1e-12:
+                    kinds.add("orthogonal")
+        assert "near" in kinds and ("orthogonal" in kinds or n == 1)
+
+    def test_zero_subspace_has_no_angles(self):
+        assert principal_angles(Subspace.zero(3), span([1, 0, 0])).shape == (0,)
