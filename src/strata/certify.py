@@ -190,13 +190,12 @@ def certify_path(
     grid: int = 1001,
     tol: ToleranceConfig = DEFAULT_TOL,
     membership: MembershipSpec | None = None,
-    sigma_gap_min: float = SIGMA_GAP_MIN,
     instance: dict | None = None,
 ) -> PathCertificate:
     """Sample a path and certify rank plus optional membership claims.
 
     A sample passes when the rank decision equals ``expected_k``, the
-    sigma_k / sigma_{k+1} gap clears ``sigma_gap_min`` (the missing
+    sigma_k / sigma_{k+1} gap clears ``SIGMA_GAP_MIN`` (the missing
     singular value counts as machine zero), and every requested membership
     check holds.  The verdict is "degenerate" for rank-zero targets, whose
     passes would be vacuous.  Failures are listed by the local parameter
@@ -217,7 +216,7 @@ def certify_path(
         # the missing singular value counts as machine zero relative to sigma_1
         top = svals[:, 0] if r else zeros
         floor = np.maximum(sigma_next, np.finfo(float).eps * np.maximum(top, 1.0))
-        ok &= sigma_k / floor >= sigma_gap_min
+        ok &= sigma_k / floor >= SIGMA_GAP_MIN
     residuals = [None] * n
     if membership is not None and membership.any():
         columns = _membership_columns(values, membership, tol)

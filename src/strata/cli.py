@@ -3,8 +3,12 @@
 Exit codes for `certify`: 0 pass, 1 fail, 2 degenerate.  `audit-thm12`
 exits 1 when the audited affine flip family leaves its operator set,
 which is the documented expected outcome.  Every command exits 4 on an
-input it cannot use, such as a path file with a missing field.  The STRATA_TOL environment
-variable overrides the default relative rank tolerance everywhere.
+input it cannot use: a path file with a missing field, an instance file
+without the matrices T1 and T2 that `connect` reads (a `gl` or
+`subspace-pair` file written by `gen`), an instance or membership file
+that is not a JSON object, or a file that cannot be read or written.
+The STRATA_TOL environment variable overrides the default relative rank
+tolerance everywhere.
 """
 
 from __future__ import annotations
@@ -48,6 +52,12 @@ def _cmd_gen(args) -> int:
 def _cmd_connect(args) -> int:
     tol = _tolerance()
     payload = ser.instance_from_obj(ser.load_json(args.infile))
+    for key in ("T1", "T2"):
+        if not isinstance(payload.get(key), np.ndarray):
+            raise StrataError(
+                f"instance field {key!r} is missing or not a matrix; "
+                "connect needs an fk-pair or phi-pair instance"
+            )
     t1, t2 = payload["T1"], payload["T2"]
     if args.mode == "phi":
         k = rank_of(t1, tol)
@@ -104,7 +114,7 @@ def _cmd_audit_thm12(args) -> int:
 def _cmd_tangent(args) -> int:
     tol = _tolerance()
     x = ser.matrix_from_obj(ser.load_json(args.infile))
-    basis = tangent_basis(StratumPoint.at(x, tol), tol)
+    basis = tangent_basis(StratumPoint.at(x, tol))
     ser.save_json(ser.tangent_basis_to_obj(basis), args.out)
     return 0
 
@@ -192,10 +202,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except StrataError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except ValueError as exc:
+    except (StrataError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
 

@@ -13,14 +13,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import InputError
 from .subspaces import (
     DEFAULT_TOL,
     Subspace,
     ToleranceConfig,
+    _factor,
+    _kernel_range,
     as_matrix,
     orthogonal_complement,
-    principal_angles,
     rank_kernel_range,
+    subspaces_equal,
 )
 
 __all__ = [
@@ -39,9 +42,9 @@ EXACT = "exact"  # sentinel: the perturbed curve never left the stratum
 def dim_fk(m: int, n: int, k: int) -> int:
     """Dimension of the stratum of rank-k operators from R^m to R^n."""
     if m < 1 or n < 1:
-        raise ValueError("ambient dimensions must be positive")
+        raise InputError("ambient dimensions must be positive")
     if not 0 <= k <= min(m, n):
-        raise ValueError(f"rank {k} out of range for a {n}x{m} operator")
+        raise InputError(f"rank {k} out of range for a {n}x{m} operator")
     return (m + n - k) * k
 
 
@@ -55,25 +58,24 @@ class StratumPoint:
     range: Subspace
 
     def __post_init__(self):
-        op = as_matrix(self.op)
+        op, _, svd = _factor(self.op)
         object.__setattr__(self, "op", op)
         n, m = op.shape
         if not 0 <= self.k <= min(m, n):
-            raise ValueError("declared rank out of range for the shape")
-        u, s, vt = np.linalg.svd(op)
+            raise InputError("declared rank out of range for the shape")
+        s = svd[1]
         # the declared rank must be a numerical rank at some cutoff: a
         # strict singular-value drop right after position k
         if self.k > 0 and (s.size < self.k or s[self.k - 1] == 0.0):
-            raise ValueError("declared rank disagrees with the matrix")
+            raise InputError("declared rank disagrees with the matrix")
         if self.k < s.size and s[self.k] > 0.0 and not s[self.k] < s[self.k - 1 if self.k else 0]:
-            raise ValueError("no singular-value gap at the declared rank")
-        ker = Subspace(m, vt[self.k :, :].T)
-        rng = Subspace(n, u[:, : self.k])
-        for mine, computed, name in ((self.kernel, ker, "kernel"), (self.range, rng, "range")):
-            if mine.dim != computed.dim:
-                raise ValueError(f"{name} subspace has the wrong dimension")
-            if mine.dim > 0 and float(np.max(principal_angles(mine, computed))) > 1e-8:
-                raise ValueError(f"{name} subspace disagrees with the matrix")
+            raise InputError("no singular-value gap at the declared rank")
+        computed = _kernel_range(svd, self.k)
+        for mine, theirs, name in zip((self.kernel, self.range), computed, ("kernel", "range")):
+            if mine.dim != theirs.dim:
+                raise InputError(f"{name} subspace has the wrong dimension")
+            if not subspaces_equal(mine, theirs):
+                raise InputError(f"{name} subspace disagrees with the matrix")
 
     @classmethod
     def at(cls, op, tol: ToleranceConfig = DEFAULT_TOL) -> "StratumPoint":
@@ -96,10 +98,10 @@ class TangentBasis:
     def __post_init__(self):
         object.__setattr__(self, "basis", tuple(self.basis))
         if len(self.basis) != self.dim:
-            raise ValueError("dimension disagrees with the basis length")
+            raise InputError("dimension disagrees with the basis length")
 
 
-def tangent_basis(x: StratumPoint, tol: ToleranceConfig = DEFAULT_TOL) -> TangentBasis:
+def tangent_basis(x: StratumPoint) -> TangentBasis:
     """Orthonormal basis of {V : V kernel(X) inside range(X)}.
 
     Built in coordinates adapted to the four subspaces (kernel, row space,
@@ -128,7 +130,7 @@ def tangent_violation(x: StratumPoint, v) -> float:
     """How far V sends the kernel of X outside the range of X (max norm)."""
     v = as_matrix(v)
     if v.shape != x.shape:
-        raise ValueError("direction must match the stratum point's shape")
+        raise InputError("direction must match the stratum point's shape")
     if x.kernel.dim == 0:
         return 0.0
     image = v @ x.kernel.basis
@@ -147,14 +149,14 @@ def tangency_order(x: StratumPoint, v, t_grid=None):
     """
     v = as_matrix(v)
     if v.shape != x.shape:
-        raise ValueError("direction must match the stratum point's shape")
+        raise InputError("direction must match the stratum point's shape")
     if t_grid is None:
         t_grid = np.logspace(-1, -4, 13)
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.size < 2 or np.any(t_grid <= 0):
-        raise ValueError("degenerate grid: need at least two positive scales")
+        raise InputError("degenerate grid: need at least two positive scales")
     if np.max(t_grid) / np.min(t_grid) < 100.0:
-        raise ValueError("degenerate grid: scales must span at least two decades")
+        raise InputError("degenerate grid: scales must span at least two decades")
     k = x.k
     eps = np.finfo(float).eps
     logs_t, logs_s = [], []

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import InputError
 from .subspaces import Subspace
 
 __all__ = ["InstanceSpec", "gen_instance", "random_subspace"]
@@ -33,13 +34,13 @@ class InstanceSpec:
 
     def __post_init__(self):
         if self.m < 1 or self.n < 1:
-            raise ValueError("shape dimensions must be positive")
+            raise InputError("shape dimensions must be positive")
         if not 0 <= self.k <= min(self.m, self.n):
-            raise ValueError(f"rank {self.k} unreachable for shape {self.n}x{self.m}")
+            raise InputError(f"rank {self.k} unreachable for shape {self.n}x{self.m}")
         if not 0 <= self.seed < 2**64:
-            raise ValueError("seed must fit in 64 unsigned bits")
+            raise InputError("seed must fit in 64 unsigned bits")
         if self.kind not in KINDS:
-            raise ValueError(f"unknown instance kind {self.kind!r}")
+            raise InputError(f"unknown instance kind {self.kind!r}")
 
 
 def _rank_k_matrix(rng: np.random.Generator, rows: int, cols: int, k: int) -> np.ndarray:
@@ -90,7 +91,7 @@ def gen_instance(spec: InstanceSpec) -> dict:
         payload["T2"] = _rank_k_matrix(rng, spec.n, spec.m, spec.k)
     elif spec.kind == "gl":
         if spec.n != spec.m:
-            raise ValueError("gl instances need a square shape")
+            raise InputError("gl instances need a square shape")
         payload["A"] = _invertible_matrix(rng, spec.n)
     elif spec.kind == "subspace-pair":
         payload["E1"] = random_subspace(rng, spec.n, spec.k)

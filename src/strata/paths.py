@@ -44,14 +44,14 @@ from .subspaces import (
     DEFAULT_TOL,
     Subspace,
     ToleranceConfig,
+    _factor,
+    _kernel_range,
     as_matrix,
     common_complement,
     is_direct_sum,
     kernel_basis,
     maxabs,
     range_basis,
-    rank_from_singular_values,
-    rank_of,
     require_direct_sum,
     subspaces_equal,
 )
@@ -367,9 +367,9 @@ def corrected_flip_path(
     orthonormal, so the singular values, and hence the rank, are constant
     along the whole path.  Requires a spare direction on the chosen side.
     """
-    t_mat = as_matrix(t_mat)
+    t_mat, rank, (u_full, _, vt_full) = _factor(t_mat, tol)
     rows, cols = t_mat.shape
-    if rank_of(t_mat, tol) != k:
+    if rank != k:
         raise InputError(f"matrix rank is not the declared {k}")
     if k == 0:
         return constant_path(t_mat)
@@ -388,7 +388,6 @@ def corrected_flip_path(
         raise InputError("side='range' needs more rows than the rank")
     if side == "kernel" and cols <= k:
         raise InputError("side='kernel' needs more columns than the rank")
-    u_full, _, vt_full = np.linalg.svd(t_mat)
     if side == "range":
         w = u_full[:, k]
         axes = [u_full[:, i] for i in range(k)]
@@ -497,23 +496,17 @@ def _skew_log_rotation(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return planes, theta
 
 
-def _equal_rank_svds(t1, t2, tol: ToleranceConfig):
-    """Both endpoints as matrices, their full SVDs and their common rank.
+def _stratum_rank(fx, fy) -> int:
+    """The rank shared by two endpoints factored by ``_factor``.
 
     Raises InputError when the shapes or the ranks differ.
     """
-    t1 = as_matrix(t1)
-    t2 = as_matrix(t2)
-    if t1.shape != t2.shape:
+    (x, k_x, _), (y, k_y, _) = fx, fy
+    if x.shape != y.shape:
         raise InputError("endpoints must share a shape")
-    if t1.size == 0:
-        raise InputError("matrix must be nonempty")
-    svd1, svd2 = np.linalg.svd(t1), np.linalg.svd(t2)
-    k1 = rank_from_singular_values(svd1[1], tol)
-    k2 = rank_from_singular_values(svd2[1], tol)
-    if k1 != k2:
-        raise InputError(f"rank mismatch: {k1} vs {k2}; endpoints lie in different strata")
-    return t1, t2, k1, svd1, svd2
+    if k_x != k_y:
+        raise InputError(f"rank mismatch: {k_x} vs {k_y}; endpoints lie in different strata")
+    return k_x
 
 
 def _orient_frames(u_x, vt_x, u_y, vt_y, k: int) -> None:
@@ -566,9 +559,17 @@ def frame_connect(x, y, tol: ToleranceConfig = DEFAULT_TOL) -> OperatorPath:
     every parameter.  Raises DisconnectedComponentsError for square
     invertible endpoints with opposite determinant signs.
     """
-    x, y, k, (u_x, s_x, vt_x), (u_y, s_y, vt_y) = _equal_rank_svds(x, y, tol)
+    return _frame_path(_factor(x, tol), _factor(y, tol))
+
+
+def _frame_path(fx, fy) -> OperatorPath:
+    """``frame_connect`` from the factors ``_factor`` gives of its endpoints."""
+    k = _stratum_rank(fx, fy)
+    (x, _, (u_x, s_x, vt_x)), (y, _, (u_y, s_y, vt_y)) = fx, fy
     if np.array_equal(x, y):
         return constant_path(x)
+    # orientation negates frame columns, and the caller may still hold y's factors
+    u_y, vt_y = u_y.copy(), vt_y.copy()
     _orient_frames(u_x, vt_x, u_y, vt_y, k)
     legs = []
 
@@ -607,16 +608,17 @@ def gl_connect(
     rotations are isometric, so the smallest singular value never drops
     below min(sigma_min(a), 1).  Returns the path and the determinant sign.
     """
-    a = as_matrix(a)
+    fa = _factor(a, tol)
+    a, rank, _ = fa
     n = a.shape[0]
     if a.shape[0] != a.shape[1]:
         raise InputError("gl_connect needs a square matrix")
-    if rank_of(a, tol) != n:
+    if rank != n:
         raise InputError("matrix is numerically singular")
     sign = int(np.linalg.slogdet(a)[0])
     d = np.eye(n)
     d[0, 0] = sign
-    return frame_connect(d, a, tol), sign
+    return _frame_path(_factor(d, tol), fa), sign
 
 
 def connect_fk(t1, t2, tol: ToleranceConfig = DEFAULT_TOL) -> OperatorPath:
@@ -639,9 +641,9 @@ def connect_phi(
     data first and rejects the invertible-by-invertible case, which is
     genuinely not path connected.
     """
-    t1 = as_matrix(t1)
-    t2 = as_matrix(t2)
-    if t1.shape != t2.shape:
+    f1, f2 = _factor(t1, tol), _factor(t2, tol)
+    rows, cols = f1[0].shape
+    if f2[0].shape != (rows, cols):
         raise InputError("endpoints must share a shape")
     if kernel_dim < 0 or corank < 0:
         raise InputError("kernel dimension and corank must be nonnegative")
@@ -650,16 +652,14 @@ def connect_phi(
             "the set of invertible operators is not path connected over "
             "the reals; kernel dimension and corank cannot both be zero"
         )
-    rows, cols = t1.shape
-    for name, t in (("t1", t1), ("t2", t2)):
-        k = rank_of(t, tol)
+    for name, (_, k, _) in (("t1", f1), ("t2", f2)):
         if cols - k != kernel_dim:
             raise InputError(
                 f"{name} has kernel dimension {cols - k}, expected {kernel_dim}"
             )
         if rows - k != corank:
             raise InputError(f"{name} has corank {rows - k}, expected {corank}")
-    return connect_fk(t1, t2, tol)
+    return _frame_path(f1, f2)
 
 
 # ---------------------------------------------------------------------------
@@ -694,21 +694,6 @@ class ChainWitness:
             raise InputError(
                 "need exactly one range complement per consecutive range pair"
             )
-
-
-def _equal_rank_frames(
-    t1, t2, tol: ToleranceConfig
-) -> tuple[np.ndarray, np.ndarray, tuple[Subspace, Subspace], tuple[Subspace, Subspace]]:
-    """Both endpoints as matrices with their kernels and ranges.
-
-    One SVD per endpoint, both cut at the common rank.  Raises InputError
-    when the shapes or the ranks differ.
-    """
-    t1, t2, k, (u1, _, vt1), (u2, _, vt2) = _equal_rank_svds(t1, t2, tol)
-    rows, cols = t1.shape
-    kernels = (Subspace(cols, vt1[k:].T), Subspace(cols, vt2[k:].T))
-    ranges = (Subspace(rows, u1[:, :k]), Subspace(rows, u2[:, :k]))
-    return t1, t2, kernels, ranges
 
 
 def _validate_witness(
@@ -746,9 +731,12 @@ def chain_connect(
     The last complement on each side is validated like the others but
     builds nothing, since ``frame_connect`` needs no common splitting.
     """
-    t0, t_star, kernels, ranges = _equal_rank_frames(t0, t_star, tol)
-    kernel_nodes = [kernels[0], *witness.kernels, kernels[1]]
-    range_nodes = [ranges[0], *witness.ranges, ranges[1]]
+    f0, f_star = _factor(t0, tol), _factor(t_star, tol)
+    k = _stratum_rank(f0, f_star)
+    (t0, _, svd0), (t_star, _, svd_star) = f0, f_star
+    (ker0, rng0), (ker_star, rng_star) = _kernel_range(svd0, k), _kernel_range(svd_star, k)
+    kernel_nodes = [ker0, *witness.kernels, ker_star]
+    range_nodes = [rng0, *witness.ranges, rng_star]
     _validate_witness(witness, kernel_nodes, range_nodes, tol)
     if np.array_equal(t0, t_star):
         return constant_path(t0)
@@ -757,7 +745,9 @@ def chain_connect(
         chained.append(chained[-1] @ _decomposition(comp, node).projector)
     for node, comp in zip(witness.ranges, witness.range_complements):
         chained.append(_decomposition(node, comp).projector @ chained[-1])
-    segments = list(frame_connect(chained[-1], t_star, tol).segments)
+    # the frame stage reuses t0's factors unless the links moved it
+    moved = not np.array_equal(chained[-1], t0)
+    segments = list(_frame_path(_factor(chained[-1], tol) if moved else f0, f_star).segments)
     segments += [_line(chained[i], chained[i - 1]) for i in range(len(chained) - 1, 0, -1)]
     # drop do-nothing legs, such as a frame stage between equal operators
     kept = [s for s in segments if s.kind == "rotation" or s.payload["b"].any()]
@@ -768,7 +758,9 @@ def discover_chain(
     t0, t_star, tol: ToleranceConfig = DEFAULT_TOL
 ) -> ChainWitness:
     """Shortest witness between same-rank operators: one common complement a side."""
-    _, _, kernels, ranges = _equal_rank_frames(t0, t_star, tol)
-    r1 = common_complement(*kernels, tol)
-    s1 = common_complement(*ranges, tol)
+    f0, f_star = _factor(t0, tol), _factor(t_star, tol)
+    k = _stratum_rank(f0, f_star)
+    (ker0, rng0), (ker_star, rng_star) = _kernel_range(f0[2], k), _kernel_range(f_star[2], k)
+    r1 = common_complement(ker0, ker_star, tol)
+    s1 = common_complement(rng0, rng_star, tol)
     return ChainWitness((), (r1,), (), (s1,))

@@ -96,8 +96,8 @@ class GraphParam:
             [self.domain, self.codomain], DEFAULT_TOL, "graph domain (+) codomain"
         )
 
-    def is_zero(self, atol: float = 0.0) -> bool:
-        return self.coeff.size == 0 or maxabs(self.coeff) <= atol
+    def is_zero(self) -> bool:
+        return not self.coeff.any()
 
 
 def alpha_operator(g: GraphParam) -> np.ndarray:

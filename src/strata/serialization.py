@@ -15,7 +15,7 @@ import numpy as np
 import scipy.linalg
 
 from .certify import FlipAudit, PathCertificate, SampleRecord
-from .errors import StrataError
+from .errors import InputError, StrataError
 from .geometry import TangentBasis
 from .paths import (
     ChainWitness,
@@ -75,7 +75,7 @@ def matrix_from_obj(obj: dict) -> np.ndarray:
     if data.size and (data.ndim != 1 or data.dtype.kind not in "iuf"):
         raise StrataError("matrix data must be a flat list of numbers")
     if data.size != rows * cols:
-        raise ValueError("matrix data length disagrees with its shape")
+        raise InputError("matrix data length disagrees with its shape")
     return data.astype(float, copy=False).reshape(rows, cols)
 
 
@@ -280,6 +280,8 @@ def instance_to_obj(payload: dict) -> dict:
 
 
 def instance_from_obj(obj: dict) -> dict:
+    if not isinstance(obj, dict):
+        raise StrataError("an instance file must hold a JSON object")
     payload = {}
     for key, value in obj.items():
         if isinstance(value, dict) and "rows" in value and "data" in value:
@@ -302,9 +304,17 @@ def instance_echo(payload: dict) -> dict:
 def membership_from_obj(obj: dict):
     from .certify import MembershipSpec
 
+    if not isinstance(obj, dict):
+        raise StrataError("a membership file must hold a JSON object")
+
     def get(key):
         value = obj.get(key)
-        return None if value is None else subspace_from_obj(value)
+        if value is None:
+            return None
+        try:
+            return subspace_from_obj(value)
+        except StrataError as exc:
+            raise StrataError(f"membership field {key!r}: {exc}") from None
 
     return MembershipSpec(
         range_complement=get("range_complement"),

@@ -176,6 +176,28 @@ def rank_of(a, tol: ToleranceConfig = DEFAULT_TOL) -> int:
     return rank_from_singular_values(np.linalg.svd(m, compute_uv=False), tol)
 
 
+def _factor(a, tol: ToleranceConfig = DEFAULT_TOL) -> tuple[np.ndarray, int, tuple]:
+    """A matrix, its numerical rank and its full SVD (u, s, vt).
+
+    The one factorization a builder takes of each input: rank, kernel,
+    range and singular frames are all read from it.
+    """
+    m = as_matrix(a)
+    if m.size == 0:
+        raise InputError("matrix must be nonempty")
+    svd = np.linalg.svd(m, full_matrices=True)
+    return m, rank_from_singular_values(svd[1], tol), svd
+
+
+def _kernel_range(svd: tuple, k: int) -> tuple[Subspace, Subspace]:
+    """Kernel (of the domain) and range (of the codomain) of a full SVD cut at rank k.
+
+    Both bases are views of the SVD's arrays.
+    """
+    u, _, vt = svd
+    return Subspace(vt.shape[1], vt[k:].T), Subspace(u.shape[0], u[:, :k])
+
+
 def rank_kernel_range(a, tol: ToleranceConfig = DEFAULT_TOL) -> tuple[int, Subspace, Subspace]:
     """Numerical rank, kernel and range of a matrix, all from one full SVD.
 
@@ -183,12 +205,8 @@ def rank_kernel_range(a, tol: ToleranceConfig = DEFAULT_TOL) -> tuple[int, Subsp
     are cut at the same rank, so ``k + kernel.dim`` always equals the
     column count.
     """
-    m = as_matrix(a)
-    if m.size == 0:
-        raise InputError("matrix must be nonempty")
-    u, s, vt = np.linalg.svd(m, full_matrices=True)
-    k = rank_from_singular_values(s, tol)
-    return k, Subspace(m.shape[1], vt[k:, :].T), Subspace(m.shape[0], u[:, :k])
+    _, k, svd = _factor(a, tol)
+    return (k, *_kernel_range(svd, k))
 
 
 def kernel_basis(a, tol: ToleranceConfig = DEFAULT_TOL) -> Subspace:
@@ -383,13 +401,13 @@ def principal_angles(a: Subspace, b: Subspace) -> np.ndarray:
     return np.sort(principal_angle_stack(a.basis[None], b.basis)[0])
 
 
-def subspaces_equal(a: Subspace, b: Subspace, angle_tol: float = ANGLE_TOL) -> bool:
-    """Equality up to basis choice: equal dimensions and all angles tiny."""
+def subspaces_equal(a: Subspace, b: Subspace) -> bool:
+    """Equality up to basis choice: equal dimensions and all angles below ANGLE_TOL."""
     if a.ambient_dim != b.ambient_dim or a.dim != b.dim:
         return False
     if a.dim == 0:
         return True
-    return float(np.max(principal_angles(a, b))) < angle_tol
+    return float(np.max(principal_angles(a, b))) < ANGLE_TOL
 
 
 def require_direct_sum(parts, tol: ToleranceConfig, what: str) -> DirectSumCheck:

@@ -125,6 +125,30 @@ class TestGenConnectCertify:
         assert message in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("kind", ["gl", "subspace-pair"])
+    def test_connect_on_other_instance_kinds_exits_4(self, tmp_path, capsys, kind):
+        pair = tmp_path / "instance.json"
+        assert run(["gen", "--m", 3, "--n", 3, "--k", 2 if kind != "gl" else 3,
+                    "--seed", 0, "--kind", kind, "--out", pair]) == 0
+        code = run(["connect", "--in", pair, "--mode", "fk", "--out", tmp_path / "p.json"])
+        assert code == 4
+        assert "'T1'" in capsys.readouterr().err
+
+    def test_missing_input_file_exits_4(self, tmp_path, capsys):
+        code = run(["connect", "--in", tmp_path / "absent.json", "--mode", "fk",
+                    "--out", tmp_path / "p.json"])
+        assert code == 4
+        assert "absent.json" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("content", ["[1, 2]", "3", '"fk-pair"'])
+    def test_connect_on_non_object_exits_4(self, tmp_path, capsys, content):
+        pair = tmp_path / "instance.json"
+        pair.write_text(content)
+        code = run(["connect", "--in", pair, "--mode", "fk", "--out", tmp_path / "p.json"])
+        assert code == 4
+        assert "JSON object" in capsys.readouterr().err
+
+
 class TestOtherCommands:
     def test_dim_prints(self, capsys):
         assert run(["dim", "--m", 3, "--n", 2, "--k", 1]) == 0
@@ -172,6 +196,24 @@ class TestOtherCommands:
                     "--membership", member_file, "--out", cert])
         assert code == 1
         assert 0.5 in json.loads(cert.read_text())["failures"]
+
+    @pytest.mark.parametrize(
+        "content, message",
+        [
+            ("[1, 2]", "JSON object"),
+            ('{"kernel_equals": 3}', "'kernel_equals'"),
+            ('{"range_complement": {"rows": 2, "cols": 1, "data": [1.0]}}', "'range_complement'"),
+        ],
+        ids=["non-object", "non-matrix-field", "short-data-field"],
+    )
+    def test_unusable_membership_file_exits_4(self, tmp_path, capsys, content, message):
+        path_file, member_file = tmp_path / "path.json", tmp_path / "member.json"
+        ser.save_json(ser.path_to_obj(constant_path(np.diag([1.0, 0.0]))), path_file)
+        member_file.write_text(content)
+        code = run(["certify", "--path", path_file, "--k", 1, "--samples", 5,
+                    "--membership", member_file, "--out", tmp_path / "cert.json"])
+        assert code == 4
+        assert message in capsys.readouterr().err
 
     @pytest.mark.parametrize("field", ["c", "start"])
     def test_malformed_path_file_exits_4(self, tmp_path, capsys, field):

@@ -46,9 +46,17 @@ from strata.errors import (
     StrataError,
     WitnessError,
 )
+from strata.geometry import (
+    StratumPoint,
+    TangentBasis,
+    dim_fk,
+    tangency_order,
+    tangent_violation,
+)
 from strata.instances import InstanceSpec, gen_instance, random_subspace
-from strata.paths import OperatorPath, locate, sample_parameters
-from strata.subspaces import maxabs
+from strata.paths import OperatorPath, _frame_path, locate, sample_parameters
+from strata.serialization import matrix_from_obj
+from strata.subspaces import _factor, maxabs
 
 from conftest import random_split, span
 
@@ -90,6 +98,26 @@ def count_factorizations(monkeypatch):
     for name in ("svd", "inv", "pinv"):
         monkeypatch.setattr(np.linalg, name, counting(name))
     return calls
+
+
+def full_svd_inputs(monkeypatch):
+    """Copies of the matrices np.linalg.svd factors with frames from now on."""
+    inputs = []
+    original = np.linalg.svd
+
+    def recorded(a, *args, **kwargs):
+        if kwargs.get("compute_uv", True):
+            inputs.append(np.array(a, dtype=float))
+        return original(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recorded)
+    return inputs
+
+
+def pin_pair():
+    """The seed-0 6x5 rank-3 fk-pair the factorization counts are pinned on."""
+    payload = gen_instance(InstanceSpec(m=5, n=6, k=3, seed=0, kind="fk-pair"))
+    return payload["T1"], payload["T2"]
 
 
 def seeded_fk_pairs():
@@ -320,6 +348,13 @@ class TestAuditFlip:
 
 
 class TestCorrectedFlip:
+    def test_factorization_count(self, monkeypatch):
+        # the rank check and the frames come from one full SVD
+        t1, _ = pin_pair()
+        calls = count_factorizations(monkeypatch)
+        corrected_flip_path(t1, 3)
+        assert (calls["svd"], calls["inv"], calls["pinv"]) == (1, 0, 0)
+
     def test_two_by_two(self):
         t = np.array([[1.0, 0.0], [0.0, 0.0]])
         p = corrected_flip_path(t, 1, side="range")
@@ -535,6 +570,15 @@ class TestGlConnect:
             d = eval_path(p, 1.0)
             assert d == pytest.approx(np.diag([sign] + [1.0] * (n - 1)), abs=1e-9)
 
+    def test_factorization_count(self, monkeypatch):
+        # one full SVD of the input (it also decides the rank) and one of the target
+        a = gen_instance(InstanceSpec(m=5, n=5, k=5, seed=0, kind="gl"))["A"]
+        calls = count_factorizations(monkeypatch)
+        gl_connect(a)
+        assert 0 < calls["svd"] <= 2
+        assert calls["inv"] == 0
+        assert calls["pinv"] == 0
+
     def test_rotation_with_minus_pair(self):
         # symmetric orthogonal with two -1 eigenvalues: the paired half-turn case
         q = np.diag([-1.0, -1.0, 1.0])
@@ -594,9 +638,9 @@ class TestConnectFk:
 
     def test_factorization_count(self, monkeypatch):
         # one 6x5 rank-3 pair: one full SVD per endpoint, nothing inverted
-        payload = gen_instance(InstanceSpec(m=5, n=6, k=3, seed=0, kind="fk-pair"))
+        t1, t2 = pin_pair()
         calls = count_factorizations(monkeypatch)
-        connect_fk(payload["T1"], payload["T2"])
+        connect_fk(t1, t2)
         assert 0 < calls["svd"] <= 2
         assert calls["inv"] == 0
         assert calls["pinv"] == 0
@@ -635,6 +679,15 @@ class TestConnectPhi:
         with pytest.raises(ValueError):
             connect_phi(t1, t1, 2, 0)
 
+    def test_factorization_count(self, monkeypatch):
+        # the kernel and corank checks read the ranks of the frame SVDs
+        t1, t2 = pin_pair()
+        calls = count_factorizations(monkeypatch)
+        connect_phi(t1, t2, 2, 3)
+        assert 0 < calls["svd"] <= 2
+        assert calls["inv"] == 0
+        assert calls["pinv"] == 0
+
 
 class TestChains:
     def test_discovered_chain_connects(self, rng):
@@ -669,21 +722,48 @@ class TestChains:
             discover_chain(np.eye(2), np.diag([1.0, 0.0]))
 
     def test_discovered_chain_is_the_frame_construction(self):
-        # the last complements build nothing: the chain is one frame stage
-        for t1, t2 in seeded_fk_pairs():
+        # the last complements build nothing: the chain is one frame stage,
+        # also when that stage negates a spare kernel column of t_star, whose
+        # factors the witness check has read first
+        x, y = np.diag([1.0, 1.0, 0.0]), np.diag([-1.0, 1.0, 0.0])
+        assert frame_signs(x, y) == (False, True)
+        for t1, t2 in [*seeded_fk_pairs(), (x, y)]:
             p = chain_connect(t1, t2, discover_chain(t1, t2))
             assert_same_path(p, frame_connect(t1, t2))
 
     def test_factorization_count(self, monkeypatch):
-        # one 6x5 rank-3 pair: two frame SVDs, four witness checks, two frame-stage SVDs
-        payload = gen_instance(InstanceSpec(m=5, n=6, k=3, seed=0, kind="fk-pair"))
-        t1, t2 = payload["T1"], payload["T2"]
+        # one 6x5 rank-3 pair: one full SVD per endpoint, reused by the frame
+        # stage, and four witness checks
+        t1, t2 = pin_pair()
         witness = discover_chain(t1, t2)
         calls = count_factorizations(monkeypatch)
         chain_connect(t1, t2, witness)
-        assert 0 < calls["svd"] <= 8
+        assert 0 < calls["svd"] <= 6
         assert calls["inv"] == 0
         assert calls["pinv"] == 0
+
+    def test_one_link_factorizations(self, monkeypatch):
+        # one kernel link moves t0: the frame stage factors the moved
+        # operator once and reuses the factors of t_star
+        t0 = np.zeros((3, 3))
+        t0[0, 0] = 1.0  # kernel {e2, e3}
+        t_star = np.zeros((3, 3))
+        t_star[1, 0] = 1.0  # kernel {e2, e3}
+        witness = ChainWitness(
+            (span([1, 0, 0], [0, 0, 1]),),
+            (span([1, 1, 0]), span([1, 1, 1])),
+            (),
+            (span([1, -1, 0], [0, 0, 1]),),
+        )
+        inputs = full_svd_inputs(monkeypatch)
+        p = chain_connect(t0, t_star, witness)
+        moved = p.segments[-1].start  # the walk back starts at the moved operator
+        assert not np.array_equal(moved, t0)
+        for m in (t0, t_star, moved):
+            assert sum(np.array_equal(m, x) for x in inputs) == 1
+        assert len(inputs) == 3
+        assert eval_path(p, 0.0) == pytest.approx(t_star, abs=1e-12)
+        assert eval_path(p, 1.0) == pytest.approx(t0, abs=1e-12)
 
     def test_length_two_kernel_chain(self):
         # handcrafted chain through two intermediate kernels in R^3:
@@ -769,6 +849,15 @@ class TestFrameConnect:
         assert maxabs(eval_path(p, 0.0) - y) <= 1e-12 * (1 + maxabs(y))
         assert maxabs(eval_path(p, 1.0) - x) <= 1e-12 * (1 + maxabs(x))
 
+    def test_shared_factors_untouched(self):
+        # orientation negates frame columns of y: it must work on copies
+        x, y = np.diag([1.0, 1.0, 0.0]), np.diag([-1.0, 1.0, 0.0])
+        fx, fy = _factor(x), _factor(y)
+        before = [a.copy() for a in (*fx[2], *fy[2])]
+        assert_same_path(_frame_path(fx, fy), frame_connect(x, y))
+        for a, b in zip((*fx[2], *fy[2]), before):
+            assert np.array_equal(a, b)
+
     def test_no_spare_column_raises(self):
         x, y = np.diag([1.0, 2.0, 3.0]), np.diag([-1.0, 2.0, 3.0])
         assert frame_signs(x, y) in ((True, False), (False, True))
@@ -852,6 +941,16 @@ class TestInputErrors:
                 constant_path(np.eye(3)), 3, grid=5,
                 membership=MembershipSpec(kernel_equals=Subspace.zero(4)),
             ),
+            lambda: dim_fk(0, 2, 0),
+            lambda: dim_fk(2, 2, 3),
+            lambda: StratumPoint(np.eye(2), 3, Subspace.zero(2), Subspace.full(2)),
+            lambda: StratumPoint(np.diag([1.0, 0.0]), 1, span([1, 0]), span([1, 0])),
+            lambda: TangentBasis(StratumPoint.at(np.eye(2)), (), 1),
+            lambda: tangent_violation(StratumPoint.at(np.eye(2)), np.eye(3)),
+            lambda: tangency_order(StratumPoint.at(np.eye(2)), np.eye(2), [0.1, 0.05]),
+            lambda: InstanceSpec(m=0, n=2, k=0, seed=0, kind="fk-pair"),
+            lambda: gen_instance(InstanceSpec(m=2, n=3, k=2, seed=0, kind="gl")),
+            lambda: matrix_from_obj({"rows": 2, "cols": 2, "data": [1.0, 2.0, 3.0]}),
         ],
         ids=[
             "fk-shape", "fk-rank", "chain-shape", "chain-rank",
@@ -862,6 +961,9 @@ class TestInputErrors:
             "subspace-not-orthonormal", "columns-dependent", "direct-sum-ambient",
             "angles-ambient", "decomposition-shape", "graph-coeff-shape",
             "segment-fields", "path-empty", "certify-spec-ambient",
+            "dim-shape", "dim-rank", "point-rank", "point-kernel", "tangent-basis-dim",
+            "tangent-violation-shape", "tangency-grid", "instance-shape", "gl-instance-shape",
+            "matrix-data-length",
         ],
     )
     def test_rejections_are_typed(self, call):
