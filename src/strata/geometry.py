@@ -22,7 +22,6 @@ from .subspaces import (
     _kernel_range,
     as_matrix,
     orthogonal_complement,
-    rank_kernel_range,
     subspaces_equal,
 )
 
@@ -79,8 +78,18 @@ class StratumPoint:
 
     @classmethod
     def at(cls, op, tol: ToleranceConfig = DEFAULT_TOL) -> "StratumPoint":
-        op = as_matrix(op)
-        return cls(op, *rank_kernel_range(op, tol))
+        """The stratum point at ``op``: rank, kernel and range read from one SVD.
+
+        The constructor's checks are skipped, because geometry computed
+        from the SVD passes them by construction: the rank rule leaves a
+        strict singular-value drop after k, and kernel and range are that
+        SVD's own.
+        """
+        op, k, svd = _factor(op, tol)
+        point = object.__new__(cls)
+        for name, value in zip(("op", "k", "kernel", "range"), (op, k, *_kernel_range(svd, k))):
+            object.__setattr__(point, name, value)
+        return point
 
     @property
     def shape(self) -> tuple[int, int]:

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import json
 import math
+import os
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 import scipy.linalg
@@ -341,10 +343,117 @@ def witness_from_obj(obj: dict) -> ChainWitness:
     )
 
 
+_FLOAT_CHUNK = 1 << 14  # floats rendered per string: bounds the memory of a long number list
+
+
+def _float_text(x: float) -> str:
+    if not math.isfinite(x):
+        raise ValueError(f"Out of range float values are not JSON compliant: {x!r}")
+    return float.__repr__(x)
+
+
+def _scalar_text(value) -> str | None:
+    """JSON text of a non-container value, or None for a list, tuple or dict."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        return _float_text(value)
+    if isinstance(value, (list, tuple, dict)):
+        return None
+    raise TypeError(f"Object of type {value.__class__.__name__} is not JSON serializable")
+
+
+def _key_text(key) -> str:
+    if isinstance(key, str):
+        return encode_basestring_ascii(key)
+    if isinstance(key, (int, float)) or key is None:
+        # a non-string key is written as the string of its JSON text
+        return encode_basestring_ascii(_scalar_text(key))
+    raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
+
+
+def _write_floats(write, items: list, inner: str, outer: str) -> None:
+    """Write a nonempty list of exact floats a chunk at a time, each in one C-level pass."""
+    sep = "," + inner
+    write("[")
+    for start in range(0, len(items), _FLOAT_CHUNK):
+        chunk = items[start : start + _FLOAT_CHUNK]
+        if not all(map(math.isfinite, chunk)):
+            for x in chunk:
+                _float_text(x)  # raises at the first NaN or infinity
+        # join sizes its result once; repr(chunk) would grow it by reallocation,
+        # which fragments the heap and raises the peak memory of later work
+        write((sep if start else inner) + sep.join(map(repr, chunk)))
+    write(outer + "]")
+
+
+def _write_container(write, value, outer: str, open_ids: set) -> None:
+    """Write a list, tuple or dict as json.dump(indent=2, allow_nan=False) does.
+
+    ``outer`` is the newline and indentation of the line the container opens on.
+    """
+    if not value:
+        write("{}" if isinstance(value, dict) else "[]")
+        return
+    if id(value) in open_ids:
+        raise ValueError("Circular reference detected")
+    inner = outer + "  "
+    if isinstance(value, dict):
+        items = ((_key_text(k) + ": ", v) for k, v in value.items())
+        brackets = "{}"
+    else:
+        items = value if type(value) is list else list(value)
+        if set(map(type, items)) == {float}:
+            _write_floats(write, items, inner, outer)
+            return
+        items = (("", v) for v in items)
+        brackets = "[]"
+    open_ids.add(id(value))
+    sep = brackets[0] + inner
+    for prefix, item in items:
+        text = _scalar_text(item)
+        if text is None:
+            write(sep + prefix)
+            _write_container(write, item, inner, open_ids)
+        else:
+            write(sep + prefix + text)
+        sep = "," + inner
+    write(outer + brackets[1])
+    open_ids.remove(id(value))
+
+
 def save_json(obj, path) -> None:
-    with open(path, "w") as f:
-        json.dump(obj, f, indent=2, allow_nan=False)
-        f.write("\n")
+    """Write ``obj`` as ``json.dump(obj, f, indent=2, allow_nan=False)`` plus a newline.
+
+    The bytes are the standard library's; only the speed differs: a list
+    of floats is rendered in one pass instead of one token at a time.  The
+    file is written under a temporary name beside ``path`` and moved onto
+    it once complete, so a write that raises leaves ``path`` as it was.
+    """
+    path = os.fspath(path)
+    directory, name = os.path.split(path)
+    tmp = os.path.join(directory, f".{name}.{os.urandom(8).hex()}.tmp")
+    try:
+        # opened with "x" rather than through tempfile.mkstemp, which would make it 0600
+        with open(tmp, "x") as f:
+            text = _scalar_text(obj)
+            if text is None:
+                _write_container(f.write, obj, "\n", set())
+            else:
+                f.write(text)
+            f.write("\n")
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
 
 
 def load_json(path):

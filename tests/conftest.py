@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -21,3 +23,21 @@ def random_split(rng, n, d):
 
 def span(*vectors):
     return Subspace.span(*vectors)
+
+
+def count_factorizations(monkeypatch):
+    """Counter of np.linalg svd, inv and pinv calls made from now on."""
+    calls = Counter()
+
+    def counting(name):
+        original = getattr(np.linalg, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        return counted
+
+    for name in ("svd", "inv", "pinv"):
+        monkeypatch.setattr(np.linalg, name, counting(name))
+    return calls

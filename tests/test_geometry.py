@@ -12,6 +12,8 @@ from strata import (
 )
 from strata.subspaces import Subspace
 
+from conftest import count_factorizations
+
 
 def random_stratum_point(rng, n, m, k):
     """Well-conditioned rank-k point: orthogonal frames, sigmas near 1."""
@@ -181,6 +183,23 @@ class TestStratumPoint:
         x = StratumPoint.at([[1.0, 2.0], [2.0, 4.0]])
         assert x.k == 1
         assert x.kernel.dim == 1 and x.range.dim == 1
+
+    def test_at_takes_one_svd(self, monkeypatch):
+        rng = np.random.default_rng(0)
+        op = rng.standard_normal((6, 3)) @ rng.standard_normal((3, 5))
+        calls = count_factorizations(monkeypatch)
+        x = StratumPoint.at(op)
+        assert calls == {"svd": 1}
+        assert (x.k, x.kernel.dim, x.range.dim) == (3, 2, 3)
+
+    @pytest.mark.parametrize(
+        "op",
+        [np.zeros((3, 2)), np.eye(3), np.diag([2.0, 1e-12, 0.0]), [[1.0, 2.0], [2.0, 4.0]]],
+        ids=["zero", "full", "below-tolerance", "rank-one"],
+    )
+    def test_at_passes_the_constructor_checks(self, op):
+        x = StratumPoint.at(op)
+        StratumPoint(x.op, x.k, x.kernel, x.range)  # raises if a check fails
 
     def test_wrong_rank_rejected(self):
         from strata import kernel_basis, range_basis

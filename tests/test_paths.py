@@ -1,5 +1,4 @@
 import re
-from collections import Counter
 
 import numpy as np
 import pytest
@@ -58,7 +57,7 @@ from strata.paths import OperatorPath, _frame_path, locate, sample_parameters
 from strata.serialization import matrix_from_obj
 from strata.subspaces import _factor, maxabs
 
-from conftest import random_split, span
+from conftest import count_factorizations, random_split, span
 
 
 def is_constant(path):
@@ -80,24 +79,6 @@ def ambient_tilt(e_star, r, mapping):
     """GraphParam whose ambient action is the given matrix on e_star."""
     coeff = r.basis.T @ np.asarray(mapping, dtype=float) @ e_star.basis
     return GraphParam(e_star, r, coeff)
-
-
-def count_factorizations(monkeypatch):
-    """Counter of np.linalg svd, inv and pinv calls made from now on."""
-    calls = Counter()
-
-    def counting(name):
-        original = getattr(np.linalg, name)
-
-        def counted(*args, **kwargs):
-            calls[name] += 1
-            return original(*args, **kwargs)
-
-        return counted
-
-    for name in ("svd", "inv", "pinv"):
-        monkeypatch.setattr(np.linalg, name, counting(name))
-    return calls
 
 
 def full_svd_inputs(monkeypatch):

@@ -1,10 +1,14 @@
+import io
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st_hyp
 
 from strata import (
     GraphParam,
@@ -224,3 +228,100 @@ class TestMembership:
         m = ser.membership_from_obj(obj)
         assert m.range_complement is not None
         assert m.kernel_complement is None and m.kernel_equals is None
+
+
+def stdlib_text(obj) -> str:
+    """The reference encoding: json.dump(obj, f, indent=2, allow_nan=False) plus a newline."""
+    buf = io.StringIO()
+    json.dump(obj, buf, indent=2, allow_nan=False)
+    buf.write("\n")
+    return buf.getvalue()
+
+
+EDGE_FLOATS = [-0.0, 0.0, 5e-324, -5e-324, 1e16, 1e-7, 0.1, 1.7976931348623157e308, -1e308]
+finite_floats = (
+    st_hyp.floats(allow_nan=False, allow_infinity=False) | st_hyp.sampled_from(EDGE_FLOATS)
+)
+json_floats = finite_floats | finite_floats.map(np.float64)
+json_chars = st_hyp.sampled_from('a"\\/\n\t\x00\x1f\x7fé€\u2028😀') | st_hyp.characters()
+json_text = st_hyp.text(json_chars)
+json_keys = json_text | st_hyp.integers() | finite_floats | st_hyp.booleans() | st_hyp.none()
+json_scalars = (
+    st_hyp.none() | st_hyp.booleans() | st_hyp.integers() | st_hyp.integers(min_value=2**64)
+    | json_floats | json_text
+)
+json_values = st_hyp.recursive(
+    json_scalars
+    | st_hyp.lists(finite_floats, max_size=30)
+    | st_hyp.lists(finite_floats, max_size=5).map(tuple)
+    | st_hyp.lists(json_floats | st_hyp.integers(), max_size=10),
+    lambda inner: (
+        st_hyp.lists(inner, max_size=5)
+        | st_hyp.lists(inner, max_size=5).map(tuple)
+        | st_hyp.dictionaries(json_keys, inner, max_size=5)
+    ),
+    max_leaves=40,
+)
+
+
+class TestSaveJson:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(obj=json_values)
+    def test_bytes_match_the_standard_library(self, obj, tmp_path_factory):
+        out = tmp_path_factory.getbasetemp() / "oracle.json"
+        ser.save_json(obj, out)
+        assert out.read_bytes() == stdlib_text(obj).encode("ascii")
+
+    def test_number_list_longer_than_a_chunk(self, tmp_path):
+        values = [k / 7.0 for k in range(2 * ser._FLOAT_CHUNK + 3)]
+        obj = {"data": values, "tail": [[values[:5]], values]}
+        ser.save_json(obj, tmp_path / "long.json")
+        assert (tmp_path / "long.json").read_text() == stdlib_text(obj)
+
+    @pytest.mark.parametrize(
+        "obj",
+        [
+            float("nan"),
+            [1.0, float("inf")],
+            {"a": [0.5] * (ser._FLOAT_CHUNK + 1) + [-math.inf]},
+            [2, float("nan")],
+            {"x": np.float64("nan")},
+            {float("inf"): 1},
+            np.int64(1),
+            {"x": [1.0, np.int64(1)]},
+            {(1,): 2},
+            [{"ok": 1.0}, object()],
+        ],
+        ids=[
+            "nan", "inf-in-float-list", "inf-in-second-chunk", "nan-in-mixed-list",
+            "np-nan", "inf-key", "np-int64", "np-int64-in-list", "tuple-key", "object",
+        ],
+    )
+    def test_errors_match_the_standard_library(self, obj, tmp_path):
+        with pytest.raises((ValueError, TypeError)) as expected:
+            stdlib_text(obj)
+        with pytest.raises(expected.type, match=f"^{re.escape(str(expected.value))}$"):
+            ser.save_json(obj, tmp_path / "out.json")
+
+    def test_circular_reference_rejected(self, tmp_path):
+        obj = {"a": []}
+        obj["a"].append(obj)
+        with pytest.raises(ValueError, match="Circular reference detected"):
+            ser.save_json(obj, tmp_path / "out.json")
+
+    @pytest.mark.parametrize(
+        "bad",
+        [{"x": [1.0] * 1000 + [float("inf")]}, {"x": [1.0] * 1000, "y": np.int64(3)}],
+        ids=["inf", "np-int64"],
+    )
+    def test_failed_write_leaves_no_partial_file(self, bad, tmp_path):
+        out = tmp_path / "out.json"
+        with pytest.raises((ValueError, TypeError)):
+            ser.save_json(bad, out)
+        assert list(tmp_path.iterdir()) == []
+        ser.save_json({"y": 1}, out)
+        before = out.read_bytes()
+        with pytest.raises((ValueError, TypeError)):
+            ser.save_json(bad, out)
+        assert out.read_bytes() == before
+        assert list(tmp_path.iterdir()) == [out]
