@@ -6,8 +6,14 @@ kernel-identity evidence, so a tolerance dispute can be re-adjudicated
 offline from the file alone.  Midpoints of affine legs are always forced
 into the sample set; a defect parked exactly there would otherwise slip
 through every uniform grid.  ``audit_flip_path`` runs the same membership
-checks on a flip path without the rank part.  The membership evidence is
-computed over chunks of the sample stack, one stacked SVD per step.
+checks on a flip path without the rank part.
+
+Both walk the sample grid one chunk at a time: a chunk is evaluated into
+a buffer that the next chunk reuses, factored with stacked SVDs (one for
+the rank columns, one for the membership checks) and reduced to
+per-sample columns.  The working memory is set by ``CHUNK_BYTES``, not by
+the grid size, and the results are those of one sample at a time
+wherever the chunks split.
 """
 
 from __future__ import annotations
@@ -40,7 +46,7 @@ __all__ = [
 
 ENDPOINT_PASS_TOL = 1e-9
 SIGMA_GAP_MIN = 1e6
-MEMBERSHIP_CHUNK_BYTES = 1 << 22  # working memory of one membership chunk
+CHUNK_BYTES = 1 << 22  # working memory of one chunk of samples
 
 
 @dataclass(frozen=True)
@@ -103,15 +109,15 @@ def _membership_columns(
 ) -> dict[str, tuple[np.ndarray, np.ndarray]]:
     """Residual and pass flag of each check ``spec`` asks for, at every sample.
 
-    Each chunk of samples takes one full SVD; its kernels and ranges are cut
-    at ranks read from that SVD's own singular values (those of a
+    The samples take one full SVD; their kernels and ranges are cut at ranks
+    read from that SVD's own singular values (those of a
     ``compute_uv=False`` call can differ in the last bit).  Samples of equal
     rank share one stacked SVD per check.  A kernel of the wrong dimension
     has angle inf to the expected one.  The values equal those of the checks
     made one sample at a time with ``rank_kernel_range``, ``is_direct_sum``
     and ``principal_angles``.
     """
-    count, rows, cols = values.shape
+    count, _, cols = values.shape
     fields = (
         ("range_complement_cond", spec.range_complement),
         ("kernel_complement_cond", spec.kernel_complement),
@@ -122,38 +128,84 @@ def _membership_columns(
         for name, field in fields
         if field is not None
     }
-    # per sample: U and V^T, their slices copied into the stacked direct-sum
-    # bases, and the angle step's bases and products
-    step = max(1, MEMBERSHIP_CHUNK_BYTES // (6 * (rows * rows + cols * cols) * values.itemsize))
-    for lo in range(0, count, step):
-        u, s, vt = np.linalg.svd(values[lo : lo + step], full_matrices=True)
-        ranks = rank_from_singular_values(s, tol)
-        for k in np.unique(ranks).tolist():
-            group = np.flatnonzero(ranks == k)
-            rows_out = lo + group
-            results = {}
-            if spec.range_complement is not None:
-                results["range_complement_cond"] = _direct_sum_column(
-                    u[group, :, :k], spec.range_complement, tol
-                )
-            kernels = np.swapaxes(vt[group, k:, :], -1, -2)
-            if spec.kernel_complement is not None:
-                results["kernel_complement_cond"] = _direct_sum_column(
-                    kernels, spec.kernel_complement, tol
-                )
-            if spec.kernel_equals is not None:
-                want = spec.kernel_equals
-                if cols - k != want.dim:
-                    angle = np.full(group.size, np.inf)
-                elif want.dim == 0:
-                    angle = np.zeros(group.size)
-                else:
-                    angle = np.max(principal_angle_stack(kernels, want.basis), axis=-1)
-                results["kernel_angle"] = (angle, angle < ANGLE_TOL)
-            for name, (value, passed) in results.items():
-                out[name][0][rows_out] = value
-                out[name][1][rows_out] = passed
+    u, s, vt = np.linalg.svd(values, full_matrices=True)
+    ranks = rank_from_singular_values(s, tol)
+    for k in np.unique(ranks).tolist():
+        group = np.flatnonzero(ranks == k)
+        results = {}
+        if spec.range_complement is not None:
+            results["range_complement_cond"] = _direct_sum_column(
+                u[group, :, :k], spec.range_complement, tol
+            )
+        kernels = np.swapaxes(vt[group, k:, :], -1, -2)
+        if spec.kernel_complement is not None:
+            results["kernel_complement_cond"] = _direct_sum_column(
+                kernels, spec.kernel_complement, tol
+            )
+        if spec.kernel_equals is not None:
+            want = spec.kernel_equals
+            if cols - k != want.dim:
+                angle = np.full(group.size, np.inf)
+            elif want.dim == 0:
+                angle = np.zeros(group.size)
+            else:
+                angle = np.max(principal_angle_stack(kernels, want.basis), axis=-1)
+            results["kernel_angle"] = (angle, angle < ANGLE_TOL)
+        for name, (value, passed) in results.items():
+            out[name][0][group] = value
+            out[name][1][group] = passed
     return out
+
+
+def _chunk_samples(shape: tuple[int, int], membership: bool) -> int:
+    """Samples per chunk: CHUNK_BYTES over the working set of one sample.
+
+    That is its m*n values and, when the membership pass runs, its U and
+    V^T with the slices of them stacked for the direct-sum and angle steps.
+    """
+    rows, cols = shape
+    values = rows * cols + (6 * (rows * rows + cols * cols) if membership else 0)
+    return max(1, CHUNK_BYTES // (8 * values))
+
+
+def _chunks(path: OperatorPath, samples: list, membership: bool):
+    """Evaluate ``samples`` in order, one bounded chunk at a time.
+
+    Yields each chunk's values.  They live in one buffer that the next chunk
+    overwrites, so no stack of the whole grid is ever held.
+    """
+    step = _chunk_samples(path.shape, membership)
+    buffer = np.empty((min(step, len(samples)),) + path.shape)
+    for lo in range(0, len(samples), step):
+        chunk = samples[lo : lo + step]
+        yield eval_path_batch(path, chunk, buffer[: len(chunk)])
+
+
+def _rank_columns(
+    values: np.ndarray, expected_k: int, tol: ToleranceConfig
+) -> tuple[np.ndarray, ...]:
+    """Rank, sigma_k, sigma_{k+1} and the rank-and-gap flag of each sample."""
+    svals = np.linalg.svd(values, compute_uv=False)
+    n, r = svals.shape
+    zeros = np.zeros(n)
+    ranks = rank_from_singular_values(svals, tol)
+    sigma_k = svals[:, expected_k - 1] if 1 <= expected_k <= r else zeros
+    sigma_next = svals[:, expected_k] if r > expected_k else zeros
+    ok = ranks == expected_k
+    if expected_k != 0:
+        # the missing singular value counts as machine zero relative to sigma_1
+        top = svals[:, 0] if r else zeros
+        floor = np.maximum(sigma_next, np.finfo(float).eps * np.maximum(top, 1.0))
+        ok &= sigma_k / floor >= SIGMA_GAP_MIN
+    return ranks, sigma_k, sigma_next, ok
+
+
+def _join(chunks: list[dict]) -> dict[str, tuple[np.ndarray, np.ndarray]]:
+    """The membership columns of consecutive chunks, as columns of the whole grid."""
+    return {
+        name: tuple(map(np.concatenate, zip(*(chunk[name] for chunk in chunks))))
+        for name in chunks[0]
+    }
 
 
 class SampleRecord(NamedTuple):
@@ -201,25 +253,22 @@ def certify_path(
     passes would be vacuous.  Failures are listed by the local parameter
     of the leg they occur on.
     """
+    checks = membership is not None and membership.any()
     if membership is not None:
         _check_ambient(membership, path.shape)
     samples = sample_parameters(path, grid)
-    values = eval_path_batch(path, samples)
-    svals = np.linalg.svd(values, compute_uv=False)
-    n, r = svals.shape
-    zeros = np.zeros(n)
-    ranks = rank_from_singular_values(svals, tol)
-    sigma_k = svals[:, expected_k - 1] if 1 <= expected_k <= r else zeros
-    sigma_next = svals[:, expected_k] if r > expected_k else zeros
-    ok = ranks == expected_k
-    if expected_k != 0:
-        # the missing singular value counts as machine zero relative to sigma_1
-        top = svals[:, 0] if r else zeros
-        floor = np.maximum(sigma_next, np.finfo(float).eps * np.maximum(top, 1.0))
-        ok &= sigma_k / floor >= SIGMA_GAP_MIN
-    residuals = [None] * n
-    if membership is not None and membership.any():
-        columns = _membership_columns(values, membership, tol)
+    rank_parts, member_parts = [], []
+    for values in _chunks(path, samples, checks):
+        if not rank_parts:
+            e0 = maxabs(values[0] - path.start)
+        rank_parts.append(_rank_columns(values, expected_k, tol))
+        if checks:
+            member_parts.append(_membership_columns(values, membership, tol))
+    e1 = maxabs(values[-1] - path.end)  # the buffer still holds the last chunk
+    ranks, sigma_k, sigma_next, ok = map(np.concatenate, zip(*rank_parts))
+    residuals = [None] * len(samples)
+    if checks:
+        columns = _join(member_parts)
         per_sample = zip(*(value.tolist() for value, _ in columns.values()))
         residuals = [dict(zip(columns, row)) for row in per_sample]
         for _, passed in columns.values():
@@ -237,8 +286,6 @@ def certify_path(
     )
     records = tuple(map(SampleRecord._make, zip(*columns)))
     failures = {locals_[i] for i in np.flatnonzero(~ok).tolist()}
-    e0 = maxabs(values[0] - path.start)
-    e1 = maxabs(values[-1] - path.end)
     endpoints_ok = e0 <= ENDPOINT_PASS_TOL * (1.0 + maxabs(path.start)) and e1 <= (
         ENDPOINT_PASS_TOL * (1.0 + maxabs(path.end))
     )
@@ -290,14 +337,15 @@ def audit_flip_path(
     spec = MembershipSpec(range_complement=complement, kernel_equals=expected_kernel)
     _check_ambient(spec, path.shape)
     samples = sample_parameters(path, grid)
-    values = eval_path_batch(path, samples)
-    degenerate = maxabs(values) == 0.0
+    degenerate, parts = True, []
+    for values in _chunks(path, samples, True):
+        degenerate = degenerate and maxabs(values) == 0.0
+        parts.append(_membership_columns(values, spec, tol))
     if degenerate:
         zeros, trues = [0.0] * len(samples), [True] * len(samples)
         checks = (zeros, trues, zeros, trues)
     else:
-        columns = _membership_columns(values, spec, tol)
-        (cond, split_ok), (angle, kernel_ok) = columns.values()
+        (cond, split_ok), (angle, kernel_ok) = _join(parts).values()
         checks = (cond.tolist(), split_ok.tolist(), angle.tolist(), kernel_ok.tolist())
     records = []
     failures = set()

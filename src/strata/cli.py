@@ -32,7 +32,7 @@ from .paths import (
     reverse_path,
 )
 from .projections import GraphParam
-from .subspaces import DEFAULT_TOL, ToleranceConfig, is_direct_sum, rank_of
+from .subspaces import DEFAULT_TOL, ToleranceConfig, is_direct_sum
 
 
 def _tolerance(rank_rel_tol: float | None = None) -> ToleranceConfig:
@@ -59,9 +59,8 @@ def _cmd_connect(args) -> int:
                 "connect needs an fk-pair or phi-pair instance"
             )
     t1, t2 = payload["T1"], payload["T2"]
-    if args.mode == "phi":
-        k = rank_of(t1, tol)
-        path = connect_phi(t1, t2, t1.shape[1] - k, t1.shape[0] - k, tol)
+    if args.mode == "phi":  # kernel dimension and corank are read from t1
+        path = connect_phi(t1, t2, tol=tol)
     else:  # "fk" and "chain" name the same construction
         path = connect_fk(t1, t2, tol)
     if args.reverse:
@@ -127,7 +126,7 @@ def _cmd_dim(args) -> int:
 def _cmd_flip(args) -> int:
     tol = _tolerance()
     t = ser.matrix_from_obj(ser.load_json(args.infile))
-    path = corrected_flip_path(t, rank_of(t, tol), tol=tol)
+    path = corrected_flip_path(t, tol=tol)
     ser.save_json(ser.path_to_obj(path), args.out)
     return 0
 

@@ -22,6 +22,7 @@ the intended operator set is a separate concern handled by the certifier
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -84,7 +85,7 @@ PAYLOAD_FIELDS = {"affine": {"a", "b"}, "rotation": {"a", "z", "theta", "side"}}
 CHAIN_TOL = 1e-10  # consecutive segments must meet this closely
 ENDPOINT_TOL = 1e-12  # declared endpoints must be reproduced this closely
 PLANE_TOL = 1e-10  # largest departure of z.T @ z from the identity
-ROTATE_CHUNK_BYTES = 1 << 22  # working memory of one rotation evaluation chunk
+ROTATE_CHUNK_BYTES = 1 << 20  # working memory of one rotation step: it stays in cache
 
 
 @dataclass(frozen=True)
@@ -100,17 +101,27 @@ class PathSegment:
         if self.kind not in SEGMENT_KINDS:
             raise InputError(f"unknown segment kind {self.kind!r}")
 
+    @functools.cached_property
+    def _plane_coords(self) -> np.ndarray:
+        """Z.T a of a rotation leg (Z.T a.T on the kernel side), taken once per leg."""
+        p = self.payload
+        return p["z"].T @ (p["a"] if p["side"] == "range" else p["a"].T)
+
 
 def _rotate(
-    a: np.ndarray, z: np.ndarray, theta: np.ndarray, ts: np.ndarray, out: np.ndarray | None = None
+    a: np.ndarray,
+    z: np.ndarray,
+    y: np.ndarray,
+    theta: np.ndarray,
+    ts: np.ndarray,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
-    """R(t) @ a for each t, as a + Z (G(t*theta) - I) Z.T a, never forming R.
+    """R(t) @ a for each t, as a + Z (G(t*theta) - I) y with y = Z.T a, never forming R.
 
     The samples run in chunks, so the plane coordinates of one chunk stay
     near ROTATE_CHUNK_BYTES however many samples are asked for.  ``out``,
     when given, receives the result and may be a strided view.
     """
-    y = z.T @ a
     y1, y2 = y[0::2][None], y[1::2][None]
     if out is None:
         out = np.empty((ts.size,) + a.shape)
@@ -146,10 +157,10 @@ def eval_segment_batch(
         out += p["a"]
         return out
     if p["side"] == "range":
-        return _rotate(p["a"], p["z"], p["theta"], ts, out)
+        return _rotate(p["a"], p["z"], seg._plane_coords, p["theta"], ts, out)
     if out is None:  # a transposed layout: later products with the result round by it
         out = np.empty((ts.size,) + p["a"].T.shape).transpose(0, 2, 1)
-    _rotate(p["a"].T, p["z"], p["theta"], ts, out.transpose(0, 2, 1))
+    _rotate(p["a"].T, p["z"], seg._plane_coords, p["theta"], ts, out.transpose(0, 2, 1))
     return out
 
 
@@ -260,9 +271,14 @@ def eval_path(path: OperatorPath, t: float) -> np.ndarray:
     return eval_segment(path.segments[idx], local)
 
 
-def eval_path_batch(path: OperatorPath, samples) -> np.ndarray:
-    """Evaluate at a list of (global_t, segment, local_t) triples, in order."""
-    out = np.empty((len(samples),) + path.shape)
+def eval_path_batch(path: OperatorPath, samples, out: np.ndarray | None = None) -> np.ndarray:
+    """Evaluate at a list of (global_t, segment, local_t) triples, in order.
+
+    ``out``, when given, is filled and returned; its values are the same
+    as those of the call without it.
+    """
+    if out is None:
+        out = np.empty((len(samples),) + path.shape)
     if not samples:
         return out
     _, segs, locals_ = zip(*samples)
@@ -356,7 +372,7 @@ def _half_turn(
 
 
 def corrected_flip_path(
-    t_mat, k: int, side: str | None = None, tol: ToleranceConfig = DEFAULT_TOL
+    t_mat, k: int | None = None, side: str | None = None, tol: ToleranceConfig = DEFAULT_TOL
 ) -> OperatorPath:
     """Connect a rank-k matrix to its negative without ever dropping rank.
 
@@ -366,9 +382,12 @@ def corrected_flip_path(
     complement, half a turn each.  Every intermediate frame stays
     orthonormal, so the singular values, and hence the rank, are constant
     along the whole path.  Requires a spare direction on the chosen side.
+    A rank ``k`` given as None is the matrix's own.
     """
     t_mat, rank, (u_full, _, vt_full) = _factor(t_mat, tol)
     rows, cols = t_mat.shape
+    if k is None:
+        k = rank
     if rank != k:
         raise InputError(f"matrix rank is not the declared {k}")
     if k == 0:
@@ -490,7 +509,7 @@ def _skew_log_rotation(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     columns += minus_ones
     angles += [math.pi] * (len(minus_ones) // 2)
     planes, theta = z[:, columns], np.array(angles)
-    rebuilt = _rotate(np.eye(n), planes, theta, np.ones(1))[0]
+    rebuilt = _rotate(np.eye(n), planes, planes.T, theta, np.ones(1))[0]
     if maxabs(rebuilt - w) > 1e-8 * (1.0 + n):
         raise InternalConsistencyError("rotation logarithm failed to reproduce input")
     return planes, theta
@@ -632,19 +651,28 @@ def connect_fk(t1, t2, tol: ToleranceConfig = DEFAULT_TOL) -> OperatorPath:
 
 
 def connect_phi(
-    t1, t2, kernel_dim: int, corank: int, tol: ToleranceConfig = DEFAULT_TOL
+    t1,
+    t2,
+    kernel_dim: int | None = None,
+    corank: int | None = None,
+    tol: ToleranceConfig = DEFAULT_TOL,
 ) -> OperatorPath:
     """Path between two operators with fixed kernel dimension and corank.
 
     At fixed shape those two numbers pin the rank, so the construction is
     the rank-stratum frame path; this entry point verifies the membership
     data first and rejects the invertible-by-invertible case, which is
-    genuinely not path connected.
+    genuinely not path connected.  A kernel dimension or corank given as
+    None is read from t1.
     """
     f1, f2 = _factor(t1, tol), _factor(t2, tol)
     rows, cols = f1[0].shape
     if f2[0].shape != (rows, cols):
         raise InputError("endpoints must share a shape")
+    if kernel_dim is None:
+        kernel_dim = cols - f1[1]
+    if corank is None:
+        corank = rows - f1[1]
     if kernel_dim < 0 or corank < 0:
         raise InputError("kernel dimension and corank must be nonnegative")
     if kernel_dim == 0 and corank == 0:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -16,6 +18,7 @@ from strata import (
     kernel_basis,
     literal_flip_path,
 )
+import strata.certify as certify_module
 from strata.certify import SIGMA_GAP_MIN, FlipAudit, SampleRecord
 from strata.errors import InputError
 from strata.instances import InstanceSpec, gen_instance, random_subspace
@@ -24,6 +27,7 @@ from strata.paths import (
     _line,
     eval_path_batch,
     left_project_path,
+    reverse_path,
     right_project_path,
     sample_parameters,
 )
@@ -349,6 +353,34 @@ def _project_path(rng, side, rows, cols, k, seed):
     return right_project_path(t0, _complement(rng, r0), r0), ker, r0, rng_t0
 
 
+def _check_field_combination(fields, check):
+    """``check`` on project legs and a literal flip, with the spec fields ``fields`` picks."""
+    rng = np.random.default_rng(fields)
+    for side in ("left", "right"):
+        path, ker, comp, rng_t0 = _project_path(rng, side, 5, 4, 2, fields)
+        others = (_complement(rng, rng_t0), _complement(rng, ker), ker)
+        spec = MembershipSpec(*(sub if fields >> i & 1 else None for i, sub in enumerate(others)))
+        check(path, 2, 101, spec)
+    e_star, r = random_split(rng, 4, 2)
+    flip = literal_flip_path(e_star, r, tilt(e_star, r, rng.uniform(-1.0, 1.0, (4, 4))))
+    spec = MembershipSpec(*(r if fields >> i & 1 else None for i in range(3)))
+    check(flip, 2, 101, spec)
+
+
+def _check_degenerate(check_audit, check):
+    """The all-zero path: a degenerate audit that passes, a degenerate certificate."""
+    zero = constant_path(np.zeros((3, 3)))
+    audit = check_audit(zero, (span([1, 0, 0]), span([0, 1, 0])), 11)
+    assert audit.degenerate and audit.passed
+    spec = MembershipSpec(span([1, 0, 0]), span([0, 1, 0]), Subspace.full(3))
+    assert check(zero, 0, 11, spec).verdict == "degenerate"
+    # zero from t = 0.5 on, so the last chunks are all zero but the path is not
+    a, z = np.diag([1.0, 0.0, 0.0]), np.zeros((3, 3))
+    half = OperatorPath((_line(a, z), _line(z, z)), (3, 3))
+    plane = span([0, 1, 0], [0, 0, 1])
+    assert not check_audit(half, (plane, plane), 11).degenerate
+
+
 class TestMembershipReference:
     """The stacked membership pass against the one-sample-at-a-time checks."""
 
@@ -405,16 +437,7 @@ class TestMembershipReference:
 
     @pytest.mark.parametrize("fields", range(8))
     def test_every_field_combination(self, fields):
-        rng = np.random.default_rng(fields)
-        for side in ("left", "right"):
-            path, ker, comp, rng_t0 = _project_path(rng, side, 5, 4, 2, fields)
-            others = (_complement(rng, rng_t0), _complement(rng, ker), ker)
-            spec = MembershipSpec(*(sub if fields >> i & 1 else None for i, sub in enumerate(others)))
-            _assert_matches_reference(path, 2, 101, spec)
-        e_star, r = random_split(rng, 4, 2)
-        flip = literal_flip_path(e_star, r, tilt(e_star, r, rng.uniform(-1.0, 1.0, (4, 4))))
-        spec = MembershipSpec(*(r if fields >> i & 1 else None for i in range(3)))
-        _assert_matches_reference(flip, 2, 101, spec)
+        _check_field_combination(fields, _assert_matches_reference)
 
     @given(
         st_hyp.integers(2, 6),
@@ -464,11 +487,7 @@ class TestMembershipReference:
         assert cert.per_sample[0].membership_residuals["kernel_angle"] == float("inf")
 
     def test_degenerate_audit(self):
-        zero = constant_path(np.zeros((3, 3)))
-        audit = _assert_audit_matches_reference(zero, (span([1, 0, 0]), span([0, 1, 0])), 11)
-        assert audit.degenerate and audit.passed
-        spec = MembershipSpec(span([1, 0, 0]), span([0, 1, 0]), Subspace.full(3))
-        assert _assert_matches_reference(zero, 0, 11, spec).verdict == "degenerate"
+        _check_degenerate(_assert_audit_matches_reference, _assert_matches_reference)
 
     def test_svd_calls_are_batched(self, monkeypatch):
         rng = np.random.default_rng(8)
@@ -510,6 +529,107 @@ class TestMembershipReference:
         if spec.range_complement is not None:
             with pytest.raises(InputError, match=field):
                 audit_flip_path(path, (span([0, 0, 1]), spec.range_complement))
+
+
+def _whole_grid(fn, *args, **kwargs):
+    """``fn`` run with every sample of the grid in one chunk."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(certify_module, "_chunk_samples", lambda shape, membership: 1 << 30)
+        return fn(*args, **kwargs)
+
+
+def _assert_chunked_matches(path, expected_k, grid, membership=None):
+    """Under the patched chunk size: the reference records, and the very
+    certificate of a single chunk (records, failures, verdict, endpoint errors)."""
+    cert = _assert_matches_reference(path, expected_k, grid, membership)
+    assert cert == _whole_grid(certify_path, path, expected_k, grid=grid, membership=membership)
+    return cert
+
+
+def _assert_chunked_audit_matches(path, s_spec, grid):
+    audit = _assert_audit_matches_reference(path, s_spec, grid)
+    assert audit == _whole_grid(audit_flip_path, path, s_spec, grid=grid)
+    return audit
+
+
+class TestChunkBoundaries:
+    """The certifier walks its grid in chunks; where they split must not show."""
+
+    @pytest.fixture(params=[1, 7], autouse=True)
+    def chunk(self, request, monkeypatch):
+        monkeypatch.setattr(certify_module, "_chunk_samples", lambda shape, membership: request.param)
+
+    def test_fk_pairs(self):
+        # grid 2 is a chunk of the two endpoints, or one chunk each
+        for seed, (m, n, k) in enumerate([(2, 2, 1), (3, 5, 2), (6, 4, 3), (5, 6, 4)]):
+            payload = gen_instance(InstanceSpec(m=m, n=n, k=k, seed=seed, kind="fk-pair"))
+            path = connect_fk(payload["T1"], payload["T2"])
+            for p in (path, reverse_path(path)):
+                for grid in (2, 3, 11, 101):
+                    assert _assert_chunked_matches(p, k, grid).verdict == "pass"
+                    assert _assert_chunked_matches(p, k - 1, grid).verdict in ("fail", "degenerate")
+
+    def test_boundary_on_forced_midpoint(self):
+        rng = np.random.default_rng(3)
+        e_star, r = random_split(rng, 4, 2)
+        path = literal_flip_path(e_star, r, tilt(e_star, r, rng.uniform(-1.0, 1.0, (4, 4))))
+        samples = sample_parameters(path, 27)
+        uniform = set((np.arange(27) / 26).tolist())
+        forced = [i for i, (t, _, local) in enumerate(samples) if local == 0.5 and t not in uniform]
+        # with chunks of 7 both forced midpoints open a chunk, and the last
+        # chunk holds t = 1 alone
+        assert forced == [7, 21] and len(samples) == 29 and samples[-1][0] == 1.0
+        audit = _assert_chunked_audit_matches(path, (r, r), 27)
+        assert 0.5 in audit.failures
+        for fields in range(8):
+            spec = MembershipSpec(*(r if fields >> i & 1 else None for i in range(3)))
+            cert = _assert_chunked_matches(path, 2, 27, spec)
+            if spec.range_complement is not None:
+                assert 0.5 in cert.failures
+
+    @pytest.mark.parametrize("fields", range(8))
+    def test_every_field_combination(self, fields):
+        _check_field_combination(fields, _assert_chunked_matches)
+
+    def test_rank_changes_along_the_path(self):
+        rng = np.random.default_rng(5)
+        nodes = [np.zeros((4, 3))] + [
+            rng.standard_normal((4, k)) @ rng.standard_normal((k, 3)) for k in (2, 1, 3)
+        ]
+        path = OperatorPath(tuple(_line(a, b) for a, b in zip(nodes, nodes[1:])), (4, 3))
+        _, ker, rng_x = rank_kernel_range(nodes[1])
+        spec = MembershipSpec(_complement(rng, rng_x), _complement(rng, ker), ker)
+        cert = _assert_chunked_matches(path, 2, 23, spec)
+        assert len({r.rank for r in cert.per_sample}) > 1
+        _assert_chunked_audit_matches(path, (ker, rng_x), 23)
+
+    def test_degenerate(self):
+        _check_degenerate(_assert_chunked_audit_matches, _assert_chunked_matches)
+
+
+class TestWorkingMemory:
+    def test_chunk_rule(self):
+        # 100x100 values are 80 kB a sample; membership adds 6 (m^2 + n^2) doubles
+        assert certify_module._chunk_samples((100, 100), False) == 52
+        assert certify_module._chunk_samples((20, 20), True) == 100
+        assert certify_module._chunk_samples((2000, 2000), True) == 1
+
+    def test_peak_is_set_by_the_chunk_not_the_grid(self):
+        # the 100x100 rank-50 fk path: a whole-grid stack at 1001 samples is 80 MB
+        payload = gen_instance(InstanceSpec(m=100, n=100, k=50, seed=1, kind="fk-pair"))
+        path = connect_fk(payload["T1"], payload["T2"])
+        peaks = {}
+        tracemalloc.start()
+        try:
+            for grid in (1001, 4001):
+                tracemalloc.reset_peak()
+                base = tracemalloc.get_traced_memory()[0]
+                assert certify_path(path, 50, grid=grid).verdict == "pass"
+                peaks[grid] = (tracemalloc.get_traced_memory()[1] - base) / 2**20
+        finally:
+            tracemalloc.stop()
+        assert peaks[1001] < 32.0, peaks
+        assert peaks[4001] - peaks[1001] < 8.0, peaks
 
 
 class TestInstances:

@@ -8,6 +8,8 @@ from strata import Subspace, audit_flip_path, constant_path
 from strata.cli import main
 from strata import serialization as ser
 
+from conftest import count_factorizations
+
 
 def run(args):
     return main([str(a) for a in args])
@@ -169,6 +171,20 @@ class TestOtherCommands:
         cert = tmp_path / "cert.json"
         assert run(["certify", "--path", out, "--k", 1, "--samples", 101,
                     "--out", cert]) == 0
+
+    def test_factorization_counts(self, tmp_path, monkeypatch):
+        # the seed-0 6x5 rank-3 pair: each command factors each input matrix once
+        pair = tmp_path / "pair.json"
+        assert run(["gen", "--m", 5, "--n", 6, "--k", 3, "--seed", 0,
+                    "--kind", "fk-pair", "--out", pair]) == 0
+        t = tmp_path / "T.json"
+        ser.save_json(ser.matrix_to_obj(ser.instance_from_obj(ser.load_json(pair))["T1"]), t)
+        calls = count_factorizations(monkeypatch)
+        assert run(["connect", "--in", pair, "--mode", "phi", "--out", tmp_path / "phi.json"]) == 0
+        assert calls == {"svd": 2}
+        calls.clear()
+        assert run(["flip", "--in", t, "--out", tmp_path / "flip.json"]) == 0
+        assert calls == {"svd": 1}
 
     def test_tangent_command(self, tmp_path):
         t = tmp_path / "X.json"

@@ -53,7 +53,16 @@ from strata.geometry import (
     tangent_violation,
 )
 from strata.instances import InstanceSpec, gen_instance, random_subspace
-from strata.paths import OperatorPath, _frame_path, locate, sample_parameters
+import strata.paths
+from strata.paths import (
+    OperatorPath,
+    _frame_path,
+    eval_path_batch,
+    eval_segment,
+    eval_segment_batch,
+    locate,
+    sample_parameters,
+)
 from strata.serialization import matrix_from_obj
 from strata.subspaces import _factor, maxabs
 
@@ -245,6 +254,21 @@ class TestRotationLegs:
             assert np.max(np.abs(got - want)) <= 1e-12 * scale
             assert np.max(np.abs(np.linalg.svd(got, compute_uv=False) - s0)) <= 1e-12 * s0[0]
             assert np.max(np.abs(eval_path(twice, t) - got)) <= 1e-12 * scale
+
+    @pytest.mark.parametrize("side", ["range", "kernel"])
+    def test_evaluation_does_not_depend_on_batching(self, monkeypatch, side):
+        # one sample at a time, in a batch, into an output buffer, and with
+        # the rotation working one sample per step: the same values, bit for bit
+        p, *_ = self.random_leg(3, side, 2)
+        seg = p.segments[0]
+        ts = np.linspace(0.0, 1.0, 37)
+        batch = eval_segment_batch(seg, ts)
+        samples = [(t, 0, t) for t in ts.tolist()]
+        buffer = np.empty((40,) + p.shape)
+        assert np.array_equal(eval_path_batch(p, samples, buffer[:37]), batch)
+        assert all(np.array_equal(eval_segment(seg, t), want) for t, want in zip(ts, batch))
+        monkeypatch.setattr(strata.paths, "ROTATE_CHUNK_BYTES", 1)
+        assert np.array_equal(eval_segment_batch(seg, ts), batch)
 
     def test_invalid_planes_rejected(self):
         a = np.eye(3)
