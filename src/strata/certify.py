@@ -189,7 +189,7 @@ def _rank_columns(
     n, r = svals.shape
     zeros = np.zeros(n)
     ranks = rank_from_singular_values(svals, tol)
-    sigma_k = svals[:, expected_k - 1] if 1 <= expected_k <= r else zeros
+    sigma_k = svals[:, expected_k - 1] if expected_k else zeros
     sigma_next = svals[:, expected_k] if r > expected_k else zeros
     ok = ranks == expected_k
     if expected_k != 0:
@@ -251,8 +251,11 @@ def certify_path(
     singular value counts as machine zero), and every requested membership
     check holds.  The verdict is "degenerate" for rank-zero targets, whose
     passes would be vacuous.  Failures are listed by the local parameter
-    of the leg they occur on.
+    of the leg they occur on.  An ``expected_k`` outside [0, min(m, n)]
+    raises InputError.
     """
+    if not 0 <= expected_k <= min(path.shape):
+        raise InputError(f"expected rank {expected_k} outside [0, {min(path.shape)}]")
     checks = membership is not None and membership.any()
     if membership is not None:
         _check_ambient(membership, path.shape)

@@ -3,7 +3,8 @@
 Exit codes for `certify`: 0 pass, 1 fail, 2 degenerate.  `audit-thm12`
 exits 1 when the audited affine flip family leaves its operator set,
 which is the documented expected outcome.  Every command exits 4 on an
-input it cannot use: a path file with a missing field, an instance file
+input it cannot use: a path file with a missing field or an unknown
+segment kind, a `certify --k` outside [0, min(m, n)], an instance file
 without the matrices T1 and T2 that `connect` reads (a `gl` or
 `subspace-pair` file written by `gen`), an instance or membership file
 that is not a JSON object, or a file that cannot be read or written.

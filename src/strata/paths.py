@@ -1,18 +1,18 @@
 """Closed-form operator homotopies between points of a rank stratum.
 
 Every path here is a chain of piecewise closed-form segments; nothing is
-integrated numerically.  There are two segment kinds:
+integrated numerically.  Each segment is stored once, by its base point
+``start`` (written a below) and its motion.  There are two segment kinds:
 
-  affine     t -> a + t*b                       payload {a, b}
-  rotation   t -> R(t) @ a   (side="range")     payload {a, z, theta, side}
+  affine     t -> a + t*b                       payload {b}
+  rotation   t -> R(t) @ a   (side="range")     payload {z, theta, side}
              t -> a @ R(t).T (side="kernel")
 
 where R(t) = I + Z (G(t*theta) - I) Z.T is an orthogonal rotation in
 plane form: z has orthonormal columns, one consecutive pair per plane,
 and G is block diagonal with one 2x2 rotation by t*theta[j] per plane.
-A do-nothing leg is affine with b = 0.  Path files written with the
-older kinds (constant, left-affine, right-affine, rotation-flip,
-spd-line, rotation-log) are converted to these two on load.
+Both kinds give a at t = 0 exactly.  A do-nothing leg is affine with
+b = 0.
 
 Builders guarantee their declared endpoints; whether the path stays inside
 the intended operator set is a separate concern handled by the certifier
@@ -80,7 +80,7 @@ __all__ = [
 ]
 
 SEGMENT_KINDS = ("affine", "rotation")
-PAYLOAD_FIELDS = {"affine": {"a", "b"}, "rotation": {"a", "z", "theta", "side"}}
+PAYLOAD_FIELDS = {"affine": {"b"}, "rotation": {"z", "theta", "side"}}
 
 CHAIN_TOL = 1e-10  # consecutive segments must meet this closely
 ENDPOINT_TOL = 1e-12  # declared endpoints must be reproduced this closely
@@ -90,7 +90,7 @@ ROTATE_CHUNK_BYTES = 1 << 20  # working memory of one rotation step: it stays in
 
 @dataclass(frozen=True)
 class PathSegment:
-    """One closed-form leg of a path, with its declared endpoints."""
+    """One closed-form leg of a path: its base point ``start``, its motion, its declared end."""
 
     kind: str
     payload: dict
@@ -105,7 +105,7 @@ class PathSegment:
     def _plane_coords(self) -> np.ndarray:
         """Z.T a of a rotation leg (Z.T a.T on the kernel side), taken once per leg."""
         p = self.payload
-        return p["z"].T @ (p["a"] if p["side"] == "range" else p["a"].T)
+        return p["z"].T @ (self.start if p["side"] == "range" else self.start.T)
 
 
 def _rotate(
@@ -151,16 +151,16 @@ def eval_segment_batch(
     as those of the call without it.
     """
     ts = np.asarray(ts, dtype=float)
-    p = seg.payload
+    p, a = seg.payload, seg.start
     if seg.kind == "affine":
         out = np.multiply(ts[:, None, None], p["b"], out=out)
-        out += p["a"]
+        out += a
         return out
     if p["side"] == "range":
-        return _rotate(p["a"], p["z"], seg._plane_coords, p["theta"], ts, out)
+        return _rotate(a, p["z"], seg._plane_coords, p["theta"], ts, out)
     if out is None:  # a transposed layout: later products with the result round by it
-        out = np.empty((ts.size,) + p["a"].T.shape).transpose(0, 2, 1)
-    _rotate(p["a"].T, p["z"], seg._plane_coords, p["theta"], ts, out.transpose(0, 2, 1))
+        out = np.empty((ts.size,) + a.T.shape).transpose(0, 2, 1)
+    _rotate(a.T, p["z"], seg._plane_coords, p["theta"], ts, out.transpose(0, 2, 1))
     return out
 
 
@@ -177,17 +177,23 @@ def _check_planes(z: np.ndarray, theta: np.ndarray) -> None:
         raise InputError("rotation planes must have orthonormal columns")
 
 
-def _endpoint_slack(payload: dict) -> float:
-    """Largest endpoint error a leg with this payload may show.
+def _endpoint_slack(start: np.ndarray, payload: dict) -> float:
+    """Largest endpoint error a leg from ``start`` with this payload may show.
 
-    Rounding in the evaluation is proportional to the payload magnitude,
-    not the endpoint magnitude (projector factors can be large).
+    Rounding in the evaluation is proportional to the magnitude of the
+    base point and the motion, not of the end (projector factors can be
+    large).
     """
-    return ENDPOINT_TOL * (1.0 + max(maxabs(payload[key]) for key in ("a", "b") if key in payload))
+    return ENDPOINT_TOL * (1.0 + max(maxabs(start), maxabs(payload.get("b", 0.0))))
 
 
-def make_segment(kind: str, payload: dict, start=None, end=None) -> PathSegment:
-    """Build a segment, verifying it reproduces its declared endpoints."""
+def make_segment(kind: str, payload: dict, start, end=None) -> PathSegment:
+    """Build the leg that leaves ``start`` with this motion.
+
+    The leg gives ``start`` at t = 0 exactly.  An ``end`` given is checked
+    against the leg's value at t = 1 within ``_endpoint_slack``; an end
+    left out is that value.
+    """
     clean = {}
     for key, value in payload.items():
         if key == "side":
@@ -196,7 +202,8 @@ def make_segment(kind: str, payload: dict, start=None, end=None) -> PathSegment:
             clean[key] = value
         else:
             clean[key] = np.asarray(value, dtype=float)
-    probe = PathSegment(kind, clean, np.zeros((1, 1)), np.zeros((1, 1)))
+    start = np.asarray(start, dtype=float)
+    probe = PathSegment(kind, clean, start, start)
     if set(clean) != PAYLOAD_FIELDS[kind]:
         raise InputError(
             f"segment {kind!r} needs fields {sorted(PAYLOAD_FIELDS[kind])}, "
@@ -204,15 +211,10 @@ def make_segment(kind: str, payload: dict, start=None, end=None) -> PathSegment:
         )
     if kind == "rotation":
         _check_planes(clean["z"], clean["theta"])
-    got = eval_segment_batch(probe, np.array([0.0, 1.0]))
-    start = got[0] if start is None else np.asarray(start, dtype=float)
-    end = got[1] if end is None else np.asarray(end, dtype=float)
-    slack = _endpoint_slack(clean)
-    for declared, computed, which in ((start, got[0], "start"), (end, got[1], "end")):
-        if maxabs(declared - computed) > slack:
-            raise InternalConsistencyError(
-                f"segment {kind!r} does not reproduce its declared {which}"
-            )
+    reached = eval_segment_batch(probe, np.ones(1))[0]
+    end = reached if end is None else np.asarray(end, dtype=float)
+    if maxabs(end - reached) > _endpoint_slack(start, clean):
+        raise InternalConsistencyError(f"segment {kind!r} does not reproduce its declared end")
     return PathSegment(kind, clean, start, end)
 
 
@@ -250,7 +252,7 @@ class OperatorPath:
 
 def constant_path(a) -> OperatorPath:
     a = as_matrix(a)
-    return OperatorPath((make_segment("affine", {"a": a, "b": np.zeros_like(a)}),), a.shape)
+    return OperatorPath((make_segment("affine", {"b": np.zeros_like(a)}, a),), a.shape)
 
 
 def locate(path: OperatorPath, t: float) -> tuple[int, float]:
@@ -311,12 +313,12 @@ def sample_parameters(path: OperatorPath, grid: int) -> list[tuple[float, int, f
 
 
 def _reverse_segment(seg: PathSegment) -> PathSegment:
+    """The leg from ``seg``'s declared end back to its start, by the opposite motion."""
     p = seg.payload
     if seg.kind == "affine":
-        reversed_payload = {"a": p["a"] + p["b"], "b": -p["b"]}
+        reversed_payload = {"b": -p["b"]}
     else:
-        # start from the evaluated end, so reversal adds no endpoint slack
-        reversed_payload = {**p, "a": eval_segment(seg, 1.0), "theta": -p["theta"]}
+        reversed_payload = {**p, "theta": -p["theta"]}
     return make_segment(seg.kind, reversed_payload, seg.end, seg.start)
 
 
@@ -352,10 +354,8 @@ def literal_flip_path(
         raise InputError("the tilt must be nonzero when the base subspace is nonzero")
     proj = oblique_projection(e_star, r, tol).projector
     ap = alpha_operator(alpha) @ proj
-    leg1 = make_segment("affine", {"a": proj, "b": ap}, proj, proj + ap)
-    leg2 = make_segment(
-        "affine", {"a": proj + ap, "b": -2.0 * proj - ap}, proj + ap, -proj
-    )
+    leg1 = make_segment("affine", {"b": ap}, proj, proj + ap)
+    leg2 = make_segment("affine", {"b": -2.0 * proj - ap}, proj + ap, -proj)
     return OperatorPath((leg1, leg2), (n, n))
 
 
@@ -365,7 +365,7 @@ def _half_turn(
     """Rotate direction u of base through the spare unit vector w, theta = pi."""
     return make_segment(
         "rotation",
-        {"a": base, "z": np.column_stack([u, w]), "theta": [math.pi], "side": side},
+        {"z": np.column_stack([u, w]), "theta": [math.pi], "side": side},
         base,
         end,
     )
@@ -432,7 +432,7 @@ def corrected_flip_path(
 
 def _line(a: np.ndarray, b: np.ndarray) -> PathSegment:
     """The straight leg from a to b."""
-    return make_segment("affine", {"a": a, "b": b - a}, a, b)
+    return make_segment("affine", {"b": b - a}, a, b)
 
 
 def left_project_path(
@@ -594,10 +594,10 @@ def _frame_path(fx, fy) -> OperatorPath:
 
     def add(kind, end=None, **payload):
         start = legs[-1].end if legs else y
-        legs.append(make_segment(kind, {"a": start, **payload}, start, end))
+        legs.append(make_segment(kind, payload, start, end))
 
     drop = (u_y[:, :k] * s_y[:k]) @ vt_y[:k] - y
-    if maxabs(drop) > _endpoint_slack({"a": y}):
+    if maxabs(drop) > _endpoint_slack(y, {}):
         add("affine", b=drop)
     step = (u_y[:, :k] * (s_x[:k] - s_y[:k])) @ vt_y[:k]
     if step.any():
@@ -607,7 +607,7 @@ def _frame_path(fx, fy) -> OperatorPath:
         if theta.size:
             add("rotation", z=z, theta=theta, side=side)
     reached = legs[-1].end if legs else y
-    if legs and maxabs(x - reached) <= _endpoint_slack(legs[-1].payload):
+    if legs and maxabs(x - reached) <= _endpoint_slack(legs[-1].start, legs[-1].payload):
         last = legs.pop()
         legs.append(make_segment(last.kind, last.payload, last.start, x))
     else:

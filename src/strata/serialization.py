@@ -14,12 +14,12 @@ import os
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
-import scipy.linalg
 
 from .certify import FlipAudit, PathCertificate, SampleRecord
 from .errors import InputError, StrataError
 from .geometry import TangentBasis
 from .paths import (
+    SEGMENT_KINDS,
     ChainWitness,
     OperatorPath,
     PathSegment,
@@ -110,7 +110,7 @@ def graph_param_from_obj(obj: dict) -> GraphParam:
     )
 
 
-_VECTOR_KEYS = {"theta", "u", "w"}
+_VECTOR_KEYS = {"theta"}
 _SCALAR_KEYS = {"side"}
 
 
@@ -130,7 +130,12 @@ def _segment_to_obj(seg: PathSegment) -> dict:
 
 
 def _segment_from_obj(obj: dict, index: int) -> PathSegment:
-    """Decode one segment; a missing or malformed field raises StrataError naming it."""
+    """Decode one segment; a missing or malformed field raises StrataError naming it.
+
+    A field ``a`` from an older layout, which repeated the base point,
+    loads only when it equals ``start`` entry for entry, with no tolerance;
+    older writers could store 0.0 in ``start`` where ``a`` held -0.0.
+    """
     if not isinstance(obj, dict):
         raise StrataError(f"path segment {index} is not an object")
     payload = {}
@@ -147,44 +152,17 @@ def _segment_from_obj(obj: dict, index: int) -> PathSegment:
         except (StrataError, ValueError) as exc:
             raise StrataError(f"path segment {index} field {key!r}: {exc}") from None
     try:
-        start, end = payload.pop("start"), payload.pop("end")
-        kind, payload = _convert_legacy(obj["kind"], payload, start)
+        kind, start, end = obj["kind"], payload.pop("start"), payload.pop("end")
     except KeyError as exc:
         raise StrataError(f"path segment {index} is missing field {exc.args[0]!r}") from None
-    return make_segment(kind, payload, start, end)
-
-
-def _convert_legacy(kind: str, p: dict, start: np.ndarray) -> tuple[str, dict]:
-    """Rewrite a segment of an older kind as the same affine or rotation leg.
-
-    Current kinds pass through.  ``make_segment`` then checks the result
-    against the declared endpoints stored with the segment.
-    """
-    if kind == "constant":
-        return "affine", {"a": p["a"], "b": np.zeros_like(p["a"])}
-    if kind == "left-affine":  # (a + t b) c
-        return "affine", {"a": p["a"] @ p["c"], "b": p["b"] @ p["c"]}
-    if kind == "right-affine":  # c (a + t b)
-        return "affine", {"a": p["c"] @ p["a"], "b": p["c"] @ p["b"]}
-    if kind == "spd-line":  # q ((1 - t) s + t I)
-        a = p["q"] @ p["s"]
-        return "affine", {"a": a, "b": p["q"] - a}
-    if kind == "rotation-flip":  # half a turn of u towards w
-        planes = np.column_stack([p["u"], p["w"]])
-        return "rotation", {"a": p["base"], "z": planes, "theta": [math.pi], "side": p["side"]}
-    if kind == "rotation-log":  # expm((1 - t) K) tail = expm(-t K) start
-        t, z = scipy.linalg.schur(p["skew"], output="real")
-        columns, angles = [], []
-        i = 0
-        while i + 1 < t.shape[0]:
-            if t[i + 1, i] != 0.0:
-                columns += [i, i + 1]
-                angles.append(-0.5 * (t[i + 1, i] - t[i, i + 1]))
-                i += 2
-            else:
-                i += 1
-        return "rotation", {"a": start, "z": z[:, columns], "theta": angles, "side": "range"}
-    return kind, p
+    try:
+        if kind not in SEGMENT_KINDS:
+            raise InputError(f"unknown segment kind {kind!r}")
+        if "a" in payload and not np.array_equal(payload.pop("a"), start):
+            raise InputError("field 'a' differs from its start")
+        return make_segment(kind, payload, start, end)
+    except StrataError as exc:
+        raise type(exc)(f"path segment {index}: {exc}") from None
 
 
 def path_to_obj(p: OperatorPath, instance: dict | None = None) -> dict:

@@ -297,10 +297,11 @@ class TestRecordReference:
         payload = gen_instance(InstanceSpec(m=m, n=n, k=k, seed=seed, kind="fk-pair"))
         path = connect_fk(payload["T1"], payload["T2"])
         verdicts = {}
-        for expected in (k, k - 1, 0, k + 1, kmax + 1):
+        for expected in (k, k - 1, 0, k + 1):
             verdicts[expected] = _assert_matches_reference(path, expected, grid).verdict
         assert verdicts[k] == "pass" and verdicts[0] == "degenerate"
-        assert verdicts[kmax + 1] == "fail"
+        with pytest.raises(InputError, match="expected rank"):
+            certify_path(path, kmax + 1, grid=grid)
 
     def test_literal_flip_matches_reference(self):
         e_star, r = span([1, 0]), span([0, 1])

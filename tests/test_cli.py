@@ -1,10 +1,9 @@
 import json
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-from strata import Subspace, audit_flip_path, constant_path
+from strata import OperatorPath, Subspace, audit_flip_path, constant_path, make_segment
 from strata.cli import main
 from strata import serialization as ser
 
@@ -45,12 +44,15 @@ class TestGenConnectCertify:
         fwd, rev = tmp_path / "f.json", tmp_path / "r.json"
         run(["connect", "--in", pair, "--mode", "fk", "--out", fwd])
         run(["connect", "--in", pair, "--mode", "fk", "--reverse", "--out", rev])
-        payload = ser.instance_from_obj(ser.load_json(fwd))
         p_fwd = ser.path_from_obj(ser.load_json(fwd))
         p_rev = ser.path_from_obj(ser.load_json(rev))
         from strata import eval_path
 
         assert np.allclose(eval_path(p_fwd, 0.0), eval_path(p_rev, 1.0), atol=1e-9)
+        # the reversed file starts at T1 itself, which its first leg evaluates to at 0
+        t1 = ser.load_json(pair)["T1"]
+        assert ser.load_json(rev)["segments"][0]["start"]["data"] == t1["data"]
+        assert np.array_equal(eval_path(p_rev, 0.0), ser.matrix_from_obj(t1))
 
     def test_phi_and_chain_modes(self, tmp_path):
         pair = tmp_path / "pair.json"
@@ -76,6 +78,14 @@ class TestGenConnectCertify:
         # zero expected rank: degenerate -> exit 2
         assert run(["certify", "--path", path, "--k", 0, "--samples", 51,
                     "--out", cert]) == 2
+
+    @pytest.mark.parametrize("k", [-1, 3])
+    def test_rank_outside_shape_exits_4(self, tmp_path, capsys, k):
+        path, cert = tmp_path / "path.json", tmp_path / "cert.json"
+        ser.save_json(ser.path_to_obj(constant_path(np.eye(2))), path)
+        assert run(["certify", "--path", path, "--k", k, "--samples", 11, "--out", cert]) == 4
+        assert "expected rank" in capsys.readouterr().err
+        assert not cert.exists()
 
     def test_deterministic_outputs(self, tmp_path):
         out = []
@@ -231,34 +241,58 @@ class TestOtherCommands:
         assert code == 4
         assert message in capsys.readouterr().err
 
-    @pytest.mark.parametrize("field", ["c", "start"])
-    def test_malformed_path_file_exits_4(self, tmp_path, capsys, field):
-        fixture = Path(__file__).parent / "data" / "legacy_kinds.json"
-        obj = ser.load_json(fixture)["left-affine"]
-        del obj["segments"][0][field]
+    @staticmethod
+    def affine_path_obj():
+        """A one-leg affine path from diag(1, 0) to diag(1, 1), in the current layout."""
+        start, b = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
+        return ser.path_to_obj(OperatorPath((make_segment("affine", {"b": b}, start),), (2, 2)))
+
+    def certify_obj(self, tmp_path, obj):
         path_file = tmp_path / "path.json"
         ser.save_json(obj, path_file)
-        code = run(["certify", "--path", path_file, "--k", 1, "--samples", 11,
+        return run(["certify", "--path", path_file, "--k", 1, "--samples", 11,
                     "--out", tmp_path / "cert.json"])
-        assert code == 4
+
+    @pytest.mark.parametrize("field", ["b", "start"])
+    def test_malformed_path_file_exits_4(self, tmp_path, capsys, field):
+        obj = self.affine_path_obj()
+        del obj["segments"][0][field]
+        assert self.certify_obj(tmp_path, obj) == 4
         err = capsys.readouterr().err
         assert "segment 0" in err and repr(field) in err
 
     @pytest.mark.parametrize("value", [3, "data-string"])
     def test_non_matrix_field_exits_4(self, tmp_path, capsys, value):
-        fixture = Path(__file__).parent / "data" / "legacy_kinds.json"
-        obj = ser.load_json(fixture)["left-affine"]
+        obj = self.affine_path_obj()
         if value == 3:
-            obj["segments"][0]["c"] = 3
+            obj["segments"][0]["b"] = 3
         else:
-            obj["segments"][0]["c"]["data"] = "1 2 3"
-        path_file = tmp_path / "path.json"
-        ser.save_json(obj, path_file)
-        code = run(["certify", "--path", path_file, "--k", 1, "--samples", 11,
-                    "--out", tmp_path / "cert.json"])
-        assert code == 4
+            obj["segments"][0]["b"]["data"] = "1 2 3"
+        assert self.certify_obj(tmp_path, obj) == 4
         err = capsys.readouterr().err
-        assert "segment 0" in err and "'c'" in err
+        assert "segment 0" in err and "'b'" in err
+
+    def test_legacy_kind_exits_4(self, tmp_path, capsys):
+        # (a + t b) c, a kind older files carried; its a is not its start, and
+        # the kind is reported first
+        obj = self.affine_path_obj()
+        seg = obj["segments"][0]
+        half = {key: ser.matrix_to_obj(0.5 * ser.matrix_from_obj(seg[key]))
+                for key in ("start", "b")}
+        obj["segments"][0] = {"kind": "left-affine", "a": half["start"], "b": half["b"],
+                              "c": ser.matrix_to_obj(2.0 * np.eye(2)),
+                              "start": seg["start"], "end": seg["end"]}
+        assert self.certify_obj(tmp_path, obj) == 4
+        assert "unknown segment kind 'left-affine'" in capsys.readouterr().err
+
+    def test_base_point_other_than_start_exits_4(self, tmp_path, capsys):
+        # the older layout repeated the start as "a"; a copy that differs is refused
+        obj = self.affine_path_obj()
+        seg = obj["segments"][0]
+        seg["a"] = {**seg["start"], "data": [1.0, 0.0, 0.0, 1e-300]}
+        assert self.certify_obj(tmp_path, obj) == 4
+        err = capsys.readouterr().err
+        assert "segment 0" in err and "'a'" in err
 
     def test_infinite_residual_is_strict_json_null(self, tmp_path):
         path_file, member_file = tmp_path / "path.json", tmp_path / "member.json"

@@ -42,6 +42,7 @@ from strata import (
 from strata.errors import (
     DirectSumError,
     DisconnectedComponentsError,
+    InternalConsistencyError,
     StrataError,
     WitnessError,
 )
@@ -133,19 +134,19 @@ class TestSegmentsAndEval:
             assert eval_path(p, t) == pytest.approx(np.eye(2))
 
     def test_affine_midpoint(self):
-        seg = make_segment("affine", {"a": np.zeros((2, 2)), "b": np.eye(2)})
+        seg = make_segment("affine", {"b": np.eye(2)}, np.zeros((2, 2)))
         p = OperatorPath((seg,), (2, 2))
         assert eval_path(p, 0.5) == pytest.approx(0.5 * np.eye(2))
 
     def test_chaining_boundary(self):
-        a = make_segment("affine", {"a": np.zeros((1, 1)), "b": np.ones((1, 1))})
-        b = make_segment("affine", {"a": np.ones((1, 1)), "b": np.ones((1, 1))})
+        a = make_segment("affine", {"b": np.ones((1, 1))}, np.zeros((1, 1)))
+        b = make_segment("affine", {"b": np.ones((1, 1))}, np.ones((1, 1)))
         p = OperatorPath((a, b), (1, 1))
         assert eval_path(p, 0.5) == pytest.approx(np.ones((1, 1)))
 
     def test_broken_chain_rejected(self):
-        a = make_segment("affine", {"a": np.zeros((1, 1)), "b": np.ones((1, 1))})
-        c = make_segment("affine", {"a": np.zeros((1, 1)), "b": np.zeros((1, 1))})
+        a = make_segment("affine", {"b": np.ones((1, 1))}, np.zeros((1, 1)))
+        c = make_segment("affine", {"b": np.zeros((1, 1))}, np.zeros((1, 1)))
         with pytest.raises(ValueError):
             OperatorPath((a, c), (1, 1))
 
@@ -155,16 +156,24 @@ class TestSegmentsAndEval:
             eval_path(p, 1.5)
 
     def test_declared_endpoints_enforced(self):
-        with pytest.raises(Exception):
-            make_segment(
-                "affine",
-                {"a": np.zeros((1, 1)), "b": np.ones((1, 1))},
-                start=np.ones((1, 1)),
-            )
+        with pytest.raises(InternalConsistencyError, match="declared end"):
+            make_segment("affine", {"b": np.ones((1, 1))}, np.zeros((1, 1)), np.zeros((1, 1)))
+
+    def test_start_is_the_base_point(self):
+        # t = 0 gives the start exactly, whatever the motion
+        start = np.array([[0.1, -0.7], [1e-300, 3.0]])
+        z = np.eye(2)
+        legs = [
+            make_segment("affine", {"b": np.full((2, 2), 1e8)}, start),
+            make_segment("rotation", {"z": z, "theta": [2.0], "side": "range"}, start),
+            make_segment("rotation", {"z": z, "theta": [2.0], "side": "kernel"}, start),
+        ]
+        for seg in legs:
+            assert np.array_equal(eval_segment(seg, 0.0), start)
 
     def test_forced_midpoints_present(self):
-        seg1 = make_segment("affine", {"a": np.zeros((1, 1)), "b": np.ones((1, 1))})
-        seg2 = make_segment("affine", {"a": np.ones((1, 1)), "b": np.ones((1, 1))})
+        seg1 = make_segment("affine", {"b": np.ones((1, 1))}, np.zeros((1, 1)))
+        seg2 = make_segment("affine", {"b": np.ones((1, 1))}, np.ones((1, 1)))
         p = OperatorPath((seg1, seg2), (1, 1))
         samples = sample_parameters(p, 4)
         locals_by_seg = {(s, lt) for (_, s, lt) in samples}
@@ -185,10 +194,8 @@ class TestSegmentsAndEval:
 
     def test_sampling_matches_locate_reference(self):
         zero = np.zeros((2, 2))
-        affine = make_segment("affine", {"a": zero, "b": zero})
-        rotation = make_segment(
-            "rotation", {"a": zero, "z": np.eye(2), "theta": [1.0], "side": "range"}
-        )
+        affine = make_segment("affine", {"b": zero}, zero)
+        rotation = make_segment("rotation", {"z": np.eye(2), "theta": [1.0], "side": "range"}, zero)
         for nseg in range(1, 10):
             for every in (1, 3):
                 segs = [rotation if i % every == 1 else affine for i in range(nseg)]
@@ -213,6 +220,9 @@ class TestSegmentsAndEval:
         rq = reverse_path(q)
         for t in np.linspace(0, 1, 17):
             assert eval_path(rq, t) == pytest.approx(eval_path(q, 1.0 - t), abs=1e-9)
+        # each reversed leg starts at the forward leg's declared end
+        assert np.array_equal(eval_path(r, 0.0), p.end)
+        assert np.array_equal(eval_path(rq, 0.0), q.end)
 
 
 class TestRotationLegs:
@@ -228,7 +238,7 @@ class TestRotationLegs:
         z, _ = np.linalg.qr(rng.standard_normal((dim, 2 * planes)))
         theta = rng.uniform(-2 * np.pi, 2 * np.pi, planes)
         a = rng.standard_normal((rows, cols))
-        seg = make_segment("rotation", {"a": a, "z": z, "theta": theta, "side": side})
+        seg = make_segment("rotation", {"z": z, "theta": theta, "side": side}, a)
         return OperatorPath((seg,), a.shape), a, z, theta
 
     @given(
@@ -274,11 +284,11 @@ class TestRotationLegs:
         a = np.eye(3)
         z = np.eye(3)[:, :2]
         with pytest.raises(ValueError):
-            make_segment("rotation", {"a": a, "z": 2 * z, "theta": [1.0], "side": "range"})
+            make_segment("rotation", {"z": 2 * z, "theta": [1.0], "side": "range"}, a)
         with pytest.raises(ValueError):
-            make_segment("rotation", {"a": a, "z": z, "theta": [1.0, 2.0], "side": "range"})
+            make_segment("rotation", {"z": z, "theta": [1.0, 2.0], "side": "range"}, a)
         with pytest.raises(ValueError):
-            make_segment("rotation", {"a": a, "z": z, "theta": [np.nan], "side": "range"})
+            make_segment("rotation", {"z": z, "theta": [np.nan], "side": "range"}, a)
 
 
 class TestLiteralFlip:
@@ -291,7 +301,7 @@ class TestLiteralFlip:
         p = literal_flip_path(self.e_star, self.r, self.alpha)
         seg2 = p.segments[1]
         for t in (0.0, 0.25, 0.5, 1.0):
-            got = seg2.payload["a"] + t * seg2.payload["b"]
+            got = seg2.start + t * seg2.payload["b"]
             want = np.array([[1 - 2 * t, 0.0], [1 - t, 0.0]])
             assert got == pytest.approx(want, abs=1e-12)
 
@@ -932,6 +942,8 @@ class TestInputErrors:
             lambda: corrected_flip_path(np.eye(2), 2, side="range"),
             lambda: corrected_flip_path(np.eye(2), 2, side="kernel"),
             lambda: certify_path(constant_path(np.eye(2)), 2, grid=1),
+            lambda: certify_path(constant_path(np.eye(2)), -1, grid=5),
+            lambda: certify_path(constant_path(np.ones((2, 3))), 3, grid=5),
             lambda: sample_parameters(constant_path(np.eye(2)), 1),
             lambda: locate(constant_path(np.eye(2)), 1.5),
             lambda: Subspace(2, np.ones((2, 1))),
@@ -940,7 +952,7 @@ class TestInputErrors:
             lambda: principal_angles(span([1, 0]), span([1, 0, 0])),
             lambda: Decomposition(span([1, 0]), span([0, 1]), np.eye(3)),
             lambda: GraphParam(span([1, 0]), span([0, 1]), np.zeros((2, 2))),
-            lambda: make_segment("affine", {"a": np.eye(2)}),
+            lambda: make_segment("affine", {"a": np.eye(2)}, np.eye(2)),
             lambda: OperatorPath((), (2, 2)),
             lambda: certify_path(
                 constant_path(np.eye(3)), 3, grid=5,
@@ -962,7 +974,8 @@ class TestInputErrors:
             "phi-kernel-dim", "phi-corank", "gl-nonsquare", "gl-singular",
             "left-no-room", "right-no-room", "literal-no-room", "literal-mismatch",
             "literal-zero-tilt", "corrected-rank", "corrected-range-side",
-            "corrected-kernel-side", "certify-grid", "sample-grid", "locate-range",
+            "corrected-kernel-side", "certify-grid", "certify-rank-negative",
+            "certify-rank-above-shape", "sample-grid", "locate-range",
             "subspace-not-orthonormal", "columns-dependent", "direct-sum-ambient",
             "angles-ambient", "decomposition-shape", "graph-coeff-shape",
             "segment-fields", "path-empty", "certify-spec-ambient",

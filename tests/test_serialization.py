@@ -2,11 +2,9 @@ import io
 import json
 import math
 import re
-from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st_hyp
 
@@ -22,6 +20,7 @@ from strata import (
 )
 from strata import serialization as ser
 from strata.errors import StrataError
+from strata.paths import eval_segment_batch
 from strata.instances import InstanceSpec, gen_instance
 
 from conftest import span
@@ -127,61 +126,30 @@ class TestPathFormat:
         loaded = json.loads(f.read_text())
         assert loaded["shape"] == [2, 2]
 
+    def test_segments_store_no_base_point_copy(self, rng):
+        t1 = rng.uniform(-1, 1, (3, 2)) @ rng.uniform(-1, 1, (2, 4))
+        t2 = rng.uniform(-1, 1, (3, 2)) @ rng.uniform(-1, 1, (2, 4))
+        obj = ser.path_to_obj(connect_fk(t1, t2))
+        assert [list(seg) for seg in obj["segments"]] == [
+            ["kind", "b", "start", "end"]
+            if seg["kind"] == "affine"
+            else ["kind", "side", "theta", "z", "start", "end"]
+            for seg in obj["segments"]
+        ]
 
-def _old_closed_form(seg: dict, t: float) -> np.ndarray:
-    """The evaluation rule of each segment kind path files used to carry."""
-    m = {key: ser.matrix_from_obj(v) for key, v in seg.items() if isinstance(v, dict)}
-    kind = seg["kind"]
-    if kind == "constant":
-        return m["a"]
-    if kind == "affine":
-        return m["a"] + t * m["b"]
-    if kind == "left-affine":
-        return (m["a"] + t * m["b"]) @ m["c"]
-    if kind == "right-affine":
-        return m["c"] @ (m["a"] + t * m["b"])
-    if kind == "spd-line":
-        return m["q"] @ ((1.0 - t) * m["s"] + t * np.eye(m["s"].shape[0]))
-    if kind == "rotation-log":
-        return scipy.linalg.expm((1.0 - t) * m["skew"]) @ m["tail"]
-    assert kind == "rotation-flip"
-    base, u, w = m["base"], np.array(seg["u"]), np.array(seg["w"])
-    turned = math.cos(math.pi * t) * u + math.sin(math.pi * t) * w
-    if seg["side"] == "range":
-        row = u @ base
-        return base - np.outer(u, row) + np.outer(turned, row)
-    col = base @ u
-    return base - np.outer(col, u) + np.outer(col, turned)
-
-
-class TestLegacyKinds:
-    """Path files written before the kinds collapsed to affine and rotation."""
-
-    FIXTURE = Path(__file__).parent / "data" / "legacy_kinds.json"
-    CURRENT = {
-        "constant": "affine",
-        "affine": "affine",
-        "left-affine": "affine",
-        "right-affine": "affine",
-        "spd-line": "affine",
-        "rotation-flip": "rotation",
-        "rotation-log": "rotation",
-    }
-
-    def test_every_old_kind_present(self):
-        files = ser.load_json(self.FIXTURE)
-        kinds = {obj["segments"][0]["kind"] for obj in files.values()}
-        assert kinds == set(self.CURRENT)
-
-    def test_loads_as_old_closed_forms(self):
-        for label, obj in ser.load_json(self.FIXTURE).items():
-            seg = obj["segments"][0]
-            path = ser.path_from_obj(obj)
-            assert [s.kind for s in path.segments] == [self.CURRENT[seg["kind"]]], label
-            for t in np.linspace(0.0, 1.0, 11):
-                want = _old_closed_form(seg, t)
-                err = np.max(np.abs(eval_path(path, t) - want))
-                assert err <= 1e-12 * np.max(np.abs(want)), (label, t, err)
+    def test_older_layout_with_base_point_copy_loads(self, rng):
+        """Files that repeated the start as field "a" load to the same path."""
+        t1 = rng.uniform(-1, 1, (3, 2)) @ rng.uniform(-1, 1, (2, 4))
+        t2 = rng.uniform(-1, 1, (3, 2)) @ rng.uniform(-1, 1, (2, 4))
+        obj = ser.path_to_obj(connect_fk(t1, t2))
+        segments = [{"kind": s["kind"], "a": s["start"], **s} for s in obj["segments"]]
+        old = {**obj, "segments": segments}
+        assert all("a" in seg for seg in old["segments"])
+        back, want = ser.path_from_obj(old), ser.path_from_obj(obj)
+        assert ser.path_to_obj(back) == obj
+        for seg, ref in zip(back.segments, want.segments):
+            assert np.array_equal(eval_segment_batch(seg, np.linspace(0, 1, 7)),
+                                  eval_segment_batch(ref, np.linspace(0, 1, 7)))
 
 
 class TestInstancePayload:
