@@ -11,13 +11,21 @@ checks on a flip path without the rank part.
 Both walk the sample grid one chunk at a time: a chunk is evaluated into
 a buffer that the next chunk reuses, factored with stacked SVDs (one for
 the rank columns, one for the membership checks) and reduced to
-per-sample columns.  The working memory is set by ``CHUNK_BYTES``, not by
-the grid size, and the results are those of one sample at a time
-wherever the chunks split.
+per-sample columns.  A grid of more than one chunk is cut into one
+contiguous stretch per worker (``WORKERS``, the usable cores), walked at
+once, with numpy's OpenBLAS held to one thread meanwhile.  The working
+memory is set by ``CHUNK_BYTES``, shared by the workers, not by the grid
+size, and the results are those of one sample at a time wherever the
+chunks and stretches split.
 """
 
 from __future__ import annotations
 
+import ctypes
+import glob
+import os
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -30,8 +38,9 @@ from .subspaces import (
     DEFAULT_TOL,
     Subspace,
     ToleranceConfig,
+    _angle_stack,
+    _orth,
     maxabs,
-    principal_angle_stack,
     rank_from_singular_values,
 )
 
@@ -46,7 +55,54 @@ __all__ = [
 
 ENDPOINT_PASS_TOL = 1e-9
 SIGMA_GAP_MIN = 1e6
-CHUNK_BYTES = 1 << 22  # working memory of one chunk of samples
+CHUNK_BYTES = 1 << 22  # working memory of the chunks in flight, all workers together
+
+
+def _blas_threads():
+    """(get, set) of the thread count of the OpenBLAS numpy runs on, or None.
+
+    Only a library numpy has already loaded from its wheel's ``numpy.libs``
+    counts; its functions are ``scipy_openblas_*64_`` in numpy 2 wheels
+    and ``openblas_*`` (maybe with the ``64_`` suffix) in older ones.
+    Looked for on Linux only, where the usable cores can be read.
+    """
+    if not hasattr(os, "sched_getaffinity"):
+        return None
+    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
+    for name in sorted(glob.glob(os.path.join(libs, "*openblas*"))):
+        try:
+            lib = ctypes.CDLL(name, mode=os.RTLD_NOLOAD)
+        except OSError:
+            continue
+        for prefix, suffix in (("scipy_openblas", "64_"), ("openblas", "64_"), ("openblas", "")):
+            get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
+            put = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
+            if get is not None and put is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                put.argtypes, put.restype = [ctypes.c_int], None
+                return get, put
+    return None
+
+
+_BLAS = _blas_threads()
+# stretches of the grid walked at once: one per usable core, or one when
+# BLAS threads cannot be held (they would compete with the workers)
+WORKERS = len(os.sched_getaffinity(0)) if _BLAS is not None else 1
+
+
+@contextmanager
+def _one_blas_thread():
+    """Hold numpy's OpenBLAS to one thread, restoring its count on exit."""
+    if _BLAS is None:
+        yield
+        return
+    get, put = _BLAS
+    before = get()
+    put(1)
+    try:
+        yield
+    finally:
+        put(before)
 
 
 @dataclass(frozen=True)
@@ -105,7 +161,7 @@ def _direct_sum_column(
 
 
 def _membership_columns(
-    values: np.ndarray, spec: MembershipSpec, tol: ToleranceConfig
+    values: np.ndarray, spec: MembershipSpec, tol: ToleranceConfig, kernel_q: np.ndarray | None
 ) -> dict[str, tuple[np.ndarray, np.ndarray]]:
     """Residual and pass flag of each check ``spec`` asks for, at every sample.
 
@@ -115,7 +171,8 @@ def _membership_columns(
     rank share one stacked SVD per check.  A kernel of the wrong dimension
     has angle inf to the expected one.  The values equal those of the checks
     made one sample at a time with ``rank_kernel_range``, ``is_direct_sum``
-    and ``principal_angles``.
+    and ``principal_angles``.  ``kernel_q`` is the expected kernel's basis
+    through ``_orth``, taken once per certify or audit by ``_kernel_q``.
     """
     count, _, cols = values.shape
     fields = (
@@ -149,7 +206,7 @@ def _membership_columns(
             elif want.dim == 0:
                 angle = np.zeros(group.size)
             else:
-                angle = np.max(principal_angle_stack(kernels, want.basis), axis=-1)
+                angle = np.max(_angle_stack(_orth(kernels), kernel_q), axis=-1)
             results["kernel_angle"] = (angle, angle < ANGLE_TOL)
         for name, (value, passed) in results.items():
             out[name][0][group] = value
@@ -157,8 +214,14 @@ def _membership_columns(
     return out
 
 
+def _kernel_q(spec: MembershipSpec) -> np.ndarray | None:
+    """The orthonormal basis the kernel angles are measured against, if any."""
+    want = spec.kernel_equals
+    return _orth(want.basis) if want is not None and want.dim else None
+
+
 def _chunk_samples(shape: tuple[int, int], membership: bool) -> int:
-    """Samples per chunk: CHUNK_BYTES over the working set of one sample.
+    """Samples in flight: CHUNK_BYTES over the working set of one sample.
 
     That is its m*n values and, when the membership pass runs, its U and
     V^T with the slices of them stacked for the direct-sum and angle steps.
@@ -168,17 +231,50 @@ def _chunk_samples(shape: tuple[int, int], membership: bool) -> int:
     return max(1, CHUNK_BYTES // (8 * values))
 
 
-def _chunks(path: OperatorPath, samples: list, membership: bool):
-    """Evaluate ``samples`` in order, one bounded chunk at a time.
+def _chunks(path: OperatorPath, samples: list, step: int):
+    """Evaluate ``samples`` in order, ``step`` at a time.
 
     Yields each chunk's values.  They live in one buffer that the next chunk
     overwrites, so no stack of the whole grid is ever held.
     """
-    step = _chunk_samples(path.shape, membership)
     buffer = np.empty((min(step, len(samples)),) + path.shape)
     for lo in range(0, len(samples), step):
         chunk = samples[lo : lo + step]
         yield eval_path_batch(path, chunk, buffer[: len(chunk)])
+
+
+def _walk(path: OperatorPath, samples: list, membership: bool, reduce) -> list:
+    """``reduce`` of each chunk's values, in grid order.
+
+    A grid that fits in one chunk runs here alone.  A longer one is cut
+    into one contiguous stretch per worker: this thread walks the first,
+    a pool the others, each in chunks of its share of CHUNK_BYTES, with
+    numpy's OpenBLAS held to one thread.  ``reduce`` must copy what it
+    keeps, because the values are overwritten by the next chunk.  An
+    exception of any stretch is raised here, once every stretch stopped.
+    """
+    total = _chunk_samples(path.shape, membership)
+    if len(samples) <= total:
+        return [reduce(values) for values in _chunks(path, samples, total)]
+    workers = min(WORKERS, len(samples))
+    step = max(1, total // workers)
+    bounds = [len(samples) * i // workers for i in range(workers + 1)]
+    stretches = [samples[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+    # set up each rotation leg at the process's BLAS thread count, as a
+    # first evaluation outside a walk does: OpenBLAS rounds some layouts
+    # by its thread count
+    for seg in path.segments:
+        if seg.kind == "rotation":
+            seg._plane_coords
+
+    def stretch(part):
+        return [reduce(values) for values in _chunks(path, part, step)]
+
+    # a pool given nothing to do starts no thread
+    with _one_blas_thread(), ThreadPoolExecutor(max(1, workers - 1)) as pool:
+        rest = [pool.submit(stretch, part) for part in stretches[1:]]
+        first = stretch(stretches[0])
+        return first + [out for future in rest for out in future.result()]
 
 
 def _rank_columns(
@@ -260,14 +356,19 @@ def certify_path(
     if membership is not None:
         _check_ambient(membership, path.shape)
     samples = sample_parameters(path, grid)
-    rank_parts, member_parts = [], []
-    for values in _chunks(path, samples, checks):
-        if not rank_parts:
-            e0 = maxabs(values[0] - path.start)
-        rank_parts.append(_rank_columns(values, expected_k, tol))
-        if checks:
-            member_parts.append(_membership_columns(values, membership, tol))
-    e1 = maxabs(values[-1] - path.end)  # the buffer still holds the last chunk
+    kernel_q = _kernel_q(membership) if checks else None
+
+    def reduce(values):
+        return (
+            maxabs(values[0] - path.start),
+            maxabs(values[-1] - path.end),
+            _rank_columns(values, expected_k, tol),
+            _membership_columns(values, membership, tol, kernel_q) if checks else None,
+        )
+
+    parts = _walk(path, samples, checks, reduce)
+    e0, e1 = parts[0][0], parts[-1][1]  # from the first and the last chunk
+    _, _, rank_parts, member_parts = zip(*parts)
     ranks, sigma_k, sigma_next, ok = map(np.concatenate, zip(*rank_parts))
     residuals = [None] * len(samples)
     if checks:
@@ -340,10 +441,13 @@ def audit_flip_path(
     spec = MembershipSpec(range_complement=complement, kernel_equals=expected_kernel)
     _check_ambient(spec, path.shape)
     samples = sample_parameters(path, grid)
-    degenerate, parts = True, []
-    for values in _chunks(path, samples, True):
-        degenerate = degenerate and maxabs(values) == 0.0
-        parts.append(_membership_columns(values, spec, tol))
+    kernel_q = _kernel_q(spec)
+
+    def reduce(values):
+        return maxabs(values) == 0.0, _membership_columns(values, spec, tol, kernel_q)
+
+    zero, parts = zip(*_walk(path, samples, True, reduce))
+    degenerate = all(zero)
     if degenerate:
         zeros, trues = [0.0] * len(samples), [True] * len(samples)
         checks = (zeros, trues, zeros, trues)

@@ -187,12 +187,20 @@ def _endpoint_slack(start: np.ndarray, payload: dict) -> float:
     return ENDPOINT_TOL * (1.0 + max(maxabs(start), maxabs(payload.get("b", 0.0))))
 
 
+def _frozen(value) -> np.ndarray:
+    """A read-only float copy, so a segment shares no array with its caller."""
+    out = np.array(value, dtype=float)
+    out.setflags(write=False)
+    return out
+
+
 def make_segment(kind: str, payload: dict, start, end=None) -> PathSegment:
     """Build the leg that leaves ``start`` with this motion.
 
     The leg gives ``start`` at t = 0 exactly.  An ``end`` given is checked
     against the leg's value at t = 1 within ``_endpoint_slack``; an end
-    left out is that value.
+    left out is that value.  The segment holds read-only copies of
+    ``start``, ``end`` and the payload arrays.
     """
     clean = {}
     for key, value in payload.items():
@@ -201,8 +209,8 @@ def make_segment(kind: str, payload: dict, start, end=None) -> PathSegment:
                 raise InputError(f"invalid rotation side {value!r}")
             clean[key] = value
         else:
-            clean[key] = np.asarray(value, dtype=float)
-    start = np.asarray(start, dtype=float)
+            clean[key] = _frozen(value)
+    start = _frozen(start)
     probe = PathSegment(kind, clean, start, start)
     if set(clean) != PAYLOAD_FIELDS[kind]:
         raise InputError(
@@ -212,7 +220,7 @@ def make_segment(kind: str, payload: dict, start, end=None) -> PathSegment:
     if kind == "rotation":
         _check_planes(clean["z"], clean["theta"])
     reached = eval_segment_batch(probe, np.ones(1))[0]
-    end = reached if end is None else np.asarray(end, dtype=float)
+    end = _frozen(reached if end is None else end)
     if maxabs(end - reached) > _endpoint_slack(start, clean):
         raise InternalConsistencyError(f"segment {kind!r} does not reproduce its declared end")
     return PathSegment(kind, clean, start, end)

@@ -369,8 +369,11 @@ def principal_angle_stack(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     where a cosine squared reaches 1/2, sines from the singular values of
     the residual of the wider basis.  Shape (S, min(p, q)).
     """
-    qa = _orth(a)
-    qb = _orth(b)
+    return _angle_stack(_orth(a), _orth(b))
+
+
+def _angle_stack(qa: np.ndarray, qb: np.ndarray) -> np.ndarray:
+    """``principal_angle_stack`` of bases already through ``_orth``."""
     qb = np.broadcast_to(qb, qa.shape[:1] + qb.shape[-2:])
     # one np.dot per pair, as scipy does: when a basis has one column, a
     # stacked matmul picks another BLAS kernel and rounds differently

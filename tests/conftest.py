@@ -3,7 +3,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from strata import Subspace, is_direct_sum
+from strata import GraphParam, Subspace, is_direct_sum
 from strata.instances import random_subspace
 
 
@@ -19,6 +19,17 @@ def random_split(rng, n, d):
         r = random_subspace(rng, n, n - d)
         if is_direct_sum([e_star, r]):
             return e_star, r
+
+
+def random_flip_instance(rng):
+    """Nonzero-tilt decomposition instance for the flip audit."""
+    n = int(rng.integers(2, 7))
+    d = int(rng.integers(1, n))
+    e_star, r = random_split(rng, n, d)
+    coeff = rng.uniform(-1.0, 1.0, (r.dim, e_star.dim))
+    while np.max(np.abs(coeff)) < 1e-2:
+        coeff = rng.uniform(-1.0, 1.0, (r.dim, e_star.dim))
+    return e_star, r, GraphParam(e_star, r, coeff)
 
 
 def span(*vectors):

@@ -40,24 +40,13 @@ from strata.instances import InstanceSpec, gen_instance, random_subspace
 from strata.paths import ChainWitness
 from strata.subspaces import Subspace
 
-from conftest import random_split, span
+from conftest import random_flip_instance, random_split, span
 
 
 def report(num, label, elapsed, budget):
     line = f"[criterion {num}] {label}: PASS ({elapsed:.2f}s, budget {budget:.0f}s)"
     print(line)
     assert elapsed < budget, f"criterion {num} exceeded its runtime budget"
-
-
-def random_flip_instance(rng):
-    """Nonzero-tilt decomposition instance for the flip audit."""
-    n = int(rng.integers(2, 7))
-    d = int(rng.integers(1, n))
-    e_star, r = random_split(rng, n, d)
-    coeff = rng.uniform(-1.0, 1.0, (r.dim, e_star.dim))
-    while np.max(np.abs(coeff)) < 1e-2:
-        coeff = rng.uniform(-1.0, 1.0, (r.dim, e_star.dim))
-    return e_star, r, GraphParam(e_star, r, coeff)
 
 
 def test_criterion_1_dimension_formula():

@@ -1,3 +1,7 @@
+import json
+import os
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -12,11 +16,16 @@ from strata import (
     Subspace,
     audit_flip_path,
     certify_path,
+    chain_connect,
     connect_fk,
+    connect_phi,
     constant_path,
+    corrected_flip_path,
+    discover_chain,
     eval_path,
     kernel_basis,
     literal_flip_path,
+    oblique_projection,
 )
 import strata.certify as certify_module
 from strata.certify import SIGMA_GAP_MIN, FlipAudit, SampleRecord
@@ -31,7 +40,7 @@ from strata.paths import (
     right_project_path,
     sample_parameters,
 )
-from strata.serialization import certificate_to_obj
+from strata.serialization import audit_to_obj, certificate_to_obj
 from strata.subspaces import (
     ANGLE_TOL,
     DEFAULT_TOL,
@@ -42,7 +51,7 @@ from strata.subspaces import (
     rank_kernel_range,
 )
 
-from conftest import random_split, span
+from conftest import count_factorizations, random_flip_instance, random_split, span
 
 
 def tilt(e_star, r, ambient):
@@ -631,6 +640,193 @@ class TestWorkingMemory:
             tracemalloc.stop()
         assert peaks[1001] < 32.0, peaks
         assert peaks[4001] - peaks[1001] < 8.0, peaks
+
+
+def _criterion_4_to_7_calls():
+    """The certify and audit calls of the criterion 4-7 corpora, as
+    tests/test_acceptance.py makes them: (function, path, argument, grid)."""
+    calls = []
+    rng = np.random.default_rng(4)
+    for seed in range(200):
+        m, n = int(rng.integers(2, 7)), int(rng.integers(2, 7))
+        k = int(rng.integers(1, min(m, n))) if min(m, n) > 1 else 1
+        payload = gen_instance(InstanceSpec(m=m, n=n, k=k, seed=seed, kind="fk-pair"))
+        calls.append((certify_path, connect_fk(payload["T1"], payload["T2"]), k, 1001))
+    shapes = [(3, 2, 2), (2, 3, 2), (3, 3, 2), (4, 3, 2), (3, 4, 2)]
+    shapes += [(4, 4, 3), (5, 4, 3), (4, 5, 3), (2, 2, 1), (5, 5, 3)]
+    for seed in range(50):
+        m, n, k = shapes[seed % len(shapes)]
+        payload = gen_instance(InstanceSpec(m=m, n=n, k=k, seed=seed, kind="phi-pair"))
+        path = connect_phi(payload["T1"], payload["T2"], m - k, n - k)
+        calls.append((certify_path, path, k, 501))
+    rng = np.random.default_rng(6)
+    for seed in range(50):
+        m, n = int(rng.integers(2, 6)), int(rng.integers(2, 6))
+        k = int(rng.integers(1, min(m, n))) if min(m, n) > 1 else 1
+        payload = gen_instance(InstanceSpec(m=m, n=n, k=k, seed=seed, kind="fk-pair"))
+        witness = discover_chain(payload["T1"], payload["T2"])
+        calls.append((certify_path, chain_connect(payload["T1"], payload["T2"], witness), k, 501))
+    rng = np.random.default_rng(7)
+    for _ in range(100):
+        e_star, r, alpha = random_flip_instance(rng)
+        calls.append((audit_flip_path, literal_flip_path(e_star, r, alpha), (r, r), 11))
+        proj = oblique_projection(e_star, r).projector
+        calls.append((certify_path, corrected_flip_path(proj, e_star.dim), e_star.dim, 101))
+    return calls
+
+
+def _written(fn, path, arg, grid, **kwargs):
+    """The JSON text of the certificate or audit, as the CLI would write it."""
+    result = fn(path, arg, grid=grid, **kwargs)
+    to_obj = certificate_to_obj if fn is certify_path else audit_to_obj
+    return json.dumps(to_obj(result), allow_nan=True)
+
+
+@pytest.fixture(scope="module")
+def corpus_4_to_7():
+    """The corpus calls and their output in one chunk on one thread."""
+    calls = _criterion_4_to_7_calls()
+    return calls, [_whole_grid(_written, *call) for call in calls]
+
+
+class TestWorkers:
+    """Stretches of the grid walked on several threads: the output must not
+    depend on the worker count or the chunk size."""
+
+    @pytest.mark.parametrize(
+        "workers, chunk_bytes",
+        [(1, 1 << 12), (2, 1 << 12), (3, 1 << 12), (1, 1 << 15), (3, 1 << 15)]
+        + [(2, certify_module.CHUNK_BYTES)],
+    )
+    def test_criterion_4_to_7_corpora(self, corpus_4_to_7, monkeypatch, workers, chunk_bytes):
+        monkeypatch.setattr(certify_module, "WORKERS", workers)
+        monkeypatch.setattr(certify_module, "CHUNK_BYTES", chunk_bytes)
+        calls, whole = corpus_4_to_7
+        assert [_written(*call) for call in calls] == whole
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_large_paths(self, monkeypatch, workers):
+        monkeypatch.setattr(certify_module, "WORKERS", workers)
+        # 100x100 rank 50, 20 chunks of 52 at one worker, on fresh paths so
+        # that the walk sets up their rotation legs; and a 32x32 project leg
+        # with every membership check, certified and audited
+        payload = gen_instance(InstanceSpec(m=100, n=100, k=50, seed=1, kind="fk-pair"))
+        whole = _whole_grid(certify_path, connect_fk(payload["T1"], payload["T2"]), 50, grid=1001)
+        cert = certify_path(connect_fk(payload["T1"], payload["T2"]), 50, grid=1001)
+        assert cert.verdict == "pass" and cert == whole
+        rng = np.random.default_rng(9)
+        path, ker, n_sub, _ = _project_path(rng, "left", 32, 32, 16, 9)
+        spec = MembershipSpec(n_sub, _complement(rng, ker), ker)
+        assert _written(certify_path, path, 16, 1001, membership=spec) == _whole_grid(
+            _written, certify_path, path, 16, 1001, membership=spec
+        )
+        assert _written(audit_flip_path, path, (ker, n_sub), 301) == _whole_grid(
+            _written, audit_flip_path, path, (ker, n_sub), 301
+        )
+
+    def test_more_workers_than_cores_switching_often(self, monkeypatch):
+        # the stretches share the path and nothing else: with a thread
+        # switch every microsecond the output is still that of one thread
+        monkeypatch.setattr(certify_module, "WORKERS", 2 * (os.cpu_count() or 1) + 1)
+        monkeypatch.setattr(certify_module, "CHUNK_BYTES", 1 << 15)
+        rng = np.random.default_rng(10)
+        path, ker, n_sub, _ = _project_path(rng, "right", 12, 12, 6, 10)
+        spec = MembershipSpec(n_sub, ker, ker)
+        whole = _whole_grid(_written, certify_path, path, 6, 1001, membership=spec)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            walked = [_written(certify_path, path, 6, 1001, membership=spec) for _ in range(3)]
+        finally:
+            sys.setswitchinterval(interval)
+        assert walked == [whole] * 3
+
+    def test_kernel_basis_orthonormalized_once(self, monkeypatch):
+        monkeypatch.setattr(certify_module, "WORKERS", 1)
+        rng = np.random.default_rng(8)
+        path, ker, n_sub, _ = _project_path(rng, "left", 20, 20, 10, 8)
+        spec = MembershipSpec(range_complement=n_sub, kernel_equals=ker)
+        calls = count_factorizations(monkeypatch)
+        counted = np.linalg.svd
+        of_basis = []
+
+        def recorded(a, *args, **kwargs):
+            of_basis.append(a.shape == ker.basis.shape and np.array_equal(a, ker.basis))
+            return counted(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", recorded)
+        assert certify_path(path, 10, grid=1001, membership=spec).verdict == "pass"
+        # 11 chunks of 100 samples, 6 SVDs each (rank; kernels and ranges;
+        # direct sum; kernel bases, cosines and sines of the angles), and one
+        # of the expected kernel's basis, where every chunk took one of it
+        assert calls["svd"] == 1 + 11 * 6 and sum(of_basis) == 1
+        calls.clear()
+        of_basis.clear()
+        audit_flip_path(path, (ker, n_sub), grid=1001)
+        assert calls["svd"] == 1 + 11 * 5 and sum(of_basis) == 1
+
+
+@pytest.fixture
+def blas_threads():
+    """numpy's OpenBLAS (get, set), set to 3 threads for the test."""
+    if certify_module._BLAS is None:
+        pytest.skip("numpy's OpenBLAS thread count cannot be read here")
+    get, put = certify_module._BLAS
+    before = get()
+    put(3)
+    yield get
+    put(before)
+
+
+class TestBlasThreads:
+    """Stretches run with OpenBLAS at one thread; its count is restored."""
+
+    @pytest.fixture(autouse=True)
+    def two_workers(self, monkeypatch):
+        monkeypatch.setattr(certify_module, "WORKERS", 2)
+
+    def _spy(self, monkeypatch, get, fail=lambda: False):
+        """Record OpenBLAS's thread count in every chunk's rank step; raise
+        RuntimeError in the chunks where ``fail()`` holds."""
+        seen = []
+        rank_columns = certify_module._rank_columns
+
+        def spied(*args):
+            seen.append(get())
+            if fail():
+                raise RuntimeError("chunk failed")
+            return rank_columns(*args)
+
+        monkeypatch.setattr(certify_module, "_rank_columns", spied)
+        return seen
+
+    def test_held_at_one_and_restored(self, blas_threads, monkeypatch):
+        seen = self._spy(monkeypatch, blas_threads)
+        rng = np.random.default_rng(8)
+        path, ker, n_sub, _ = _project_path(rng, "left", 20, 20, 10, 8)
+        certify_path(path, 10, grid=1001, membership=MembershipSpec(n_sub, None, ker))
+        assert len(seen) > 1 and set(seen) == {1} and blas_threads() == 3
+        audit_flip_path(path, (ker, n_sub), grid=1001)
+        assert blas_threads() == 3
+
+    def test_one_chunk_runs_inline(self, blas_threads, monkeypatch):
+        seen = self._spy(monkeypatch, blas_threads)
+        thread = []
+        monkeypatch.setattr(
+            certify_module, "ThreadPoolExecutor", lambda *a: thread.append(a) or 1 / 0
+        )
+        certify_path(constant_path(np.diag([1.0, 2.0, 0.0])), 2, grid=1001)
+        assert seen == [3] and not thread and blas_threads() == 3
+
+    @pytest.mark.parametrize("where", ["caller", "worker"])
+    def test_restored_when_a_chunk_raises(self, blas_threads, monkeypatch, where):
+        main = threading.main_thread()
+        in_caller = lambda: threading.current_thread() is main
+        self._spy(monkeypatch, blas_threads, in_caller if where == "caller" else lambda: not in_caller())
+        payload = gen_instance(InstanceSpec(m=20, n=20, k=10, seed=2, kind="fk-pair"))
+        with pytest.raises(RuntimeError, match="chunk failed"):
+            certify_path(connect_fk(payload["T1"], payload["T2"]), 10, grid=4001)
+        assert blas_threads() == 3
 
 
 class TestInstances:

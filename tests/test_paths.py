@@ -171,6 +171,22 @@ class TestSegmentsAndEval:
         for seg in legs:
             assert np.array_equal(eval_segment(seg, 0.0), start)
 
+    def test_segments_share_no_array_with_the_caller(self):
+        x = np.eye(2)
+        p = constant_path(x)
+        x[0, 0] = 5.0
+        assert eval_path(p, 0.5)[0, 0] == 1.0 and p.end[0, 0] == 1.0
+        t1, t2 = np.diag([2.0, 0.0]), np.diag([0.0, 3.0])
+        q = connect_fk(t1, t2)
+        t2[1, 1] = 7.0
+        assert eval_path(q, 0.0)[1, 1] == 3.0
+        z, theta = np.eye(2), np.array([0.5])
+        seg = make_segment("rotation", {"z": z, "theta": theta, "side": "range"}, t1)
+        for array in (seg.start, seg.end, seg.payload["z"], seg.payload["theta"]):
+            assert not array.flags.writeable and not np.shares_memory(array, z)
+            with pytest.raises(ValueError, match="read-only"):
+                array[...] = 0.0
+
     def test_forced_midpoints_present(self):
         seg1 = make_segment("affine", {"b": np.ones((1, 1))}, np.zeros((1, 1)))
         seg2 = make_segment("affine", {"b": np.ones((1, 1))}, np.ones((1, 1)))
