@@ -13,10 +13,10 @@ a buffer that the next chunk reuses, factored with stacked SVDs (one for
 the rank columns, one for the membership checks) and reduced to
 per-sample columns.  A grid of more than one chunk is cut into one
 contiguous stretch per worker (``WORKERS``, the usable cores), walked at
-once, with numpy's OpenBLAS held to one thread meanwhile.  The working
-memory is set by ``CHUNK_BYTES``, shared by the workers, not by the grid
-size, and the results are those of one sample at a time wherever the
-chunks and stretches split.
+once, with numpy's and scipy's OpenBLAS held to one thread meanwhile.
+The working memory is set by ``CHUNK_BYTES``, shared by the workers, not
+by the grid size, and the results are those of one sample at a time
+wherever the chunks and stretches split.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
+import scipy.linalg
 
 from .errors import InputError
 from .paths import OperatorPath, eval_path_batch, sample_parameters
@@ -58,23 +59,30 @@ SIGMA_GAP_MIN = 1e6
 CHUNK_BYTES = 1 << 22  # working memory of the chunks in flight, all workers together
 
 
-def _blas_threads():
-    """(get, set) of the thread count of the OpenBLAS numpy runs on, or None.
+def _blas_threads(package):
+    """(get, set) of the thread count of the OpenBLAS ``package`` runs on, or None.
 
-    Only a library numpy has already loaded from its wheel's ``numpy.libs``
-    counts; its functions are ``scipy_openblas_*64_`` in numpy 2 wheels
-    and ``openblas_*`` (maybe with the ``64_`` suffix) in older ones.
-    Looked for on Linux only, where the usable cores can be read.
+    Only a library the package has already loaded from its wheel's
+    ``<package>.libs`` counts; its functions are ``scipy_openblas_*64_``
+    in numpy 2 wheels, ``scipy_openblas_*`` in scipy's and ``openblas_*``
+    (maybe with the ``64_`` suffix) in older ones.  Looked for on Linux
+    only, where the usable cores can be read.
     """
     if not hasattr(os, "sched_getaffinity"):
         return None
-    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
+    root = os.path.dirname(os.path.dirname(package.__file__))
+    libs = os.path.join(root, f"{package.__name__}.libs")
     for name in sorted(glob.glob(os.path.join(libs, "*openblas*"))):
         try:
             lib = ctypes.CDLL(name, mode=os.RTLD_NOLOAD)
         except OSError:
             continue
-        for prefix, suffix in (("scipy_openblas", "64_"), ("openblas", "64_"), ("openblas", "")):
+        for prefix, suffix in (
+            ("scipy_openblas", "64_"),
+            ("scipy_openblas", ""),
+            ("openblas", "64_"),
+            ("openblas", ""),
+        ):
             get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
             put = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
             if get is not None and put is not None:
@@ -84,25 +92,29 @@ def _blas_threads():
     return None
 
 
-_BLAS = _blas_threads()
+_BLAS = _blas_threads(np)
+# scipy's wheel brings an OpenBLAS of its own, which scipy.linalg.schur
+# (the rotation planes of a connect) runs on
+_SCIPY_BLAS = _blas_threads(scipy)
 # stretches of the grid walked at once: one per usable core, or one when
-# BLAS threads cannot be held (they would compete with the workers)
+# numpy's BLAS threads cannot be held (they would compete with the workers)
 WORKERS = len(os.sched_getaffinity(0)) if _BLAS is not None else 1
 
 
 @contextmanager
 def _one_blas_thread():
-    """Hold numpy's OpenBLAS to one thread, restoring its count on exit."""
-    if _BLAS is None:
-        yield
-        return
-    get, put = _BLAS
-    before = get()
-    put(1)
+    """Hold numpy's and scipy's OpenBLAS to one thread, restoring their counts on exit."""
+    held = []
+    for blas in (_BLAS, _SCIPY_BLAS):
+        if blas is not None:
+            get, put = blas
+            held.append((put, get()))
+            put(1)
     try:
         yield
     finally:
-        put(before)
+        for put, before in held:
+            put(before)
 
 
 @dataclass(frozen=True)

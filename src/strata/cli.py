@@ -9,7 +9,9 @@ without the matrices T1 and T2 that `connect` reads (a `gl` or
 `subspace-pair` file written by `gen`), an instance or membership file
 that is not a JSON object, or a file that cannot be read or written.
 The STRATA_TOL environment variable overrides the default relative rank
-tolerance everywhere.
+tolerance everywhere.  Each command runs with numpy's and scipy's
+OpenBLAS held to one thread, so the files it writes do not depend on the
+number of cores.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import sys
 import numpy as np
 
 from . import serialization as ser
-from .certify import audit_flip_path, certify_path
+from .certify import _one_blas_thread, audit_flip_path, certify_path
 from .errors import StrataError
 from .geometry import StratumPoint, dim_fk, tangent_basis
 from .instances import InstanceSpec, gen_instance, random_subspace
@@ -201,7 +203,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        # OpenBLAS rounds some products by its thread count, which follows
+        # the usable cores; at one thread every file is the same on any host
+        with _one_blas_thread():
+            return args.func(args)
     except (StrataError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4

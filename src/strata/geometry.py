@@ -2,8 +2,12 @@
 
 At a rank-k point X the tangent space of the stratum is the set of
 matrices sending the kernel of X into the range of X.  Its dimension is
-(m + n - k) * k for n x m operators, and a direction inside it perturbs
-the (k+1)-th singular value only to second order, which is what
+(m + n - k) * k for n x m operators, and it splits as
+R^n (x) row(X)  +  range(X) (x) ker(X), so an orthonormal basis can take
+the standard basis of R^n on the left of the first part: those n * k
+elements are single-row matrices, and only the k * (m - k) elements of
+the second part are dense.  A direction inside the tangent space
+perturbs the (k+1)-th singular value only to second order, which is what
 ``tangency_order`` measures.
 """
 
@@ -113,25 +117,29 @@ class TangentBasis:
 def tangent_basis(x: StratumPoint) -> TangentBasis:
     """Orthonormal basis of {V : V kernel(X) inside range(X)}.
 
-    Built in coordinates adapted to the four subspaces (kernel, row space,
-    range, corange): every block is free except the one mapping the kernel
-    outside the range.  Rank-one products of the adapted basis vectors are
-    orthonormal in the Frobenius inner product, so the count is exact.
+    The elements are e_i (x) r_j for every standard basis vector e_i of
+    R^n and every r_j of an orthonormal frame of the row space, then
+    u_i (x) k_j for the range frame u and the kernel frame k.  The two
+    families span R^n (x) row(X) and range(X) (x) ker(X), which are
+    orthogonal and together make the tangent space, and rank-one products
+    of orthonormal vectors are orthonormal in the Frobenius inner product,
+    so the count is exact.  No element makes a -0.0, which a file would
+    show: e_i (x) r_j is r_j written into row i of a zero matrix, and 0.0
+    is added to each outer product (a negative number times an exact zero
+    is -0.0).
     """
     n, m = x.shape
-    ker = x.kernel.basis
     row = orthogonal_complement(x.kernel).basis
-    rng = x.range.basis
-    corange = orthogonal_complement(x.range).basis
+    rng, ker = x.range.basis, x.kernel.basis
     elements = []
-    for left in (rng, corange):
-        for i in range(left.shape[1]):
-            for j in range(row.shape[1]):
-                elements.append(np.outer(left[:, i], row[:, j]))
-        if left is rng:
-            for i in range(left.shape[1]):
-                for j in range(ker.shape[1]):
-                    elements.append(np.outer(left[:, i], ker[:, j]))
+    for i in range(n):
+        for j in range(row.shape[1]):
+            element = np.zeros((n, m))
+            element[i] = row[:, j]
+            elements.append(element)
+    for i in range(rng.shape[1]):
+        for j in range(ker.shape[1]):
+            elements.append(np.outer(rng[:, i], ker[:, j]) + 0.0)
     return TangentBasis(x, tuple(elements), len(elements))
 
 
@@ -168,15 +176,13 @@ def tangency_order(x: StratumPoint, v, t_grid=None):
         raise InputError("degenerate grid: scales must span at least two decades")
     k = x.k
     eps = np.finfo(float).eps
-    logs_t, logs_s = [], []
-    for t in t_grid:
-        s = np.linalg.svd(x.op + t * v, compute_uv=False)
-        sigma_top = s[0] if s.size else 0.0
-        sigma_next = s[k] if s.size > k else 0.0
-        if sigma_next > 1e3 * eps * sigma_top:
-            logs_t.append(np.log(t))
-            logs_s.append(np.log(sigma_next))
-    if len(logs_t) < 2:
+    # one stacked SVD: the same singular values as one call per scale
+    s = np.linalg.svd(x.op + t_grid[:, None, None] * v, compute_uv=False)
+    zeros = np.zeros(t_grid.size)
+    sigma_top = s[:, 0] if s.shape[1] else zeros
+    sigma_next = s[:, k] if s.shape[1] > k else zeros
+    above = sigma_next > 1e3 * eps * sigma_top
+    if np.count_nonzero(above) < 2:
         return EXACT
-    slope = np.polyfit(logs_t, logs_s, 1)[0]
+    slope = np.polyfit(np.log(t_grid[above]), np.log(sigma_next[above]), 1)[0]
     return float(slope)

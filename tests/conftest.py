@@ -3,7 +3,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from strata import GraphParam, Subspace, is_direct_sum
+from strata import GraphParam, StratumPoint, Subspace, is_direct_sum, tangent_basis
 from strata.instances import random_subspace
 
 
@@ -37,7 +37,7 @@ def span(*vectors):
 
 
 def count_factorizations(monkeypatch):
-    """Counter of np.linalg svd, inv and pinv calls made from now on."""
+    """Counter of np.linalg svd, inv, pinv and qr calls made from now on."""
     calls = Counter()
 
     def counting(name):
@@ -49,6 +49,40 @@ def count_factorizations(monkeypatch):
 
         return counted
 
-    for name in ("svd", "inv", "pinv"):
+    for name in ("svd", "inv", "pinv", "qr"):
         monkeypatch.setattr(np.linalg, name, counting(name))
     return calls
+
+
+def criterion_9_directions():
+    """(point, direction, "tangent" or "transverse") of acceptance criterion 9.
+
+    100 random tangent directions, each a random combination of the
+    tangent basis, and 100 violated ones, each a tangent direction plus a
+    0.1-sized step from the kernel to outside the range.
+    """
+    rng = np.random.default_rng(9)
+    tangent_done = transverse_done = 0
+    while tangent_done < 100 or transverse_done < 100:
+        n = int(rng.integers(2, 7))
+        m = int(rng.integers(2, 7))
+        kmax = min(m, n)
+        k = int(rng.integers(1, kmax)) if kmax > 1 else 1
+        u, _ = np.linalg.qr(rng.standard_normal((n, k)))
+        v, _ = np.linalg.qr(rng.standard_normal((m, k)))
+        x = StratumPoint.at(u @ np.diag(rng.uniform(0.5, 1.5, k)) @ v.T)
+        basis = tangent_basis(x).basis
+        coeffs = rng.standard_normal(len(basis))
+        direction = sum(c * b for c, b in zip(coeffs, basis))
+        direction /= np.linalg.norm(direction)
+        if tangent_done < 100:
+            yield x, direction, "tangent"
+            tangent_done += 1
+        if transverse_done < 100 and k < min(m, n):
+            out = (np.eye(n) - x.range.orthogonal_projector()) @ rng.standard_normal(n)
+            out /= np.linalg.norm(out)
+            bad = direction + 0.1 * np.linalg.norm(direction) * np.outer(
+                out, x.kernel.basis[:, 0]
+            )
+            yield x, bad, "transverse"
+            transverse_done += 1

@@ -40,7 +40,7 @@ from strata.instances import InstanceSpec, gen_instance, random_subspace
 from strata.paths import ChainWitness
 from strata.subspaces import Subspace
 
-from conftest import random_flip_instance, random_split, span
+from conftest import criterion_9_directions, random_flip_instance, random_split, span
 
 
 def report(num, label, elapsed, budget):
@@ -214,31 +214,10 @@ def test_criterion_8_gl_component_handling():
 
 def test_criterion_9_tangency_dichotomy():
     start = time.monotonic()
-    rng = np.random.default_rng(9)
-    tangent_done = transverse_done = 0
-    while tangent_done < 100 or transverse_done < 100:
-        n = int(rng.integers(2, 7))
-        m = int(rng.integers(2, 7))
-        kmax = min(m, n)
-        k = int(rng.integers(1, kmax)) if kmax > 1 else 1
-        u, _ = np.linalg.qr(rng.standard_normal((n, k)))
-        v, _ = np.linalg.qr(rng.standard_normal((m, k)))
-        x = StratumPoint.at(u @ np.diag(rng.uniform(0.5, 1.5, k)) @ v.T)
-        basis = tangent_basis(x).basis
-        coeffs = rng.standard_normal(len(basis))
-        direction = sum(c * b for c, b in zip(coeffs, basis))
-        direction /= np.linalg.norm(direction)
-        if tangent_done < 100:
-            slope = tangency_order(x, direction)
+    for x, direction, kind in criterion_9_directions():
+        slope = tangency_order(x, direction)
+        if kind == "tangent":
             assert slope == EXACT or 1.8 <= slope <= 2.2, f"tangent slope {slope}"
-            tangent_done += 1
-        if transverse_done < 100 and k < min(m, n):
-            out = (np.eye(n) - x.range.orthogonal_projector()) @ rng.standard_normal(n)
-            out /= np.linalg.norm(out)
-            bad = direction + 0.1 * np.linalg.norm(direction) * np.outer(
-                out, x.kernel.basis[:, 0]
-            )
-            slope = tangency_order(x, bad)
+        else:
             assert 0.9 <= slope <= 1.1, f"transverse slope {slope}"
-            transverse_done += 1
     report(9, "tangent slopes near 2 or exact, violated ones near 1", time.monotonic() - start, 20.0)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from strata import OperatorPath, Subspace, audit_flip_path, constant_path, make_segment
+from strata import certify as certify_module
 from strata.cli import main
 from strata import serialization as ser
 
@@ -36,6 +37,29 @@ class TestGenConnectCertify:
         loaded = json.loads(cert.read_text())
         assert loaded["verdict"] == "pass"
         assert loaded["instance"]["seed"] == 7
+
+    def test_connect_bytes_do_not_depend_on_blas_threads(self, tmp_path):
+        # OpenBLAS rounds some products of a 150x150 connect by its thread
+        # count, in numpy's matrix products and in scipy's Schur form
+        libraries = [certify_module._BLAS, certify_module._SCIPY_BLAS]
+        if None in libraries:
+            pytest.skip("numpy's or scipy's OpenBLAS thread count cannot be read here")
+        before = [get() for get, _ in libraries]
+        pair = tmp_path / "pair.json"
+        assert run(["gen", "--m", 150, "--n", 150, "--k", 75, "--seed", 1,
+                    "--kind", "fk-pair", "--out", pair]) == 0
+        paths = []
+        try:
+            for threads in (2, 1):
+                for _, put in libraries:
+                    put(threads)
+                paths.append(tmp_path / f"path-{threads}.json")
+                assert run(["connect", "--in", pair, "--mode", "fk", "--out", paths[-1]]) == 0
+                assert [get() for get, _ in libraries] == [threads, threads]
+        finally:
+            for (_, put), count in zip(libraries, before):
+                put(count)
+        assert paths[0].read_bytes() == paths[1].read_bytes()
 
     def test_reverse_flag(self, tmp_path):
         pair = tmp_path / "pair.json"

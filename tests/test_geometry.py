@@ -10,9 +10,10 @@ from strata import (
     tangent_basis,
     tangent_violation,
 )
+from strata import serialization as ser
 from strata.subspaces import Subspace
 
-from conftest import count_factorizations
+from conftest import count_factorizations, criterion_9_directions
 
 
 def random_stratum_point(rng, n, m, k):
@@ -114,6 +115,53 @@ class TestTangentBasis:
         forbidden = {(i, j) for i in range(k, n) for j in range(k, m)}
         assert positions.isdisjoint(forbidden)
 
+    @pytest.mark.parametrize(
+        "n, m, k",
+        [(4, 3, 2), (3, 5, 2), (2, 7, 1), (6, 6, 3), (5, 2, 0), (3, 8, 0),
+         (5, 3, 3), (2, 6, 2), (4, 4, 4), (40, 30, 15)],
+    )
+    def test_orthonormal_with_one_row_then_dense_elements(self, n, m, k):
+        x = random_stratum_point(np.random.default_rng(n * 100 + m * 10 + k), n, m, k)
+        tb = tangent_basis(x)
+        stack = np.array([b.ravel() for b in tb.basis]).reshape(tb.dim, n * m)
+        assert tb.dim == dim_fk(m, n, k)
+        assert np.max(np.abs(stack @ stack.T - np.eye(tb.dim)), initial=0.0) <= 1e-12
+        # e_i (x) r_j, ordered by i then j: r_j in row i and nothing else
+        one_row, dense = tb.basis[: n * k], tb.basis[n * k :]
+        frame = [b[0] for b in one_row[:k]]
+        for index, b in enumerate(one_row):
+            i, j = divmod(index, k)
+            assert np.flatnonzero(np.any(b != 0.0, axis=1)).tolist() == [i]
+            assert np.array_equal(b[i], frame[j])
+        # then u_i (x) k_j: range (x) kernel elements, each with several rows
+        assert len(dense) == k * (m - k)
+        for b in dense:
+            assert np.count_nonzero(np.any(b != 0.0, axis=1)) > 1
+            assert np.max(np.abs(x.range.orthogonal_projector() @ b - b)) <= 1e-12
+            assert np.max(np.abs(b @ x.kernel.orthogonal_projector() - b)) <= 1e-12
+
+    def test_one_qr(self, monkeypatch):
+        x = random_stratum_point(np.random.default_rng(6), 7, 5, 3)
+        calls = count_factorizations(monkeypatch)
+        tangent_basis(x)
+        assert calls == {"qr": 1}
+
+    @pytest.mark.parametrize("sparse", [False, True], ids=["random", "sparse"])
+    def test_file_holds_no_negative_zero(self, sparse):
+        rng = np.random.default_rng(10)
+        for _ in range(20):
+            n, m = (int(d) for d in rng.integers(2, 6, size=2))
+            k = int(rng.integers(1, min(n, m) + 1))
+            if sparse:  # signed entries at scattered positions: frames with exact zeros
+                a = np.zeros((n, m))
+                a[rng.permutation(n)[:k], rng.permutation(m)[:k]] = rng.choice([-1.0, 1.0], k)
+                x = StratumPoint.at(a)
+            else:
+                x = random_stratum_point(rng, n, m, k)
+            obj = ser.tangent_basis_to_obj(tangent_basis(x))
+            data = [v for b in obj["basis"] for v in b["data"]]
+            assert not [v for v in data if v == 0.0 and np.signbit(v)]
+
     def test_rotation_equivariance(self):
         rng = np.random.default_rng(3)
         for _ in range(10):
@@ -131,6 +179,19 @@ class TestTangentBasis:
             )
             assert span_x.dim == span_y.dim
             assert float(np.max(principal_angles(span_x, span_y))) < 1e-7
+
+
+def per_scale_order(x, v, t_grid=np.logspace(-1, -4, 13)):
+    """``tangency_order`` taking one SVD per scale, for comparison."""
+    eps = np.finfo(float).eps
+    logs_t, logs_s = [], []
+    for t in t_grid:
+        s = np.linalg.svd(x.op + t * v, compute_uv=False)
+        sigma_next = s[x.k] if s.size > x.k else 0.0
+        if sigma_next > 1e3 * eps * s[0]:
+            logs_t.append(np.log(t))
+            logs_s.append(np.log(sigma_next))
+    return EXACT if len(logs_t) < 2 else float(np.polyfit(logs_t, logs_s, 1)[0])
 
 
 class TestTangencyOrder:
@@ -159,6 +220,19 @@ class TestTangencyOrder:
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
             tangency_order(self.x, np.eye(3))
+
+    def test_one_svd(self, monkeypatch):
+        calls = count_factorizations(monkeypatch)
+        tangency_order(self.x, [[0.0, 1.0], [1.0, 0.0]])
+        assert calls == {"svd": 1}
+
+    def test_stacked_svd_gives_the_per_scale_slopes(self):
+        slopes = [
+            (tangency_order(x, v), per_scale_order(x, v)) for x, v, _ in criterion_9_directions()
+        ]
+        assert len(slopes) == 200
+        assert [stacked for stacked, _ in slopes] == [one for _, one in slopes]
+        assert sum(stacked == EXACT for stacked, _ in slopes) < 100
 
     def test_dichotomy_random(self):
         rng = np.random.default_rng(4)
