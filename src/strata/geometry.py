@@ -4,16 +4,18 @@ At a rank-k point X the tangent space of the stratum is the set of
 matrices sending the kernel of X into the range of X.  Its dimension is
 (m + n - k) * k for n x m operators, and it splits as
 R^n (x) row(X)  +  range(X) (x) ker(X), so an orthonormal basis can take
-the standard basis of R^n on the left of the first part: those n * k
-elements are single-row matrices, and only the k * (m - k) elements of
-the second part are dense.  A direction inside the tangent space
-perturbs the (k+1)-th singular value only to second order, which is what
+the standard basis of R^n on the left of the first part.  Every basis
+element is then a rank-one product left (x) right, and ``TangentBasis``
+keeps only those factors: (m + n) numbers per element where the dense
+matrix holds m * n.  A direction inside the tangent space perturbs the
+(k+1)-th singular value only to second order, which is what
 ``tangency_order`` measures.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -102,45 +104,51 @@ class StratumPoint:
 
 @dataclass(frozen=True)
 class TangentBasis:
-    """Basis matrices spanning the tangent space at a stratum point."""
+    """Basis of the tangent space at a stratum point, one rank-one element per row.
+
+    Element i is ``np.outer(left[i], right[i]) + 0.0``: ``left`` is a
+    dim x n array and ``right`` a dim x m array for an n x m point.
+    """
 
     at: StratumPoint
-    basis: tuple[np.ndarray, ...]
+    left: np.ndarray
+    right: np.ndarray
     dim: int
 
     def __post_init__(self):
-        object.__setattr__(self, "basis", tuple(self.basis))
-        if len(self.basis) != self.dim:
-            raise InputError("dimension disagrees with the basis length")
+        n, m = self.at.shape
+        for name, cols in (("left", n), ("right", m)):
+            factors = np.asarray(getattr(self, name), dtype=float)
+            if factors.shape != (self.dim, cols):
+                raise InputError(f"{name} factors disagree with the dimension and the shape")
+            object.__setattr__(self, name, factors)
+
+    @cached_property
+    def basis(self) -> tuple[np.ndarray, ...]:
+        """The dense elements, built on first use; adding 0.0 leaves no -0.0."""
+        return tuple(self.left[:, :, None] * self.right[:, None, :] + 0.0)
 
 
 def tangent_basis(x: StratumPoint) -> TangentBasis:
-    """Orthonormal basis of {V : V kernel(X) inside range(X)}.
+    """Orthonormal basis of {V : V kernel(X) inside range(X)}, as rank-one factors.
 
     The elements are e_i (x) r_j for every standard basis vector e_i of
-    R^n and every r_j of an orthonormal frame of the row space, then
-    u_i (x) k_j for the range frame u and the kernel frame k.  The two
-    families span R^n (x) row(X) and range(X) (x) ker(X), which are
-    orthogonal and together make the tangent space, and rank-one products
-    of orthonormal vectors are orthonormal in the Frobenius inner product,
-    so the count is exact.  No element makes a -0.0, which a file would
-    show: e_i (x) r_j is r_j written into row i of a zero matrix, and 0.0
-    is added to each outer product (a negative number times an exact zero
-    is -0.0).
+    R^n and every r_j of an orthonormal frame of the row space, ordered by
+    i then j, then u_i (x) k_j for the range frame u and the kernel frame
+    k.  The two families span R^n (x) row(X) and range(X) (x) ker(X),
+    which are orthogonal and together make the tangent space, and
+    rank-one products of orthonormal vectors are orthonormal in the
+    Frobenius inner product, so the count is exact.  No dense element is
+    built here; ``TangentBasis.basis`` builds them for callers that index
+    them.
     """
     n, m = x.shape
     row = orthogonal_complement(x.kernel).basis
     rng, ker = x.range.basis, x.kernel.basis
-    elements = []
-    for i in range(n):
-        for j in range(row.shape[1]):
-            element = np.zeros((n, m))
-            element[i] = row[:, j]
-            elements.append(element)
-    for i in range(rng.shape[1]):
-        for j in range(ker.shape[1]):
-            elements.append(np.outer(rng[:, i], ker[:, j]) + 0.0)
-    return TangentBasis(x, tuple(elements), len(elements))
+    k = row.shape[1]
+    left = np.concatenate([np.repeat(np.eye(n), k, axis=0), np.repeat(rng.T, m - k, axis=0)])
+    right = np.concatenate([np.tile(row.T, (n, 1)), np.tile(ker.T, (k, 1))])
+    return TangentBasis(x, left, right, left.shape[0])
 
 
 def tangent_violation(x: StratumPoint, v) -> float:

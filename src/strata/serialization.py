@@ -1,9 +1,13 @@
 """JSON encoding of every artifact the tools read or write.
 
-One matrix format is shared repo-wide: {"rows": r, "cols": c, "data":
-[row-major numbers]}.  Subspace files add a "subspace": true flag and use
-their ambient dimension as the row count.  Field order is fixed
-everywhere so identical inputs produce byte-identical files.
+One matrix object is shared repo-wide, in two forms.  The dense form
+{"rows": r, "cols": c, "data": [r * c row-major numbers]} is what every
+writer uses except the tangent basis.  The rank-one form {"rows": r,
+"cols": c, "left": [r numbers], "right": [c numbers]} means
+np.outer(left, right) + 0.0; tangent files write each basis element so.
+Every reader takes either form.  Subspace files add a "subspace": true
+flag and use their ambient dimension as the row count.  Field order is
+fixed everywhere so identical inputs produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -66,19 +70,48 @@ def _is_count(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool) and x >= 0
 
 
+_NOT_A_MATRIX = "expected a matrix object with rows, cols and data, or rows, cols, left and right"
+
+
+def _is_matrix_obj(value) -> bool:
+    """Whether ``value`` is meant as a matrix object, in either form."""
+    return isinstance(value, dict) and "rows" in value and not value.keys().isdisjoint(
+        ("data", "left", "right")
+    )
+
+
+def _numbers(obj: dict, key: str, size: int) -> np.ndarray:
+    """The flat list of ``size`` numbers under ``key``, as floats."""
+    values = obj[key]
+    if not isinstance(values, list):
+        raise StrataError(f"matrix {key} must be a list")
+    values = np.asarray(values)
+    if values.size and (values.ndim != 1 or values.dtype.kind not in "iuf"):
+        raise StrataError(f"matrix {key} must be a flat list of numbers")
+    if values.size != size:
+        raise InputError(f"matrix {key} length disagrees with its shape")
+    return values.astype(float, copy=False)
+
+
 def matrix_from_obj(obj: dict) -> np.ndarray:
-    """Decode a {rows, cols, data} object; anything else raises StrataError."""
-    if not isinstance(obj, dict) or not {"rows", "cols", "data"} <= obj.keys():
-        raise StrataError("expected a matrix object with rows, cols and data")
-    rows, cols, data = obj["rows"], obj["cols"], obj["data"]
-    if not (_is_count(rows) and _is_count(cols) and isinstance(data, list)):
-        raise StrataError("matrix rows and cols must be counts and data a list")
-    data = np.asarray(data)
-    if data.size and (data.ndim != 1 or data.dtype.kind not in "iuf"):
-        raise StrataError("matrix data must be a flat list of numbers")
-    if data.size != rows * cols:
-        raise InputError("matrix data length disagrees with its shape")
-    return data.astype(float, copy=False).reshape(rows, cols)
+    """Decode a dense {rows, cols, data} or rank-one {rows, cols, left, right} object.
+
+    Anything else raises StrataError, and so does an object holding both
+    data and factors.
+    """
+    if not _is_matrix_obj(obj):
+        raise StrataError(_NOT_A_MATRIX)
+    dense = "data" in obj
+    if dense and not obj.keys().isdisjoint(("left", "right")):
+        raise StrataError("a matrix object holds data or left and right, not both")
+    if not ({"cols", "data"} if dense else {"cols", "left", "right"}) <= obj.keys():
+        raise StrataError(_NOT_A_MATRIX)
+    rows, cols = obj["rows"], obj["cols"]
+    if not (_is_count(rows) and _is_count(cols)):
+        raise StrataError("matrix rows and cols must be counts")
+    if dense:
+        return _numbers(obj, "data", rows * cols).reshape(rows, cols)
+    return np.outer(_numbers(obj, "left", rows), _numbers(obj, "right", cols)) + 0.0
 
 
 def subspace_to_obj(s: Subspace) -> dict:
@@ -189,11 +222,19 @@ def path_from_obj(obj: dict) -> OperatorPath:
 
 
 def tangent_basis_to_obj(tb: TangentBasis) -> dict:
+    """The point, its rank, the dimension and every basis element in rank-one form.
+
+    The factors are written with 0.0 added, so the file holds no -0.0.
+    """
+    rows, cols = tb.at.shape
     return {
         "at": matrix_to_obj(tb.at.op),
         "k": int(tb.at.k),
         "dim": int(tb.dim),
-        "basis": [matrix_to_obj(b) for b in tb.basis],
+        "basis": [
+            {"rows": rows, "cols": cols, "left": left, "right": right}
+            for left, right in zip((tb.left + 0.0).tolist(), (tb.right + 0.0).tolist())
+        ],
     }
 
 
@@ -264,7 +305,7 @@ def instance_from_obj(obj: dict) -> dict:
         raise StrataError("an instance file must hold a JSON object")
     payload = {}
     for key, value in obj.items():
-        if isinstance(value, dict) and "rows" in value and "data" in value:
+        if _is_matrix_obj(value):
             if value.get("subspace"):
                 payload[key] = subspace_from_obj(value)
             else:

@@ -11,7 +11,7 @@ from strata import (
     tangent_violation,
 )
 from strata import serialization as ser
-from strata.subspaces import Subspace
+from strata.subspaces import Subspace, orthogonal_complement
 
 from conftest import count_factorizations, criterion_9_directions
 
@@ -33,6 +33,27 @@ def random_tangent(rng, x):
     coeffs = rng.standard_normal(tb.dim)
     v = sum(c * b for c, b in zip(coeffs, tb.basis))
     return v / np.linalg.norm(v)
+
+
+def dense_tangent_basis(x):
+    """The basis as dense matrices, built element by element: the reference.
+
+    e_i (x) r_j is r_j written into row i of a zero matrix, and 0.0 is
+    added to each u_i (x) k_j outer product.
+    """
+    n, m = x.shape
+    row = orthogonal_complement(x.kernel).basis
+    rng, ker = x.range.basis, x.kernel.basis
+    elements = []
+    for i in range(n):
+        for j in range(row.shape[1]):
+            element = np.zeros((n, m))
+            element[i] = row[:, j]
+            elements.append(element)
+    for i in range(rng.shape[1]):
+        for j in range(ker.shape[1]):
+            elements.append(np.outer(rng[:, i], ker[:, j]) + 0.0)
+    return elements
 
 
 class TestDimFormula:
@@ -159,8 +180,23 @@ class TestTangentBasis:
             else:
                 x = random_stratum_point(rng, n, m, k)
             obj = ser.tangent_basis_to_obj(tangent_basis(x))
-            data = [v for b in obj["basis"] for v in b["data"]]
-            assert not [v for v in data if v == 0.0 and np.signbit(v)]
+            factors = [v for b in obj["basis"] for v in b["left"] + b["right"]]
+            assert not [v for v in factors if v == 0.0 and np.signbit(v)]
+            for b in obj["basis"]:
+                element = ser.matrix_from_obj(b)
+                assert not np.signbit(element[element == 0.0]).any()
+
+    @pytest.mark.parametrize("points", ["criterion-9", "40x30"])
+    def test_decoded_elements_are_the_dense_construction_bit_for_bit(self, points):
+        if points == "40x30":
+            xs = [random_stratum_point(np.random.default_rng(15), 40, 30, 15)]
+        else:
+            xs = list({id(x): x for x, _, _ in criterion_9_directions()}.values())
+        for x in xs:
+            obj = ser.tangent_basis_to_obj(tangent_basis(x))
+            decoded = [ser.matrix_from_obj(b).tobytes() for b in obj["basis"]]
+            assert decoded == [b.tobytes() for b in dense_tangent_basis(x)]
+            assert [b.tobytes() for b in tangent_basis(x).basis] == decoded
 
     def test_rotation_equivariance(self):
         rng = np.random.default_rng(3)

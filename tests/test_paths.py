@@ -978,7 +978,7 @@ class TestInputErrors:
             lambda: dim_fk(2, 2, 3),
             lambda: StratumPoint(np.eye(2), 3, Subspace.zero(2), Subspace.full(2)),
             lambda: StratumPoint(np.diag([1.0, 0.0]), 1, span([1, 0]), span([1, 0])),
-            lambda: TangentBasis(StratumPoint.at(np.eye(2)), (), 1),
+            lambda: TangentBasis(StratumPoint.at(np.eye(2)), np.zeros((0, 2)), np.zeros((0, 2)), 1),
             lambda: tangent_violation(StratumPoint.at(np.eye(2)), np.eye(3)),
             lambda: tangency_order(StratumPoint.at(np.eye(2)), np.eye(2), [0.1, 0.05]),
             lambda: InstanceSpec(m=0, n=2, k=0, seed=0, kind="fk-pair"),

@@ -2,6 +2,7 @@ import io
 import json
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from strata import (
     tangent_basis,
 )
 from strata import serialization as ser
-from strata.errors import StrataError
+from strata.errors import InputError, StrataError
 from strata.paths import eval_segment_batch
 from strata.instances import InstanceSpec, gen_instance
 
@@ -33,9 +34,31 @@ class TestMatrixFormat:
         assert obj == {"rows": 2, "cols": 3, "data": [0.0, 1.0, 2.0, 3.0, 4.0, 5.0]}
         assert np.array_equal(ser.matrix_from_obj(obj), a)
 
-    def test_bad_length(self):
-        with pytest.raises(ValueError):
-            ser.matrix_from_obj({"rows": 2, "cols": 2, "data": [1.0]})
+    @pytest.mark.parametrize(
+        "obj",
+        [
+            {"rows": 2, "cols": 2, "data": [1.0]},
+            {"rows": 2, "cols": 2, "left": [1.0], "right": [1.0, 2.0]},
+            {"rows": 2, "cols": 2, "left": [1.0, 2.0], "right": [1.0, 2.0, 3.0]},
+        ],
+        ids=["data", "left", "right"],
+    )
+    def test_bad_length(self, obj):
+        with pytest.raises(InputError):
+            ser.matrix_from_obj(obj)
+
+    @pytest.mark.parametrize(
+        "left, right",
+        [([1.0, -2.0], [0.5, 0.0, -3.0]), ([-0.0, 3], [-1.5]), ([], [1.0, 2.0]), ([1.0], [])],
+        ids=["2x3", "ints-and-negative-zero", "no-rows", "no-cols"],
+    )
+    def test_rank_one_round_trip(self, left, right):
+        obj = {"rows": len(left), "cols": len(right), "left": left, "right": right}
+        a = ser.matrix_from_obj(obj)
+        assert a.dtype == float and a.shape == (len(left), len(right))
+        assert a.tobytes() == (np.outer(left, right) + 0.0).tobytes()
+        assert not np.signbit(a[a == 0.0]).any()
+        assert ser.matrix_from_obj(ser.matrix_to_obj(a)).tobytes() == a.tobytes()
 
     @pytest.mark.parametrize(
         "a",
@@ -65,6 +88,18 @@ class TestMatrixFormat:
             {"rows": 1, "cols": 1, "data": [[1.0]]},
             {"rows": "1", "cols": 1, "data": [1.0]},
             {"rows": -1, "cols": -1, "data": [1.0]},
+            {"rows": 1, "cols": 1, "left": [1.0]},
+            {"rows": 1, "cols": 1, "right": [1.0]},
+            {"rows": 1, "left": [1.0], "right": [1.0]},
+            {"rows": 1, "cols": 1, "left": "1", "right": [1.0]},
+            {"rows": 1, "cols": 1, "left": [1.0], "right": (1.0,)},
+            {"rows": 1, "cols": 1, "left": ["1"], "right": [1.0]},
+            {"rows": 1, "cols": 1, "left": [1.0], "right": [None]},
+            {"rows": 1, "cols": 1, "left": [[1.0]], "right": [1.0]},
+            {"rows": 1, "cols": 1, "left": [True], "right": [1.0]},
+            {"rows": 1.0, "cols": 1, "left": [1.0], "right": [1.0]},
+            {"rows": 1, "cols": 1, "data": [1.0], "left": [1.0], "right": [1.0]},
+            {"rows": 1, "cols": 1, "data": [1.0], "right": [1.0]},
         ],
     )
     def test_non_matrix_rejected(self, obj):
@@ -152,6 +187,19 @@ class TestPathFormat:
                                   eval_segment_batch(ref, np.linspace(0, 1, 7)))
 
 
+    def test_rank_one_field_loads_to_the_same_path(self, rng):
+        """A segment field written in rank-one form loads as its dense twin."""
+        left, right = rng.uniform(-1, 1, 3), rng.uniform(-1, 1, 4)
+        t1 = rng.uniform(-1, 1, (3, 1)) @ rng.uniform(-1, 1, (1, 4))
+        t2 = np.outer(left, right) + 0.0
+        obj = ser.path_to_obj(connect_fk(t1, t2))  # from t2 to t1
+        assert obj["segments"][0]["start"] == ser.matrix_to_obj(t2)
+        first = {**obj["segments"][0], "start": {"rows": 3, "cols": 4, "left": list(left),
+                                                 "right": list(right)}}
+        back = ser.path_from_obj({**obj, "segments": [first, *obj["segments"][1:]]})
+        assert ser.path_to_obj(back) == obj
+
+
 class TestInstancePayload:
     def test_matrix_payload(self):
         payload = gen_instance(InstanceSpec(m=2, n=3, k=1, seed=4, kind="fk-pair"))
@@ -173,6 +221,16 @@ class TestInstancePayload:
         assert isinstance(back["E1"], Subspace)
 
 
+    def test_rank_one_matrix_payload(self):
+        """A rank-one matrix object decodes to its matrix and is not passed on as a dict."""
+        factors = {"rows": 2, "cols": 3, "left": [1.0, -2.0], "right": [0.5, 0.0, 4.0]}
+        back = ser.instance_from_obj({"kind": "fk-pair", "T1": factors})
+        assert isinstance(back["T1"], np.ndarray)
+        assert np.array_equal(back["T1"], np.outer([1.0, -2.0], [0.5, 0.0, 4.0]))
+        with pytest.raises(StrataError):
+            ser.instance_from_obj({"T1": {**factors, "data": [0.0] * 6}})
+
+
 class TestWitness:
     def test_round_trip(self, rng):
         t1 = rng.uniform(-1, 1, (2, 1)) @ rng.uniform(-1, 1, (1, 2))
@@ -188,6 +246,30 @@ class TestTangentFormat:
         obj = ser.tangent_basis_to_obj(tb)
         assert list(obj.keys()) == ["at", "k", "dim", "basis"]
         assert obj["dim"] == 3 and len(obj["basis"]) == 3
+        assert [list(b) for b in obj["basis"]] == [["rows", "cols", "left", "right"]] * 3
+
+    def test_dense_elements_still_load(self):
+        """A tangent file of dense elements, as older writers made, decodes to the same basis."""
+        tb = tangent_basis(StratumPoint.at(np.array([[1.0, 2.0, 0.5], [2.0, 4.0, 1.0]])))
+        dense = [ser.matrix_to_obj(b) for b in tb.basis]
+        rank_one = ser.tangent_basis_to_obj(tb)["basis"]
+        for old, new in zip(dense, rank_one, strict=True):
+            assert ser.matrix_from_obj(old).tobytes() == ser.matrix_from_obj(new).tobytes()
+
+    def test_file_object_memory_at_40x30(self):
+        """Basis and file object of a 40x30 rank-15 point, without the 7.9 MB dense stack."""
+        rng = np.random.default_rng(0)
+        u, _ = np.linalg.qr(rng.standard_normal((40, 15)))
+        v, _ = np.linalg.qr(rng.standard_normal((30, 15)))
+        x = StratumPoint.at(u @ np.diag(rng.uniform(0.5, 1.5, 15)) @ v.T)
+        tracemalloc.start()
+        try:
+            obj = ser.tangent_basis_to_obj(tangent_basis(x))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert obj["dim"] == 825
+        assert peak < 4e6, peak  # the dense elements alone: 825 * 40 * 30 * 8 = 7.92e6 bytes
 
 
 class TestMembership:
