@@ -34,16 +34,19 @@ class TestMatrixFormat:
         assert obj == {"rows": 2, "cols": 3, "data": [0.0, 1.0, 2.0, 3.0, 4.0, 5.0]}
         assert np.array_equal(ser.matrix_from_obj(obj), a)
 
+    def test_bad_length(self):
+        with pytest.raises(InputError):
+            ser.matrix_from_obj({"rows": 2, "cols": 2, "data": [1.0]})
+
     @pytest.mark.parametrize(
         "obj",
         [
-            {"rows": 2, "cols": 2, "data": [1.0]},
             {"rows": 2, "cols": 2, "left": [1.0], "right": [1.0, 2.0]},
             {"rows": 2, "cols": 2, "left": [1.0, 2.0], "right": [1.0, 2.0, 3.0]},
         ],
-        ids=["data", "left", "right"],
+        ids=["left", "right"],
     )
-    def test_bad_length(self, obj):
+    def test_bad_factor_length(self, obj):
         with pytest.raises(InputError):
             ser.matrix_from_obj(obj)
 
