@@ -9,11 +9,12 @@ through every uniform grid.  ``audit_flip_path`` runs the same membership
 checks on a flip path without the rank part.
 
 Both walk the sample grid one chunk at a time: a chunk is evaluated into
-a buffer that the next chunk reuses, factored with stacked SVDs (one for
-the rank columns, one for the membership checks) and reduced to
-per-sample columns.  A grid of more than one chunk is cut into one
-contiguous stretch per worker (``WORKERS``, the usable cores), walked at
-once, with numpy's and scipy's OpenBLAS held to one thread meanwhile.
+a buffer that the next chunk reuses, factored with one stacked SVD (of
+the singular values only, when no membership is checked) and reduced to
+named per-sample columns, all read from that one factorization.  A grid
+of more than one chunk is cut into one contiguous stretch per worker
+(``WORKERS``, the usable cores), walked at once, with numpy's and
+scipy's OpenBLAS held to one thread meanwhile.
 The working memory is set by ``CHUNK_BYTES``, shared by the workers, not
 by the grid size, and the results are those of one sample at a time
 wherever the chunks and stretches split.
@@ -131,11 +132,7 @@ class MembershipSpec:
     kernel_equals: Subspace | None = None
 
     def any(self) -> bool:
-        return (
-            self.range_complement is not None
-            or self.kernel_complement is not None
-            or self.kernel_equals is not None
-        )
+        return bool(_checks(self))
 
 
 def _check_ambient(spec: MembershipSpec, shape: tuple[int, int]) -> None:
@@ -172,57 +169,75 @@ def _direct_sum_column(
     return cond, (d + other.dim == n) & (cond <= tol.membership_cond_max)
 
 
-def _membership_columns(
-    values: np.ndarray, spec: MembershipSpec, tol: ToleranceConfig, kernel_q: np.ndarray | None
-) -> dict[str, tuple[np.ndarray, np.ndarray]]:
-    """Residual and pass flag of each check ``spec`` asks for, at every sample.
+def _checks(spec: MembershipSpec) -> dict[str, Subspace]:
+    """The subspace of each check ``spec`` asks for, by column name, in certificate order."""
+    named = (
+        ("range_complement_cond", spec.range_complement),
+        ("kernel_complement_cond", spec.kernel_complement),
+        ("kernel_angle", spec.kernel_equals),
+    )
+    return {name: space for name, space in named if space is not None}
 
-    The samples take one full SVD; their kernels and ranges are cut at ranks
-    read from that SVD's own singular values (those of a
-    ``compute_uv=False`` call can differ in the last bit).  Samples of equal
-    rank share one stacked SVD per check.  A kernel of the wrong dimension
-    has angle inf to the expected one.  The values equal those of the checks
+
+def _columns(
+    values: np.ndarray,
+    tol: ToleranceConfig,
+    expected_k: int | None = None,
+    spec: MembershipSpec | None = None,
+    kernel_q: np.ndarray | None = None,
+) -> dict[str, np.ndarray]:
+    """Named per-sample columns of one chunk, all read from one stacked SVD.
+
+    With ``expected_k``: "rank", "sigma_k", "sigma_k_plus_1" and "ok", the
+    rank-and-gap flag (the missing singular value counts as machine zero
+    relative to sigma_1).  With ``spec``: each check's residual under its
+    name in ``_checks`` and its pass flag under that name plus "_ok".
+    Without checks the SVD takes the singular values only.  With them it is
+    a full SVD, whose own singular values give the rank part and the rank
+    each sample's kernel and range are cut at.  Samples of equal rank share
+    one stacked SVD per check, and a kernel of the wrong dimension has
+    angle inf to the expected one.  The values equal those of the checks
     made one sample at a time with ``rank_kernel_range``, ``is_direct_sum``
     and ``principal_angles``.  ``kernel_q`` is the expected kernel's basis
     through ``_orth``, taken once per certify or audit by ``_kernel_q``.
     """
     count, _, cols = values.shape
-    fields = (
-        ("range_complement_cond", spec.range_complement),
-        ("kernel_complement_cond", spec.kernel_complement),
-        ("kernel_angle", spec.kernel_equals),
-    )
-    out = {
-        name: (np.empty(count), np.empty(count, dtype=bool))
-        for name, field in fields
-        if field is not None
-    }
-    u, s, vt = np.linalg.svd(values, full_matrices=True)
+    if spec is None:
+        s = np.linalg.svd(values, compute_uv=False)
+    else:
+        u, s, vt = np.linalg.svd(values, full_matrices=True)
     ranks = rank_from_singular_values(s, tol)
+    out = {}
+    if expected_k is not None:
+        zeros = np.zeros(count)
+        sigma_k = s[:, expected_k - 1] if expected_k else zeros
+        sigma_next = s[:, expected_k] if s.shape[1] > expected_k else zeros
+        ok = ranks == expected_k
+        if expected_k:
+            floor = np.maximum(sigma_next, np.finfo(float).eps * np.maximum(s[:, 0], 1.0))
+            ok &= sigma_k / floor >= SIGMA_GAP_MIN
+        out.update(rank=ranks, sigma_k=sigma_k, sigma_k_plus_1=sigma_next, ok=ok)
+    if spec is None:
+        return out
+    checks = _checks(spec)
+    for name in checks:
+        out[name], out[name + "_ok"] = np.empty(count), np.empty(count, dtype=bool)
     for k in np.unique(ranks).tolist():
         group = np.flatnonzero(ranks == k)
-        results = {}
-        if spec.range_complement is not None:
-            results["range_complement_cond"] = _direct_sum_column(
-                u[group, :, :k], spec.range_complement, tol
-            )
         kernels = np.swapaxes(vt[group, k:, :], -1, -2)
-        if spec.kernel_complement is not None:
-            results["kernel_complement_cond"] = _direct_sum_column(
-                kernels, spec.kernel_complement, tol
-            )
-        if spec.kernel_equals is not None:
-            want = spec.kernel_equals
-            if cols - k != want.dim:
-                angle = np.full(group.size, np.inf)
-            elif want.dim == 0:
-                angle = np.zeros(group.size)
+        for name, want in checks.items():
+            if name == "kernel_angle":
+                if cols - k != want.dim:
+                    value = np.full(group.size, np.inf)
+                elif want.dim == 0:
+                    value = np.zeros(group.size)
+                else:
+                    value = np.max(_angle_stack(_orth(kernels), kernel_q), axis=-1)
+                passed = value < ANGLE_TOL
             else:
-                angle = np.max(_angle_stack(_orth(kernels), kernel_q), axis=-1)
-            results["kernel_angle"] = (angle, angle < ANGLE_TOL)
-        for name, (value, passed) in results.items():
-            out[name][0][group] = value
-            out[name][1][group] = passed
+                own = u[group, :, :k] if name == "range_complement_cond" else kernels
+                value, passed = _direct_sum_column(own, want, tol)
+            out[name][group], out[name + "_ok"][group] = value, passed
     return out
 
 
@@ -289,31 +304,9 @@ def _walk(path: OperatorPath, samples: list, membership: bool, reduce) -> list:
         return first + [out for future in rest for out in future.result()]
 
 
-def _rank_columns(
-    values: np.ndarray, expected_k: int, tol: ToleranceConfig
-) -> tuple[np.ndarray, ...]:
-    """Rank, sigma_k, sigma_{k+1} and the rank-and-gap flag of each sample."""
-    svals = np.linalg.svd(values, compute_uv=False)
-    n, r = svals.shape
-    zeros = np.zeros(n)
-    ranks = rank_from_singular_values(svals, tol)
-    sigma_k = svals[:, expected_k - 1] if expected_k else zeros
-    sigma_next = svals[:, expected_k] if r > expected_k else zeros
-    ok = ranks == expected_k
-    if expected_k != 0:
-        # the missing singular value counts as machine zero relative to sigma_1
-        top = svals[:, 0] if r else zeros
-        floor = np.maximum(sigma_next, np.finfo(float).eps * np.maximum(top, 1.0))
-        ok &= sigma_k / floor >= SIGMA_GAP_MIN
-    return ranks, sigma_k, sigma_next, ok
-
-
-def _join(chunks: list[dict]) -> dict[str, tuple[np.ndarray, np.ndarray]]:
-    """The membership columns of consecutive chunks, as columns of the whole grid."""
-    return {
-        name: tuple(map(np.concatenate, zip(*(chunk[name] for chunk in chunks))))
-        for name in chunks[0]
-    }
+def _join(chunks: list[dict]) -> dict[str, np.ndarray]:
+    """The columns of consecutive chunks, as columns of the whole grid."""
+    return {name: np.concatenate([chunk[name] for chunk in chunks]) for name in chunks[0]}
 
 
 class SampleRecord(NamedTuple):
@@ -364,43 +357,35 @@ def certify_path(
     """
     if not 0 <= expected_k <= min(path.shape):
         raise InputError(f"expected rank {expected_k} outside [0, {min(path.shape)}]")
-    checks = membership is not None and membership.any()
     if membership is not None:
         _check_ambient(membership, path.shape)
+    spec = membership if membership is not None and membership.any() else None
     samples = sample_parameters(path, grid)
-    kernel_q = _kernel_q(membership) if checks else None
+    kernel_q = _kernel_q(spec) if spec is not None else None
 
     def reduce(values):
         return (
             maxabs(values[0] - path.start),
             maxabs(values[-1] - path.end),
-            _rank_columns(values, expected_k, tol),
-            _membership_columns(values, membership, tol, kernel_q) if checks else None,
+            _columns(values, tol, expected_k, spec, kernel_q),
         )
 
-    parts = _walk(path, samples, checks, reduce)
-    e0, e1 = parts[0][0], parts[-1][1]  # from the first and the last chunk
-    _, _, rank_parts, member_parts = zip(*parts)
-    ranks, sigma_k, sigma_next, ok = map(np.concatenate, zip(*rank_parts))
+    e0s, e1s, parts = zip(*_walk(path, samples, spec is not None, reduce))
+    e0, e1 = e0s[0], e1s[-1]  # from the first and the last chunk
+    columns = _join(parts)
+    ok = columns["ok"]
     residuals = [None] * len(samples)
-    if checks:
-        columns = _join(member_parts)
-        per_sample = zip(*(value.tolist() for value, _ in columns.values()))
-        residuals = [dict(zip(columns, row)) for row in per_sample]
-        for _, passed in columns.values():
-            ok &= passed
+    if spec is not None:
+        names = list(_checks(spec))
+        for name in names:
+            ok &= columns[name + "_ok"]
+        per_sample = zip(*(columns[name].tolist() for name in names))
+        residuals = [dict(zip(names, row)) for row in per_sample]
     ts, segs, locals_ = zip(*samples)
-    columns = (
-        ts,
-        segs,
-        locals_,
-        ranks.tolist(),
-        sigma_k.tolist(),
-        sigma_next.tolist(),
-        residuals,
-        ok.tolist(),
+    rank_part = (columns[name].tolist() for name in ("rank", "sigma_k", "sigma_k_plus_1"))
+    records = tuple(
+        map(SampleRecord._make, zip(ts, segs, locals_, *rank_part, residuals, ok.tolist()))
     )
-    records = tuple(map(SampleRecord._make, zip(*columns)))
     failures = {locals_[i] for i in np.flatnonzero(~ok).tolist()}
     endpoints_ok = e0 <= ENDPOINT_PASS_TOL * (1.0 + maxabs(path.start)) and e1 <= (
         ENDPOINT_PASS_TOL * (1.0 + maxabs(path.end))
@@ -456,30 +441,27 @@ def audit_flip_path(
     kernel_q = _kernel_q(spec)
 
     def reduce(values):
-        return maxabs(values) == 0.0, _membership_columns(values, spec, tol, kernel_q)
+        return maxabs(values) == 0.0, _columns(values, tol, spec=spec, kernel_q=kernel_q)
 
     zero, parts = zip(*_walk(path, samples, True, reduce))
     degenerate = all(zero)
-    if degenerate:
-        zeros, trues = [0.0] * len(samples), [True] * len(samples)
-        checks = (zeros, trues, zeros, trues)
-    else:
-        (cond, split_ok), (angle, kernel_ok) = _join(parts).values()
-        checks = (cond.tolist(), split_ok.tolist(), angle.tolist(), kernel_ok.tolist())
-    records = []
-    failures = set()
-    for (t, seg, local), cond, split_ok, angle, kernel_ok in zip(samples, *checks):
-        records.append(
-            {
-                "t": t,
-                "segment": seg,
-                "local_t": local,
-                "range_split_ok": split_ok,
-                "range_condition": cond,
-                "kernel_ok": kernel_ok,
-                "kernel_angle": angle,
-            }
-        )
-        if not (split_ok and kernel_ok):
-            failures.add(local)
-    return FlipAudit(len(samples), degenerate, tuple(records), tuple(sorted(failures)))
+    columns = _join(parts)
+    names = ("range_complement_cond", "range_complement_cond_ok", "kernel_angle", "kernel_angle_ok")
+    cond, split_ok, angle, kernel_ok = (columns[name].tolist() for name in names)
+    if degenerate:  # every check holds on the zero path
+        cond = angle = [0.0] * len(samples)
+        split_ok = kernel_ok = [True] * len(samples)
+    records = tuple(
+        {
+            "t": t,
+            "segment": seg,
+            "local_t": local,
+            "range_split_ok": split,
+            "range_condition": c,
+            "kernel_ok": same,
+            "kernel_angle": a,
+        }
+        for (t, seg, local), c, split, a, same in zip(samples, cond, split_ok, angle, kernel_ok)
+    )
+    failures = {r["local_t"] for r in records if not (r["range_split_ok"] and r["kernel_ok"])}
+    return FlipAudit(len(samples), degenerate, records, tuple(sorted(failures)))

@@ -7,7 +7,9 @@ input it cannot use: a path file with a missing field or an unknown
 segment kind, a `certify --k` outside [0, min(m, n)], an instance file
 without the matrices T1 and T2 that `connect` reads (a `gl` or
 `subspace-pair` file written by `gen`), an instance or membership file
-that is not a JSON object, or a file that cannot be read or written.
+that is not a JSON object, a matrix in any file holding a NaN or an
+infinity (the error names the field), or a file that cannot be read or
+written.
 The STRATA_TOL environment variable overrides the default relative rank
 tolerance everywhere.  Each command runs with numpy's and scipy's
 OpenBLAS held to one thread, so the files it writes do not depend on the

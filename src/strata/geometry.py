@@ -14,7 +14,7 @@ matrix holds m * n.  A direction inside the tangent space perturbs the
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -27,7 +27,6 @@ from .subspaces import (
     _factor,
     _kernel_range,
     as_matrix,
-    orthogonal_complement,
     subspaces_equal,
 )
 
@@ -55,12 +54,17 @@ def dim_fk(m: int, n: int, k: int) -> int:
 
 @dataclass(frozen=True)
 class StratumPoint:
-    """A rank-k matrix together with its kernel and range subspaces."""
+    """A rank-k matrix together with its kernel and range subspaces.
+
+    It also keeps an orthonormal frame of its row space, the first k right
+    singular vectors of its SVD, for ``tangent_basis``.
+    """
 
     op: np.ndarray
     k: int
     kernel: Subspace
     range: Subspace
+    _row: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         op, _, svd = _factor(self.op)
@@ -81,6 +85,7 @@ class StratumPoint:
                 raise InputError(f"{name} subspace has the wrong dimension")
             if not subspaces_equal(mine, theirs):
                 raise InputError(f"{name} subspace disagrees with the matrix")
+        object.__setattr__(self, "_row", svd[2][: self.k].T)
 
     @classmethod
     def at(cls, op, tol: ToleranceConfig = DEFAULT_TOL) -> "StratumPoint":
@@ -93,7 +98,8 @@ class StratumPoint:
         """
         op, k, svd = _factor(op, tol)
         point = object.__new__(cls)
-        for name, value in zip(("op", "k", "kernel", "range"), (op, k, *_kernel_range(svd, k))):
+        values = (op, k, *_kernel_range(svd, k), svd[2][:k].T)
+        for name, value in zip(("op", "k", "kernel", "range", "_row"), values):
             object.__setattr__(point, name, value)
         return point
 
@@ -138,13 +144,13 @@ def tangent_basis(x: StratumPoint) -> TangentBasis:
     k.  The two families span R^n (x) row(X) and range(X) (x) ker(X),
     which are orthogonal and together make the tangent space, and
     rank-one products of orthonormal vectors are orthonormal in the
-    Frobenius inner product, so the count is exact.  No dense element is
-    built here; ``TangentBasis.basis`` builds them for callers that index
-    them.
+    Frobenius inner product, so the count is exact.  The row-space frame
+    is the one the point's SVD gave, so nothing is factored here.  No
+    dense element is built here either; ``TangentBasis.basis`` builds them
+    for callers that index them.
     """
     n, m = x.shape
-    row = orthogonal_complement(x.kernel).basis
-    rng, ker = x.range.basis, x.kernel.basis
+    row, rng, ker = x._row, x.range.basis, x.kernel.basis
     k = row.shape[1]
     left = np.concatenate([np.repeat(np.eye(n), k, axis=0), np.repeat(rng.T, m - k, axis=0)])
     right = np.concatenate([np.tile(row.T, (n, 1)), np.tile(ker.T, (k, 1))])

@@ -171,8 +171,6 @@ def eval_segment(seg: PathSegment, t: float) -> np.ndarray:
 def _check_planes(z: np.ndarray, theta: np.ndarray) -> None:
     if theta.ndim != 1 or z.ndim != 2 or z.shape[1] != 2 * theta.size:
         raise InputError("a rotation needs one angle per pair of plane columns")
-    if not np.all(np.isfinite(theta)):
-        raise InputError("rotation angles must be finite")
     if maxabs(z.T @ z - np.eye(z.shape[1])) > PLANE_TOL:
         raise InputError("rotation planes must have orthonormal columns")
 
@@ -187,9 +185,14 @@ def _endpoint_slack(start: np.ndarray, payload: dict) -> float:
     return ENDPOINT_TOL * (1.0 + max(maxabs(start), maxabs(payload.get("b", 0.0))))
 
 
-def _frozen(value) -> np.ndarray:
-    """A read-only float copy, so a segment shares no array with its caller."""
+def _frozen(value, name: str) -> np.ndarray:
+    """A read-only float copy, so a segment shares no array with its caller.
+
+    A non-finite number raises InputError naming the field.
+    """
     out = np.array(value, dtype=float)
+    if not np.isfinite(out).all():
+        raise InputError(f"segment field {name!r} holds a non-finite number")
     out.setflags(write=False)
     return out
 
@@ -200,7 +203,8 @@ def make_segment(kind: str, payload: dict, start, end=None) -> PathSegment:
     The leg gives ``start`` at t = 0 exactly.  An ``end`` given is checked
     against the leg's value at t = 1 within ``_endpoint_slack``; an end
     left out is that value.  The segment holds read-only copies of
-    ``start``, ``end`` and the payload arrays.
+    ``start``, ``end`` and the payload arrays; a non-finite number in any
+    of them raises InputError.
     """
     clean = {}
     for key, value in payload.items():
@@ -209,8 +213,8 @@ def make_segment(kind: str, payload: dict, start, end=None) -> PathSegment:
                 raise InputError(f"invalid rotation side {value!r}")
             clean[key] = value
         else:
-            clean[key] = _frozen(value)
-    start = _frozen(start)
+            clean[key] = _frozen(value, key)
+    start = _frozen(start, "start")
     probe = PathSegment(kind, clean, start, start)
     if set(clean) != PAYLOAD_FIELDS[kind]:
         raise InputError(
@@ -220,8 +224,9 @@ def make_segment(kind: str, payload: dict, start, end=None) -> PathSegment:
     if kind == "rotation":
         _check_planes(clean["z"], clean["theta"])
     reached = eval_segment_batch(probe, np.ones(1))[0]
-    end = _frozen(reached if end is None else end)
-    if maxabs(end - reached) > _endpoint_slack(start, clean):
+    end = _frozen(reached if end is None else end, "end")
+    # written so that a NaN difference fails too
+    if not maxabs(end - reached) <= _endpoint_slack(start, clean):
         raise InternalConsistencyError(f"segment {kind!r} does not reproduce its declared end")
     return PathSegment(kind, clean, start, end)
 

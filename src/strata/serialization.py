@@ -81,7 +81,11 @@ def _is_matrix_obj(value) -> bool:
 
 
 def _numbers(obj: dict, key: str, size: int) -> np.ndarray:
-    """The flat list of ``size`` numbers under ``key``, as floats."""
+    """The flat list of ``size`` finite numbers under ``key``, as floats.
+
+    JSON files may hold NaN and Infinity, which Python's reader accepts;
+    no matrix here can use them.
+    """
     values = obj[key]
     if not isinstance(values, list):
         raise StrataError(f"matrix {key} must be a list")
@@ -90,7 +94,10 @@ def _numbers(obj: dict, key: str, size: int) -> np.ndarray:
         raise StrataError(f"matrix {key} must be a flat list of numbers")
     if values.size != size:
         raise InputError(f"matrix {key} length disagrees with its shape")
-    return values.astype(float, copy=False)
+    values = values.astype(float, copy=False)
+    if not np.isfinite(values).all():
+        raise InputError(f"matrix {key} holds a non-finite number")
+    return values
 
 
 def matrix_from_obj(obj: dict) -> np.ndarray:
@@ -183,7 +190,8 @@ def _segment_from_obj(obj: dict, index: int) -> PathSegment:
             else:
                 payload[key] = matrix_from_obj(value)
         except (StrataError, ValueError) as exc:
-            raise StrataError(f"path segment {index} field {key!r}: {exc}") from None
+            error = type(exc) if isinstance(exc, StrataError) else StrataError
+            raise error(f"path segment {index} field {key!r}: {exc}") from None
     try:
         kind, start, end = obj["kind"], payload.pop("start"), payload.pop("end")
     except KeyError as exc:
@@ -305,13 +313,13 @@ def instance_from_obj(obj: dict) -> dict:
         raise StrataError("an instance file must hold a JSON object")
     payload = {}
     for key, value in obj.items():
+        payload[key] = value
         if _is_matrix_obj(value):
-            if value.get("subspace"):
-                payload[key] = subspace_from_obj(value)
-            else:
-                payload[key] = matrix_from_obj(value)
-        else:
-            payload[key] = value
+            decode = subspace_from_obj if value.get("subspace") else matrix_from_obj
+            try:
+                payload[key] = decode(value)
+            except StrataError as exc:
+                raise type(exc)(f"instance field {key!r}: {exc}") from None
     return payload
 
 

@@ -42,10 +42,12 @@ def maxabs(a) -> float:
 
 
 def as_matrix(a) -> np.ndarray:
-    """Coerce to a 2-d float array, rejecting anything else."""
+    """Coerce to a 2-d float array of finite numbers, rejecting anything else."""
     m = np.asarray(a, dtype=float)
     if m.ndim != 2:
         raise InputError(f"expected a 2-d array, got shape {m.shape}")
+    if not np.isfinite(m).all():
+        raise InputError("matrix holds a non-finite number")
     return m
 
 

@@ -45,6 +45,7 @@ from strata.subspaces import (
     ANGLE_TOL,
     DEFAULT_TOL,
     ToleranceConfig,
+    _factor,
     is_direct_sum,
     maxabs,
     rank_from_singular_values,
@@ -242,10 +243,19 @@ def _assert_audit_matches_reference(path, s_spec, grid):
 
 
 def _reference_records(path, expected_k, grid, membership=None, tol=DEFAULT_TOL):
-    """The certifier's per-sample loop, one sample at a time: records and failures."""
+    """The certifier's per-sample loop, one sample at a time: records and failures.
+
+    With membership checks the rank columns come from each sample's full
+    SVD, the one its kernel and range are cut from; without, from its
+    singular values alone.
+    """
+    checked = membership is not None and membership.any()
     samples = sample_parameters(path, grid)
     values = eval_path_batch(path, samples)
-    svals = np.linalg.svd(values, compute_uv=False)
+    if checked:
+        svals = [_factor(w, tol)[2][1] for w in values]
+    else:
+        svals = np.linalg.svd(values, compute_uv=False)
     eps = np.finfo(float).eps
     records = []
     failures = set()
@@ -258,7 +268,7 @@ def _reference_records(path, expected_k, grid, membership=None, tol=DEFAULT_TOL)
         gap_ok = expected_k == 0 or (sigma_k / floor >= SIGMA_GAP_MIN)
         ok = rank == expected_k and gap_ok
         residuals = None
-        if membership is not None and membership.any():
+        if checked:
             checks = _membership_checks(w, membership, tol)
             residuals = {name: value for name, (value, _) in checks.items()}
             ok = ok and all(passed for _, passed in checks.values())
@@ -521,6 +531,29 @@ class TestMembershipReference:
         # the per-sample loop made 6007 (2003 in numpy, 4004 in scipy)
         assert calls["svd"] <= 100, calls
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_each_sample_factored_once(self, monkeypatch, workers):
+        # a 7x5 leg: no direct-sum or angle matrix has the samples' shape
+        monkeypatch.setattr(certify_module, "WORKERS", workers)
+        monkeypatch.setattr(certify_module, "CHUNK_BYTES", 1 << 15)
+        rng = np.random.default_rng(11)
+        path, ker, n_sub, _ = _project_path(rng, "left", 7, 5, 3, 11)
+        spec = MembershipSpec(n_sub, _complement(rng, ker), ker)
+        factored = []
+        original = np.linalg.svd
+
+        def recorded(a, *args, **kwargs):
+            if np.shape(a)[-2:] == path.shape:
+                factored.append(np.shape(a)[:-2])
+            return original(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", recorded)
+        cert = certify_path(path, 3, grid=1001, membership=spec)
+        assert cert.verdict == "pass" and cert.grid_size == 1001
+        # the samples go in stacks, each sample in exactly one
+        assert len(factored) > 2 and all(len(shape) == 1 for shape in factored)
+        assert sum(shape[0] for shape in factored) == 1001
+
     @pytest.mark.parametrize(
         "spec, field",
         [
@@ -756,10 +789,11 @@ class TestWorkers:
 
         monkeypatch.setattr(np.linalg, "svd", recorded)
         assert certify_path(path, 10, grid=1001, membership=spec).verdict == "pass"
-        # 11 chunks of 100 samples, 6 SVDs each (rank; kernels and ranges;
-        # direct sum; kernel bases, cosines and sines of the angles), and one
-        # of the expected kernel's basis, where every chunk took one of it
-        assert calls["svd"] == 1 + 11 * 6 and sum(of_basis) == 1
+        # 11 chunks of 100 samples, 5 SVDs each (rank, kernels and ranges
+        # from one; direct sum; kernel bases, cosines and sines of the
+        # angles), and one of the expected kernel's basis, where every chunk
+        # took one of it
+        assert calls["svd"] == 1 + 11 * 5 and sum(of_basis) == 1
         calls.clear()
         of_basis.clear()
         audit_flip_path(path, (ker, n_sub), grid=1001)
@@ -786,18 +820,18 @@ class TestBlasThreads:
         monkeypatch.setattr(certify_module, "WORKERS", 2)
 
     def _spy(self, monkeypatch, get, fail=lambda: False):
-        """Record OpenBLAS's thread count in every chunk's rank step; raise
+        """Record OpenBLAS's thread count in every chunk's factorization; raise
         RuntimeError in the chunks where ``fail()`` holds."""
         seen = []
-        rank_columns = certify_module._rank_columns
+        columns = certify_module._columns
 
-        def spied(*args):
+        def spied(*args, **kwargs):
             seen.append(get())
             if fail():
                 raise RuntimeError("chunk failed")
-            return rank_columns(*args)
+            return columns(*args, **kwargs)
 
-        monkeypatch.setattr(certify_module, "_rank_columns", spied)
+        monkeypatch.setattr(certify_module, "_columns", spied)
         return seen
 
     def test_held_at_one_and_restored(self, blas_threads, monkeypatch):

@@ -352,3 +352,57 @@ class TestOtherCommands:
         out = tmp_path / "basis.json"
         assert run(["tangent", "--in", t, "--out", out]) == 0
         assert json.loads(out.read_text())["k"] == 1
+
+
+class TestNonFiniteInput:
+    """A NaN or an infinity in a matrix of an input file: exit 4, the field
+    named, no output file.  Python's JSON reader takes both tokens."""
+
+    @staticmethod
+    def write(path, obj):
+        path.write_text(json.dumps(obj, allow_nan=True))
+        return path
+
+    @pytest.mark.parametrize("bad", [float("inf"), float("nan")], ids=["inf", "nan"])
+    @pytest.mark.parametrize("field", ["start", "end", "b"])
+    def test_certify(self, tmp_path, capsys, bad, field):
+        obj = TestOtherCommands.affine_path_obj()
+        obj["segments"][0][field]["data"][3] = bad
+        cert = tmp_path / "cert.json"
+        path = self.write(tmp_path / "path.json", obj)
+        assert run(["certify", "--path", path, "--k", 1, "--samples", 11, "--out", cert]) == 4
+        err = capsys.readouterr().err
+        assert f"segment 0 field {field!r}: matrix data holds a non-finite number" in err
+        assert not cert.exists()
+
+    def test_certify_membership(self, tmp_path, capsys):
+        path, cert = tmp_path / "path.json", tmp_path / "cert.json"
+        ser.save_json(TestOtherCommands.affine_path_obj(), path)
+        line = {"rows": 2, "cols": 1, "data": [1.0, float("inf")], "subspace": True}
+        member = self.write(tmp_path / "member.json", {"kernel_equals": line})
+        code = run(["certify", "--path", path, "--k", 1, "--samples", 11,
+                    "--membership", member, "--out", cert])
+        assert code == 4
+        assert "'kernel_equals': matrix data holds a non-finite number" in capsys.readouterr().err
+        assert not cert.exists()
+
+    @pytest.mark.parametrize("bad", [float("inf"), float("-inf"), float("nan")])
+    def test_connect(self, tmp_path, capsys, bad):
+        pair = ser.instance_to_obj({"kind": "fk-pair", "T1": np.eye(2), "T2": np.eye(2)})
+        pair["T2"]["data"][0] = bad
+        out = tmp_path / "path.json"
+        code = run(["connect", "--in", self.write(tmp_path / "pair.json", pair),
+                    "--mode", "fk", "--out", out])
+        assert code == 4
+        assert "instance field 'T2': matrix data holds a non-finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["tangent", "flip"])
+    @pytest.mark.parametrize("bad", [float("inf"), float("nan")], ids=["inf", "nan"])
+    def test_matrix_commands(self, tmp_path, capsys, command, bad):
+        x = {"rows": 2, "cols": 2, "data": [1.0, 0.0, 0.0, bad]}
+        matrix = self.write(tmp_path / "x.json", x)
+        out = tmp_path / "out.json"
+        assert run([command, "--in", matrix, "--out", out]) == 4
+        assert "matrix data holds a non-finite number" in capsys.readouterr().err
+        assert not out.exists()

@@ -42,6 +42,7 @@ from strata import (
 from strata.errors import (
     DirectSumError,
     DisconnectedComponentsError,
+    InputError,
     InternalConsistencyError,
     StrataError,
     WitnessError,
@@ -186,6 +187,23 @@ class TestSegmentsAndEval:
             assert not array.flags.writeable and not np.shares_memory(array, z)
             with pytest.raises(ValueError, match="read-only"):
                 array[...] = 0.0
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan], ids=["inf", "nan"])
+    def test_non_finite_arrays_rejected(self, bad):
+        finite, broken = np.eye(2), np.array([[1.0, 0.0], [bad, 1.0]])
+        for payload, start, end, field in (
+            ({"b": finite}, broken, None, "start"),
+            ({"b": broken}, finite, None, "b"),
+            ({"b": finite}, finite, broken, "end"),
+            ({"z": finite, "theta": [bad], "side": "range"}, finite, None, "theta"),
+        ):
+            kind = "rotation" if "z" in payload else "affine"
+            with pytest.raises(InputError, match=f"segment field '{field}' holds a non-finite"):
+                make_segment(kind, payload, start, end)
+        with pytest.raises(InputError, match="non-finite"):
+            connect_fk(finite, broken)
+        with pytest.raises(InputError, match="non-finite"):
+            corrected_flip_path(broken)
 
     def test_forced_midpoints_present(self):
         seg1 = make_segment("affine", {"b": np.ones((1, 1))}, np.zeros((1, 1)))

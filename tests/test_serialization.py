@@ -109,6 +109,29 @@ class TestMatrixFormat:
         with pytest.raises(StrataError):
             ser.matrix_from_obj(obj)
 
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan], ids=["inf", "-inf", "nan"])
+    @pytest.mark.parametrize("key", ["data", "left", "right"])
+    def test_non_finite_number_rejected(self, bad, key):
+        obj = {"rows": 2, "cols": 2, "data": [1.0, 0.0, 0.0, 1.0]}
+        if key != "data":
+            obj = {"rows": 2, "cols": 2, "left": [1.0, 2.0], "right": [3.0, 4.0]}
+        obj[key][1] = bad
+        with pytest.raises(InputError, match=f"matrix {key} holds a non-finite number"):
+            ser.matrix_from_obj(obj)
+
+    def test_non_finite_number_in_a_file_rejected(self):
+        """Python's JSON reader takes NaN, Infinity and out-of-range numbers as floats."""
+        path = ser.path_to_obj(connect_fk(np.diag([1.0, 0.0]), np.diag([0.0, 2.0])))
+        for token in ("NaN", "Infinity", "-Infinity", "1e400"):
+            text = json.dumps(path).replace("2.0", token, 1)
+            with pytest.raises(InputError, match=r"segment \d+ field '\w+': matrix data holds"):
+                ser.path_from_obj(json.loads(text))
+            matrix = f'{{"rows": 1, "cols": 1, "data": [{token}], "subspace": true}}'
+            with pytest.raises(InputError, match="instance field 'T1': matrix data holds"):
+                ser.instance_from_obj(json.loads(f'{{"T1": {matrix}}}'))
+            with pytest.raises(StrataError, match="field 'kernel_equals': matrix data holds"):
+                ser.membership_from_obj(json.loads(f'{{"kernel_equals": {matrix}}}'))
+
     def test_subspace_flag(self):
         s = span([1, 3])
         obj = ser.subspace_to_obj(s)

@@ -18,7 +18,9 @@ from strata import (
     subspaces_equal,
     sum_and_intersection,
 )
-from strata.subspaces import principal_angle_stack, rank_from_singular_values
+from strata.errors import InputError
+from strata.geometry import StratumPoint
+from strata.subspaces import as_matrix, principal_angle_stack, rank_from_singular_values
 from strata.instances import random_subspace
 
 from conftest import span
@@ -66,6 +68,13 @@ class TestRank:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             rank_of(np.zeros((0, 2)))
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan], ids=["inf", "-inf", "nan"])
+    def test_non_finite_rejected(self, bad):
+        a = np.array([[1.0, bad], [0.0, 1.0]])
+        for call in (as_matrix, rank_of, rank_kernel_range, StratumPoint.at):
+            with pytest.raises(InputError, match="non-finite"):
+                call(a)
 
     @given(st_hyp.integers(0, 2**32 - 1))
     @settings(max_examples=40, deadline=None, derandomize=True)
