@@ -11,7 +11,10 @@ checks on a flip path without the rank part.
 Both walk the sample grid one chunk at a time: a chunk is evaluated into
 a buffer that the next chunk reuses, factored with one stacked SVD (of
 the singular values only, when no membership is checked) and reduced to
-named per-sample columns, all read from that one factorization.  A grid
+named per-sample columns, all read from that one factorization.  Each
+direct-sum check and the kernel angle (the largest principal angle
+between a sample's kernel and the expected one) take one more stacked SVD
+per sample rank, of matrices built from that factorization's slices.  A grid
 of more than one chunk is cut into one contiguous stretch per worker
 (``WORKERS``, the usable cores), walked at once, with numpy's and
 scipy's OpenBLAS held to one thread meanwhile.
@@ -40,8 +43,7 @@ from .subspaces import (
     DEFAULT_TOL,
     Subspace,
     ToleranceConfig,
-    _angle_stack,
-    _orth,
+    _largest_angle,
     maxabs,
     rank_from_singular_values,
 )
@@ -184,7 +186,6 @@ def _columns(
     tol: ToleranceConfig,
     expected_k: int | None = None,
     spec: MembershipSpec | None = None,
-    kernel_q: np.ndarray | None = None,
 ) -> dict[str, np.ndarray]:
     """Named per-sample columns of one chunk, all read from one stacked SVD.
 
@@ -195,11 +196,12 @@ def _columns(
     Without checks the SVD takes the singular values only.  With them it is
     a full SVD, whose own singular values give the rank part and the rank
     each sample's kernel and range are cut at.  Samples of equal rank share
-    one stacked SVD per check, and a kernel of the wrong dimension has
-    angle inf to the expected one.  The values equal those of the checks
-    made one sample at a time with ``rank_kernel_range``, ``is_direct_sum``
-    and ``principal_angles``.  ``kernel_q`` is the expected kernel's basis
-    through ``_orth``, taken once per certify or audit by ``_kernel_q``.
+    one stacked SVD per check: the direct sums' condition numbers, and the
+    residuals whose largest singular values are the sines of the kernel
+    angles, measured from the kernels sliced out of the chunk's SVD.  A
+    kernel of the wrong dimension has angle inf to the expected one.  The
+    values equal those of the checks made one sample at a time with
+    ``rank_kernel_range``, ``is_direct_sum`` and ``_largest_angle``.
     """
     count, _, cols = values.shape
     if spec is None:
@@ -232,19 +234,13 @@ def _columns(
                 elif want.dim == 0:
                     value = np.zeros(group.size)
                 else:
-                    value = np.max(_angle_stack(_orth(kernels), kernel_q), axis=-1)
+                    value = _largest_angle(kernels, want.basis)
                 passed = value < ANGLE_TOL
             else:
                 own = u[group, :, :k] if name == "range_complement_cond" else kernels
                 value, passed = _direct_sum_column(own, want, tol)
             out[name][group], out[name + "_ok"][group] = value, passed
     return out
-
-
-def _kernel_q(spec: MembershipSpec) -> np.ndarray | None:
-    """The orthonormal basis the kernel angles are measured against, if any."""
-    want = spec.kernel_equals
-    return _orth(want.basis) if want is not None and want.dim else None
 
 
 def _chunk_samples(shape: tuple[int, int], membership: bool) -> int:
@@ -361,13 +357,12 @@ def certify_path(
         _check_ambient(membership, path.shape)
     spec = membership if membership is not None and membership.any() else None
     samples = sample_parameters(path, grid)
-    kernel_q = _kernel_q(spec) if spec is not None else None
 
     def reduce(values):
         return (
             maxabs(values[0] - path.start),
             maxabs(values[-1] - path.end),
-            _columns(values, tol, expected_k, spec, kernel_q),
+            _columns(values, tol, expected_k, spec),
         )
 
     e0s, e1s, parts = zip(*_walk(path, samples, spec is not None, reduce))
@@ -438,10 +433,9 @@ def audit_flip_path(
     spec = MembershipSpec(range_complement=complement, kernel_equals=expected_kernel)
     _check_ambient(spec, path.shape)
     samples = sample_parameters(path, grid)
-    kernel_q = _kernel_q(spec)
 
     def reduce(values):
-        return maxabs(values) == 0.0, _columns(values, tol, spec=spec, kernel_q=kernel_q)
+        return maxabs(values) == 0.0, _columns(values, tol, spec=spec)
 
     zero, parts = zip(*_walk(path, samples, True, reduce))
     degenerate = all(zero)

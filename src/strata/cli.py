@@ -6,9 +6,10 @@ which is the documented expected outcome.  Every command exits 4 on an
 input it cannot use: a path file with a missing field or an unknown
 segment kind, a `certify --k` outside [0, min(m, n)], an instance file
 without the matrices T1 and T2 that `connect` reads (a `gl` or
-`subspace-pair` file written by `gen`), an instance or membership file
-that is not a JSON object, a matrix in any file holding a NaN or an
-infinity (the error names the field), or a file that cannot be read or
+`subspace-pair` file written by `gen`), an instance or membership file,
+or the instance echo of a path file, that is not a JSON object, a NaN or
+an infinity in any matrix or instance echo (the error names the field),
+a path shape that is not two counts, or a file that cannot be read or
 written.
 The STRATA_TOL environment variable overrides the default relative rank
 tolerance everywhere.  Each command runs with numpy's and scipy's
@@ -64,13 +65,14 @@ def _cmd_connect(args) -> int:
                 "connect needs an fk-pair or phi-pair instance"
             )
     t1, t2 = payload["T1"], payload["T2"]
+    echo = ser.instance_echo(payload)
     if args.mode == "phi":  # kernel dimension and corank are read from t1
         path = connect_phi(t1, t2, tol=tol)
     else:  # "fk" and "chain" name the same construction
         path = connect_fk(t1, t2, tol)
     if args.reverse:
         path = reverse_path(path)
-    ser.save_json(ser.path_to_obj(path, ser.instance_echo(payload)), args.out)
+    ser.save_json(ser.path_to_obj(path, echo), args.out)
     return 0
 
 

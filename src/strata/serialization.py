@@ -215,18 +215,25 @@ def path_to_obj(p: OperatorPath, instance: dict | None = None) -> dict:
 
 
 def path_from_obj(obj: dict) -> OperatorPath:
-    """Load a path; a missing field raises StrataError naming it and its segment."""
+    """Load a path; a missing field raises StrataError naming it and its segment.
+
+    ``shape`` must be a list of two counts, and an ``instance`` echo is
+    checked as ``instance_echo``'s, before any segment is decoded.
+    """
+    if not isinstance(obj, dict):
+        raise StrataError("path is not an object with a shape list")
+    if obj.get("instance") is not None:
+        _checked_echo(obj["instance"])
     try:
-        shape = tuple(int(x) for x in obj["shape"])
-        raw = obj["segments"]
+        shape, raw = obj["shape"], obj["segments"]
     except KeyError as exc:
         raise StrataError(f"path is missing field {exc.args[0]!r}") from None
-    except TypeError:
-        raise StrataError("path is not an object with a shape list") from None
+    if not (isinstance(shape, list) and len(shape) == 2 and all(map(_is_count, shape))):
+        raise StrataError(f"path shape must be a list of two counts, not {shape!r}")
     if not isinstance(raw, list):
         raise StrataError("path segments must be a list")
     segments = tuple(_segment_from_obj(s, i) for i, s in enumerate(raw))
-    return OperatorPath(segments, shape)
+    return OperatorPath(segments, tuple(shape))
 
 
 def tangent_basis_to_obj(tb: TangentBasis) -> dict:
@@ -323,11 +330,34 @@ def instance_from_obj(obj: dict) -> dict:
     return payload
 
 
+def _has_non_finite(value) -> bool:
+    """Whether a JSON value holds a NaN or an infinity, at any depth."""
+    if isinstance(value, dict):
+        value = list(value.values())
+    if isinstance(value, list):
+        return any(map(_has_non_finite, value))
+    return isinstance(value, float) and not math.isfinite(value)
+
+
+def _checked_echo(echo) -> dict:
+    """``echo`` itself, once known to be a JSON object of finite numbers.
+
+    A path file and its certificate repeat the echo, and strict JSON holds
+    no NaN or infinity, so one raises InputError naming its field.
+    """
+    if not isinstance(echo, dict):
+        raise StrataError("an instance echo must be a JSON object")
+    for key, value in echo.items():
+        if _has_non_finite(value):
+            raise InputError(f"instance field {key!r} holds a non-finite number")
+    return echo
+
+
 def instance_echo(payload: dict) -> dict:
-    """The scalar part of an instance payload, for certificate embedding."""
-    return {
-        key: payload[key] for key in ("kind", "m", "n", "k", "seed") if key in payload
-    }
+    """The scalar part of an instance payload, for embedding in a path file."""
+    return _checked_echo(
+        {key: payload[key] for key in ("kind", "m", "n", "k", "seed") if key in payload}
+    )
 
 
 def membership_from_obj(obj: dict):

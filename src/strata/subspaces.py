@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
 from .errors import DirectSumError, InputError
 
@@ -79,7 +80,8 @@ class Subspace:
     """A linear subspace of R^n held as an orthonormal basis matrix.
 
     ``basis`` has shape (ambient_dim, dim).  dim == 0 encodes the zero
-    subspace.  Constructing directly requires orthonormal columns; use
+    subspace.  Constructing directly requires orthonormal columns, up to
+    1e-2 * ANGLE_TOL in the Frobenius norm of B^T B - I; use
     :meth:`from_columns` for arbitrary spanning sets.
     """
 
@@ -98,8 +100,9 @@ class Subspace:
         if b.shape[1] > self.ambient_dim:
             raise InputError("subspace dimension exceeds ambient dimension")
         if b.shape[1] > 0:
-            gram = b.T @ b
-            if np.max(np.abs(gram - np.eye(b.shape[1]))) > 1e-8:
+            # the largest-angle rule sees a basis's own span at an angle of
+            # about this defect, which must stay far below ANGLE_TOL
+            if np.linalg.norm(b.T @ b - np.eye(b.shape[1])) > 1e-2 * ANGLE_TOL:
                 raise InputError(
                     "basis columns are not orthonormal; use Subspace.from_columns"
                 )
@@ -341,78 +344,40 @@ def common_complement(
     return Subspace.from_columns(cols, tol)
 
 
-def _orth(a: np.ndarray) -> np.ndarray:
-    """Orthonormal bases of the column spaces of a stack, as ``scipy.linalg.orth``.
+def _largest_angle(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Largest principal angle between the column space of each a[i] and that of b.
 
-    Left singular vectors above eps * max(M, N) * s_max, each matrix in
-    Fortran order as LAPACK returns it to scipy (``np.dot`` rounds by the
-    layout of a one-column operand).  The cut must keep the same number of
-    columns in every matrix of the stack; for the orthonormal bases of
-    ``Subspace`` it keeps them all.
+    ``a`` is a stack (S, n, d) of orthonormal bases and ``b`` one (n, d)
+    orthonormal basis, with d > 0.  The sine of the largest angle is the
+    largest singular value of ``b - a[i] a[i]^T b``, the part of b outside
+    a[i] (Bjorck & Golub 1973): accurate for angles near zero, and free of
+    scale.  Shape (S,).
     """
-    u, s, vh = np.linalg.svd(a, full_matrices=False)
-    rcond = np.finfo(s.dtype).eps * max(u.shape[-2], vh.shape[-1])
-    cut = np.amax(s, axis=-1, initial=0.0, keepdims=True) * rcond
-    counts = np.sum(s > cut, axis=-1)
-    num = int(np.max(counts))
-    if np.any(counts != num):
-        raise InputError("every basis of a stack must have the same numerical rank")
-    return np.swapaxes(np.swapaxes(u[..., :num], -1, -2).copy(), -1, -2)
-
-
-def principal_angle_stack(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Principal angles between the column spaces of a[i] and b, for each i.
-
-    ``a`` is a stack (S, n, p) of bases and ``b`` one (n, q) basis or a
-    stack of them.  These are the steps of ``scipy.linalg.subspace_angles``
-    (Bjorck & Golub 1973, Knyazev & Argentati 2002) taken over the whole
-    stack, so row i equals scipy's angles for that pair bit for bit,
-    in scipy's order: cosines from the singular values of qa.T qb, and
-    where a cosine squared reaches 1/2, sines from the singular values of
-    the residual of the wider basis.  Shape (S, min(p, q)).
-    """
-    return _angle_stack(_orth(a), _orth(b))
-
-
-def _angle_stack(qa: np.ndarray, qb: np.ndarray) -> np.ndarray:
-    """``principal_angle_stack`` of bases already through ``_orth``."""
-    qb = np.broadcast_to(qb, qa.shape[:1] + qb.shape[-2:])
-    # one np.dot per pair, as scipy does: when a basis has one column, a
-    # stacked matmul picks another BLAS kernel and rounds differently
-    cross = np.stack([np.dot(x.T, y) for x, y in zip(qa, qb)])
-    sigma = np.linalg.svd(cross, compute_uv=False)
-    if qa.shape[-1] >= qb.shape[-1]:
-        resid = qb - np.stack([np.dot(x, c) for x, c in zip(qa, cross)])
-    else:
-        resid = qa - np.stack([np.dot(y, c.T) for y, c in zip(qb, cross)])
-    mask = sigma**2 >= 0.5
-    sines = np.zeros(sigma.shape)
-    need = mask.any(axis=-1)  # scipy takes the sine SVD only when some cosine asks for it
-    if need.any():
-        sines[need] = np.arcsin(np.clip(np.linalg.svd(resid[need], compute_uv=False), -1.0, 1.0))
-    return np.where(mask, sines, np.arccos(np.clip(sigma[..., ::-1], -1.0, 1.0)))
+    resid = b - a @ (np.swapaxes(a, -1, -2) @ b)
+    return np.arcsin(np.minimum(1.0, np.linalg.svd(resid, compute_uv=False)[:, 0]))
 
 
 def principal_angles(a: Subspace, b: Subspace) -> np.ndarray:
     """Canonical angles between two subspaces, ascending, in radians.
 
-    Uses the sine-based formulation for small angles, so angles near zero
-    keep full precision instead of the sqrt(eps) floor of plain arccos.
+    ``scipy.linalg.subspace_angles``, sorted: sines for the small angles,
+    so they keep full precision instead of the sqrt(eps) floor of plain
+    arccos.
     """
     if a.ambient_dim != b.ambient_dim:
         raise InputError("ambient dimension mismatch")
     if a.dim == 0 or b.dim == 0:
         return np.zeros(0)
-    return np.sort(principal_angle_stack(a.basis[None], b.basis)[0])
+    return np.sort(scipy.linalg.subspace_angles(a.basis, b.basis))
 
 
 def subspaces_equal(a: Subspace, b: Subspace) -> bool:
-    """Equality up to basis choice: equal dimensions and all angles below ANGLE_TOL."""
+    """Equality up to basis choice: equal dimensions and the largest angle below ANGLE_TOL."""
     if a.ambient_dim != b.ambient_dim or a.dim != b.dim:
         return False
     if a.dim == 0:
         return True
-    return float(np.max(principal_angles(a, b))) < ANGLE_TOL
+    return float(_largest_angle(a.basis[None], b.basis)[0]) < ANGLE_TOL
 
 
 def require_direct_sum(parts, tol: ToleranceConfig, what: str) -> DirectSumCheck:

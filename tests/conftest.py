@@ -2,9 +2,11 @@ from collections import Counter
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from strata import GraphParam, StratumPoint, Subspace, is_direct_sum, tangent_basis
 from strata.instances import random_subspace
+from strata.subspaces import ANGLE_TOL
 
 
 @pytest.fixture
@@ -34,6 +36,16 @@ def random_flip_instance(rng):
 
 def span(*vectors):
     return Subspace.span(*vectors)
+
+
+def assert_largest_angle_near_scipy(got: float, a: np.ndarray, b: np.ndarray) -> None:
+    """``got``, the largest angle between the spans of bases a and b, against
+    scipy's: within 1e-12 rad below 1.5 rad, on the same side of ANGLE_TOL
+    everywhere."""
+    want = float(np.max(scipy.linalg.subspace_angles(a, b)))
+    if want < 1.5:
+        assert abs(got - want) <= 1e-12, (got, want)
+    assert (got < ANGLE_TOL) == (want < ANGLE_TOL), (got, want)
 
 
 def count_factorizations(monkeypatch):

@@ -46,13 +46,20 @@ from strata.subspaces import (
     DEFAULT_TOL,
     ToleranceConfig,
     _factor,
+    _largest_angle,
     is_direct_sum,
     maxabs,
     rank_from_singular_values,
     rank_kernel_range,
 )
 
-from conftest import count_factorizations, random_flip_instance, random_split, span
+from conftest import (
+    assert_largest_angle_near_scipy,
+    count_factorizations,
+    random_flip_instance,
+    random_split,
+    span,
+)
 
 
 def tilt(e_star, r, ambient):
@@ -163,20 +170,14 @@ class TestCertify:
         assert cert.verdict == "fail"
 
 
-def principal_angles(a, b):
-    """scipy's angles, sorted: the oracle of the library's stacked ones."""
-    if a.dim == 0 or b.dim == 0:
-        return np.zeros(0)
-    return np.sort(scipy.linalg.subspace_angles(a.basis, b.basis))
-
-
 def _membership_checks(
     w: np.ndarray, spec: MembershipSpec, tol: ToleranceConfig
 ) -> dict[str, tuple[float, bool]]:
     """Residual and pass flag of each check ``spec`` asks for, at one sample.
 
     The sample's kernel and range come from one SVD.  A kernel of the wrong
-    dimension has angle inf to the expected one.
+    dimension has angle inf to the expected one; any other angle is the
+    largest one, checked against scipy's.
     """
     _, ker, rng = rank_kernel_range(w, tol)
     out = {}
@@ -193,7 +194,8 @@ def _membership_checks(
         elif ker.dim == 0:
             angle = 0.0
         else:
-            angle = float(np.max(principal_angles(ker, want)))
+            angle = float(_largest_angle(ker.basis[None], want.basis)[0])
+            assert_largest_angle_near_scipy(angle, ker.basis, want.basis)
         out["kernel_angle"] = (angle, angle < ANGLE_TOL)
     return out
 
@@ -774,7 +776,7 @@ class TestWorkers:
             sys.setswitchinterval(interval)
         assert walked == [whole] * 3
 
-    def test_kernel_basis_orthonormalized_once(self, monkeypatch):
+    def test_three_svds_per_chunk(self, monkeypatch):
         monkeypatch.setattr(certify_module, "WORKERS", 1)
         rng = np.random.default_rng(8)
         path, ker, n_sub, _ = _project_path(rng, "left", 20, 20, 10, 8)
@@ -784,20 +786,21 @@ class TestWorkers:
         of_basis = []
 
         def recorded(a, *args, **kwargs):
-            of_basis.append(a.shape == ker.basis.shape and np.array_equal(a, ker.basis))
+            if np.shape(a)[-2:] == ker.basis.shape:
+                stack = np.reshape(a, (-1, *ker.basis.shape))
+                of_basis.append(any(np.array_equal(m, ker.basis) for m in stack))
             return counted(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "svd", recorded)
         assert certify_path(path, 10, grid=1001, membership=spec).verdict == "pass"
-        # 11 chunks of 100 samples, 5 SVDs each (rank, kernels and ranges
-        # from one; direct sum; kernel bases, cosines and sines of the
-        # angles), and one of the expected kernel's basis, where every chunk
-        # took one of it
-        assert calls["svd"] == 1 + 11 * 5 and sum(of_basis) == 1
+        # 11 chunks of 100 samples, 3 SVDs each: rank, kernels and ranges
+        # from one; the direct sums; the residuals of the kernel angles.
+        # The expected kernel's basis is never factored
+        assert calls["svd"] == 11 * 3 and not any(of_basis)
         calls.clear()
         of_basis.clear()
         audit_flip_path(path, (ker, n_sub), grid=1001)
-        assert calls["svd"] == 1 + 11 * 5 and sum(of_basis) == 1
+        assert calls["svd"] == 11 * 3 and not any(of_basis)
 
 
 @pytest.fixture

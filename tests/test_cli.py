@@ -5,6 +5,7 @@ import pytest
 
 from strata import OperatorPath, Subspace, audit_flip_path, constant_path, make_segment
 from strata import certify as certify_module
+from strata import cli as cli_module
 from strata.cli import main
 from strata import serialization as ser
 
@@ -395,6 +396,44 @@ class TestNonFiniteInput:
                     "--mode", "fk", "--out", out])
         assert code == 4
         assert "instance field 'T2': matrix data holds a non-finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    @staticmethod
+    def forbid(monkeypatch, name):
+        def forbidden(*args, **kwargs):
+            raise AssertionError(f"{name} ran on an input it should have refused")
+
+        monkeypatch.setattr(cli_module, name, forbidden)
+
+    @pytest.mark.parametrize(
+        "instance, message",
+        [
+            ({"kind": "fk-pair", "seed": float("inf")}, "instance field 'seed' holds a non-finite"),
+            ({"kind": "fk-pair", "seed": float("nan")}, "instance field 'seed' holds a non-finite"),
+            ([1, 2], "instance echo must be a JSON object"),
+        ],
+        ids=["inf", "nan", "list"],
+    )
+    def test_certify_instance_echo(self, tmp_path, capsys, monkeypatch, instance, message):
+        self.forbid(monkeypatch, "certify_path")
+        obj = {**TestOtherCommands.affine_path_obj(), "instance": instance}
+        cert = tmp_path / "cert.json"
+        path = self.write(tmp_path / "path.json", obj)
+        assert run(["certify", "--path", path, "--k", 1, "--samples", 11, "--out", cert]) == 4
+        assert message in capsys.readouterr().err
+        assert not cert.exists()
+
+    @pytest.mark.parametrize("bad", [float("inf"), float("nan")], ids=["inf", "nan"])
+    def test_connect_instance_echo(self, tmp_path, capsys, monkeypatch, bad):
+        self.forbid(monkeypatch, "connect_fk")
+        pair = ser.instance_to_obj(
+            {"kind": "fk-pair", "seed": bad, "T1": np.eye(2), "T2": np.eye(2)}
+        )
+        out = tmp_path / "path.json"
+        code = run(["connect", "--in", self.write(tmp_path / "pair.json", pair),
+                    "--mode", "fk", "--out", out])
+        assert code == 4
+        assert "instance field 'seed' holds a non-finite number" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["tangent", "flip"])

@@ -14,6 +14,7 @@ from strata import (
     StratumPoint,
     Subspace,
     connect_fk,
+    constant_path,
     discover_chain,
     eval_path,
     gl_connect,
@@ -224,6 +225,14 @@ class TestPathFormat:
                                                  "right": list(right)}}
         back = ser.path_from_obj({**obj, "segments": [first, *obj["segments"][1:]]})
         assert ser.path_to_obj(back) == obj
+
+    @pytest.mark.parametrize(
+        "shape", [[3.9, 3.2], ["3", "3"], [3, "x"]], ids=["floats", "strings", "non-number"]
+    )
+    def test_shape_must_be_two_counts(self, shape):
+        obj = ser.path_to_obj(constant_path(np.eye(3)))
+        with pytest.raises(StrataError, match="path shape must be a list of two counts"):
+            ser.path_from_obj({**obj, "shape": shape})
 
 
 class TestInstancePayload:

@@ -20,10 +20,10 @@ from strata import (
 )
 from strata.errors import InputError
 from strata.geometry import StratumPoint
-from strata.subspaces import as_matrix, principal_angle_stack, rank_from_singular_values
+from strata.subspaces import ANGLE_TOL, _largest_angle, as_matrix, rank_from_singular_values
 from strata.instances import random_subspace
 
-from conftest import span
+from conftest import assert_largest_angle_near_scipy, span
 
 
 def elimination_rank(rows, tol=1e-9):
@@ -330,6 +330,14 @@ class TestSubspaceType:
     def test_direct_ctor_wants_orthonormal(self):
         with pytest.raises(ValueError):
             Subspace(2, np.array([[1.0, 1.0], [0.0, 1.0]]))
+        # ten columns with pairwise inner products 9e-9: the largest-angle
+        # rule would read their span at 8.1e-8 rad from itself
+        q = np.linalg.qr(np.random.default_rng(0).standard_normal((20, 10)))[0]
+        skew = np.full((10, 10), 4.5e-9) + (1.0 - 4.5e-9) * np.eye(10)
+        with pytest.raises(InputError, match="not orthonormal"):
+            Subspace(20, q @ skew)
+        near = Subspace(20, q @ (np.full((10, 10), 1e-13) + (1.0 - 1e-13) * np.eye(10)))
+        assert subspaces_equal(near, near) and subspaces_equal(near, Subspace(20, q))
 
     def test_dim_cannot_exceed_ambient(self):
         with pytest.raises(ValueError):
@@ -365,23 +373,35 @@ def _angle_cases(rng, n):
 
 
 class TestPrincipalAngles:
-    """The stacked angles are scipy.linalg.subspace_angles, bit for bit."""
+    """principal_angles is scipy.linalg.subspace_angles sorted; the largest
+    angle of the kernel checks agrees with scipy's to rounding."""
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_equals_scipy_exactly(self, n):
         rng = np.random.default_rng(600 + n)
+        for stack, b in _angle_cases(rng, n):
+            for a in stack:
+                assert np.array_equal(
+                    principal_angles(Subspace(n, a), Subspace(n, b)),
+                    np.sort(scipy.linalg.subspace_angles(a, b)),
+                )
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_largest_angle_against_scipy(self, n):
+        rng = np.random.default_rng(600 + n)
         kinds = set()
         for stack, b in _angle_cases(rng, n):
-            got = principal_angle_stack(stack, b)
-            for a, row in zip(stack, got):
-                want = scipy.linalg.subspace_angles(a, b)
-                assert np.array_equal(row, want)
-                assert np.array_equal(
-                    principal_angles(Subspace(n, a), Subspace(n, b)), np.sort(want)
-                )
-                if want.max() < 1e-8:
+            if stack.shape[-1] != b.shape[-1]:
+                continue  # the largest angle compares subspaces of one dimension
+            got = _largest_angle(stack, b)
+            assert got.shape == (len(stack),)
+            for a, angle in zip(stack, got):
+                assert_largest_angle_near_scipy(float(angle), a, b)
+                # a stack of one gives the same bits as its place in a longer stack
+                assert _largest_angle(a[None], b)[0] == angle
+                if angle < ANGLE_TOL:
                     kinds.add("near")
-                elif want.min() > np.pi / 2 - 1e-12:
+                elif angle > np.pi / 2 - 1e-7:  # arcsin keeps sqrt(eps) near 1
                     kinds.add("orthogonal")
         assert "near" in kinds and ("orthogonal" in kinds or n == 1)
 
