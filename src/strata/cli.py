@@ -8,9 +8,9 @@ segment kind, a `certify --k` outside [0, min(m, n)], an instance file
 without the matrices T1 and T2 that `connect` reads (a `gl` or
 `subspace-pair` file written by `gen`), an instance or membership file,
 or the instance echo of a path file, that is not a JSON object, a NaN or
-an infinity in any matrix or instance echo (the error names the field),
-a path shape that is not two counts, or a file that cannot be read or
-written.
+an infinity in any matrix or instance echo, or rank-one factors whose
+product overflows (the error names the field), a path shape that is not
+two counts, or a file that cannot be read or written.
 The STRATA_TOL environment variable overrides the default relative rank
 tolerance everywhere.  Each command runs with numpy's and scipy's
 OpenBLAS held to one thread, so the files it writes do not depend on the

@@ -436,6 +436,31 @@ class TestNonFiniteInput:
         assert "instance field 'seed' holds a non-finite number" in capsys.readouterr().err
         assert not out.exists()
 
+    OVERFLOW = {"rows": 2, "cols": 2, "left": [1e200, 1.0], "right": [1e200, 1.0]}
+
+    @pytest.mark.filterwarnings("error")
+    def test_tangent_factors_that_overflow(self, tmp_path, capsys):
+        """Finite rank-one factors whose product is infinite: exit 4, no numpy warning."""
+        out = tmp_path / "basis.json"
+        assert run(["tangent", "--in", self.write(tmp_path / "x.json", self.OVERFLOW),
+                    "--out", out]) == 4
+        err = capsys.readouterr().err
+        assert "matrix left and right multiply to a non-finite number" in err
+        assert "Warning" not in err
+        assert not out.exists()
+
+    @pytest.mark.filterwarnings("error")
+    def test_connect_factors_that_overflow(self, tmp_path, capsys):
+        pair = {"kind": "fk-pair", "T1": self.OVERFLOW, "T2": ser.matrix_to_obj(np.eye(2))}
+        out = tmp_path / "path.json"
+        code = run(["connect", "--in", self.write(tmp_path / "pair.json", pair),
+                    "--mode", "fk", "--out", out])
+        assert code == 4
+        err = capsys.readouterr().err
+        assert "instance field 'T1': matrix left and right multiply to a non-finite" in err
+        assert "Warning" not in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["tangent", "flip"])
     @pytest.mark.parametrize("bad", [float("inf"), float("nan")], ids=["inf", "nan"])
     def test_matrix_commands(self, tmp_path, capsys, command, bad):

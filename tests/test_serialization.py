@@ -11,6 +11,7 @@ from hypothesis import strategies as st_hyp
 
 from strata import (
     GraphParam,
+    OperatorPath,
     StratumPoint,
     Subspace,
     connect_fk,
@@ -18,6 +19,8 @@ from strata import (
     discover_chain,
     eval_path,
     gl_connect,
+    make_segment,
+    reverse_path,
     tangent_basis,
 )
 from strata import serialization as ser
@@ -119,6 +122,18 @@ class TestMatrixFormat:
         obj[key][1] = bad
         with pytest.raises(InputError, match=f"matrix {key} holds a non-finite number"):
             ser.matrix_from_obj(obj)
+
+    @pytest.mark.filterwarnings("error")
+    def test_rank_one_product_that_overflows_rejected(self):
+        """Finite factors whose outer product overflows: InputError, and no numpy warning."""
+        obj = {"rows": 2, "cols": 2, "left": [1e200, 1.0], "right": [1e200, 1.0]}
+        with pytest.raises(InputError, match="matrix left and right multiply to a non-finite"):
+            ser.matrix_from_obj(obj)
+        with pytest.raises(InputError, match="instance field 'T1': matrix left and right"):
+            ser.instance_from_obj({"kind": "fk-pair", "T1": obj})
+        # the largest product that still rounds to a finite number decodes
+        near = {"rows": 1, "cols": 2, "left": [1e154], "right": [1e154, -1.0]}
+        assert np.isfinite(ser.matrix_from_obj(near)).all()
 
     def test_non_finite_number_in_a_file_rejected(self):
         """Python's JSON reader takes NaN, Infinity and out-of-range numbers as floats."""
@@ -226,6 +241,28 @@ class TestPathFormat:
         back = ser.path_from_obj({**obj, "segments": [first, *obj["segments"][1:]]})
         assert ser.path_to_obj(back) == obj
 
+    def test_joins_share_the_data_list(self, rng):
+        """Each leg's start is the previous leg's end bit for bit, and shares its data list."""
+        t1 = rng.uniform(-1, 1, (5, 3)) @ rng.uniform(-1, 1, (3, 4))
+        t2 = rng.uniform(-1, 1, (5, 3)) @ rng.uniform(-1, 1, (3, 4))
+        for p in (connect_fk(t1, t2), reverse_path(connect_fk(t1, t2))):
+            segments = ser.path_to_obj(p)["segments"]
+            assert len(segments) >= 3
+            for before, seg in zip(segments, segments[1:]):
+                assert seg["start"]["data"] is before["end"]["data"]
+                assert seg["start"] is not before["end"]
+            assert ser.path_to_obj(ser.path_from_obj(json.loads(json.dumps(
+                ser.path_to_obj(p))))) == ser.path_to_obj(p)
+
+    def test_join_shared_only_when_bits_agree(self):
+        """A start that equals the previous end only up to the sign of a zero keeps its own list."""
+        a = np.array([[1.0, 0.0], [0.0, 0.0]])
+        first = make_segment("affine", {"b": np.zeros((2, 2))}, a)
+        second = make_segment("affine", {"b": np.eye(2)}, np.array([[1.0, -0.0], [0.0, 0.0]]))
+        segments = ser.path_to_obj(OperatorPath((first, second), (2, 2)))["segments"]
+        assert segments[1]["start"]["data"] is not segments[0]["end"]["data"]
+        assert math.copysign(1.0, segments[1]["start"]["data"][1]) < 0
+
     @pytest.mark.parametrize(
         "shape", [[3.9, 3.2], ["3", "3"], [3, "x"]], ids=["floats", "strings", "non-number"]
     )
@@ -275,6 +312,14 @@ class TestWitness:
         assert back.kernel_complements[0].dim == w.kernel_complements[0].dim
 
 
+def _point_40x30(seed=0) -> StratumPoint:
+    """A 40x30 rank-15 point, as the tangent benchmark draws its largest shape."""
+    rng = np.random.default_rng(seed)
+    u, _ = np.linalg.qr(rng.standard_normal((40, 15)))
+    v, _ = np.linalg.qr(rng.standard_normal((30, 15)))
+    return StratumPoint.at(u @ np.diag(rng.uniform(0.5, 1.5, 15)) @ v.T)
+
+
 class TestTangentFormat:
     def test_schema(self):
         tb = tangent_basis(StratumPoint.at(np.array([[1.0, 0.0], [0.0, 0.0]])))
@@ -291,12 +336,20 @@ class TestTangentFormat:
         for old, new in zip(dense, rank_one, strict=True):
             assert ser.matrix_from_obj(old).tobytes() == ser.matrix_from_obj(new).tobytes()
 
+    def test_equal_factor_rows_share_one_list(self):
+        """At 40x30 rank 15 the 1,650 factor lists are 85 list objects: rows + k + cols."""
+        tb = tangent_basis(_point_40x30())
+        obj = ser.tangent_basis_to_obj(tb)
+        lefts = [b["left"] for b in obj["basis"]]
+        rights = [b["right"] for b in obj["basis"]]
+        assert len(lefts) + len(rights) == 1650
+        assert len({id(x) for x in lefts}) == 40 + 15
+        assert len({id(x) for x in rights}) == 15 + 15
+        assert lefts == (tb.left + 0.0).tolist() and rights == (tb.right + 0.0).tolist()
+
     def test_file_object_memory_at_40x30(self):
         """Basis and file object of a 40x30 rank-15 point, without the 7.9 MB dense stack."""
-        rng = np.random.default_rng(0)
-        u, _ = np.linalg.qr(rng.standard_normal((40, 15)))
-        v, _ = np.linalg.qr(rng.standard_normal((30, 15)))
-        x = StratumPoint.at(u @ np.diag(rng.uniform(0.5, 1.5, 15)) @ v.T)
+        x = _point_40x30()
         tracemalloc.start()
         try:
             obj = ser.tangent_basis_to_obj(tangent_basis(x))
@@ -349,6 +402,27 @@ json_values = st_hyp.recursive(
 )
 
 
+SMALL_CHUNK = 4  # the writer's chunk while shared_float_docs are written
+
+
+@st_hyp.composite
+def shared_float_docs(draw):
+    """A document that holds one float list object at two depths, beside an equal-valued
+    twin that differs in the sign of its zeros; the list is often longer than a chunk."""
+    values = draw(st_hyp.lists(finite_floats, min_size=1, max_size=3 * SMALL_CHUNK)) + [0.0]
+    shared = values if draw(st_hyp.booleans()) else tuple(values)
+    twin = [-x if x == 0.0 else x for x in values]
+    tree = draw(
+        st_hyp.recursive(
+            json_scalars | st_hyp.sampled_from([shared, twin]),
+            lambda inner: st_hyp.lists(inner, max_size=3)
+            | st_hyp.dictionaries(json_text, inner, max_size=3),
+            max_leaves=8,
+        )
+    )
+    return {"shared": shared, "tree": tree, "deeper": [twin, {"shared": [shared]}, shared]}
+
+
 class TestSaveJson:
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(obj=json_values)
@@ -356,6 +430,49 @@ class TestSaveJson:
         out = tmp_path_factory.getbasetemp() / "oracle.json"
         ser.save_json(obj, out)
         assert out.read_bytes() == stdlib_text(obj).encode("ascii")
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(obj=shared_float_docs())
+    def test_shared_lists_match_the_standard_library(self, obj, tmp_path_factory):
+        out = tmp_path_factory.getbasetemp() / "shared.json"
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(ser, "_FLOAT_CHUNK", SMALL_CHUNK)
+            ser.save_json(obj, out)
+        assert out.read_bytes() == stdlib_text(obj).encode("ascii")
+
+    @staticmethod
+    def renders(monkeypatch):
+        """Record the length of every float list the writer renders."""
+        seen = []
+        write_floats = ser._write_floats
+
+        def spied(write, items, *args):
+            seen.append(len(items))
+            return write_floats(write, items, *args)
+
+        monkeypatch.setattr(ser, "_write_floats", spied)
+        return seen
+
+    def test_tangent_renders_each_factor_list_once(self, monkeypatch, tmp_path):
+        """40x30 rank 15: 85 distinct factor lists rendered, not 1,650, plus the point's data."""
+        obj = ser.tangent_basis_to_obj(tangent_basis(_point_40x30()))
+        seen = self.renders(monkeypatch)
+        ser.save_json(obj, tmp_path / "tangent.json")
+        assert sum(len(b["left"]) + len(b["right"]) for b in obj["basis"]) == 57750
+        assert sorted(seen) == sorted([30] * 30 + [40] * 55 + [1200])
+        assert sum(seen) - 1200 == 3100
+        assert (tmp_path / "tangent.json").read_text() == stdlib_text(obj)
+
+    def test_path_renders_each_join_once(self, monkeypatch, tmp_path):
+        """A 3-leg 100x100 connect_fk path: 7 data lists rendered, not 9."""
+        pair = gen_instance(InstanceSpec(m=100, n=100, k=50, seed=1, kind="fk-pair"))
+        obj = ser.path_to_obj(connect_fk(pair["T1"], pair["T2"]))
+        assert len(obj["segments"]) == 3
+        seen = self.renders(monkeypatch)
+        ser.save_json(obj, tmp_path / "path.json")
+        assert seen.count(100 * 100) == 7
+        assert sum(seen) == 7 * 100 * 100 + 100  # and the two theta lists
+        assert (tmp_path / "path.json").read_text() == stdlib_text(obj)
 
     def test_number_list_longer_than_a_chunk(self, tmp_path):
         values = [k / 7.0 for k in range(2 * ser._FLOAT_CHUNK + 3)]
