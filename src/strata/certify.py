@@ -21,6 +21,13 @@ scipy's OpenBLAS held to one thread meanwhile.
 The working memory is set by ``CHUNK_BYTES``, shared by the workers, not
 by the grid size, and the results are those of one sample at a time
 wherever the chunks and stretches split.
+
+The grid is carried as arrays from the sampler to the verdict: its
+(t, segment, local) arrays are cut into stretches and chunks, and the
+verdict and failures are read from the joined columns.  A certificate or
+audit holds its evidence as those columns, one list each; its per-sample
+records (and a certificate's membership residual dicts) are built on
+first read and then kept.
 """
 
 from __future__ import annotations
@@ -31,13 +38,14 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
+from itertools import repeat
 from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg
 
 from .errors import InputError
-from .paths import OperatorPath, eval_path_batch, sample_parameters
+from .paths import OperatorPath, _eval_batch, _integer, _sample_grid
 from .subspaces import (
     ANGLE_TOL,
     DEFAULT_TOL,
@@ -254,19 +262,19 @@ def _chunk_samples(shape: tuple[int, int], membership: bool) -> int:
     return max(1, CHUNK_BYTES // (8 * values))
 
 
-def _chunks(path: OperatorPath, samples: list, step: int):
-    """Evaluate ``samples`` in order, ``step`` at a time.
+def _chunks(path: OperatorPath, segs: np.ndarray, locals_: np.ndarray, step: int):
+    """Evaluate the samples at ``segs`` and ``locals_`` in order, ``step`` at a time.
 
     Yields each chunk's values.  They live in one buffer that the next chunk
     overwrites, so no stack of the whole grid is ever held.
     """
-    buffer = np.empty((min(step, len(samples)),) + path.shape)
-    for lo in range(0, len(samples), step):
-        chunk = samples[lo : lo + step]
-        yield eval_path_batch(path, chunk, buffer[: len(chunk)])
+    buffer = np.empty((min(step, segs.size),) + path.shape)
+    for lo in range(0, segs.size, step):
+        hi = min(lo + step, segs.size)
+        yield _eval_batch(path, segs[lo:hi], locals_[lo:hi], buffer[: hi - lo])
 
 
-def _walk(path: OperatorPath, samples: list, membership: bool, reduce) -> list:
+def _walk(path: OperatorPath, segs: np.ndarray, locals_: np.ndarray, membership: bool, reduce):
     """``reduce`` of each chunk's values, in grid order.
 
     A grid that fits in one chunk runs here alone.  A longer one is cut
@@ -277,12 +285,11 @@ def _walk(path: OperatorPath, samples: list, membership: bool, reduce) -> list:
     exception of any stretch is raised here, once every stretch stopped.
     """
     total = _chunk_samples(path.shape, membership)
-    if len(samples) <= total:
-        return [reduce(values) for values in _chunks(path, samples, total)]
-    workers = min(WORKERS, len(samples))
+    if segs.size <= total:
+        return [reduce(values) for values in _chunks(path, segs, locals_, total)]
+    workers = min(WORKERS, segs.size)
     step = max(1, total // workers)
-    bounds = [len(samples) * i // workers for i in range(workers + 1)]
-    stretches = [samples[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+    bounds = [segs.size * i // workers for i in range(workers + 1)]
     # set up each rotation leg at the process's BLAS thread count, as a
     # first evaluation outside a walk does: OpenBLAS rounds some layouts
     # by its thread count
@@ -290,19 +297,25 @@ def _walk(path: OperatorPath, samples: list, membership: bool, reduce) -> list:
         if seg.kind == "rotation":
             seg._plane_coords
 
-    def stretch(part):
-        return [reduce(values) for values in _chunks(path, part, step)]
+    def stretch(lo, hi):
+        return [reduce(values) for values in _chunks(path, segs[lo:hi], locals_[lo:hi], step)]
 
     # a pool given nothing to do starts no thread
     with _one_blas_thread(), ThreadPoolExecutor(max(1, workers - 1)) as pool:
-        rest = [pool.submit(stretch, part) for part in stretches[1:]]
-        first = stretch(stretches[0])
+        rest = [pool.submit(stretch, lo, hi) for lo, hi in zip(bounds[1:], bounds[2:])]
+        first = stretch(bounds[0], bounds[1])
         return first + [out for future in rest for out in future.result()]
 
 
 def _join(chunks: list[dict]) -> dict[str, np.ndarray]:
     """The columns of consecutive chunks, as columns of the whole grid."""
     return {name: np.concatenate([chunk[name] for chunk in chunks]) for name in chunks[0]}
+
+
+def _rows(columns: dict[str, list]) -> list[dict]:
+    """One dict per sample of equal-length ``columns``, keyed in column order."""
+    names = list(columns)
+    return [dict(zip(names, row)) for row in zip(*columns.values())]
 
 
 class SampleRecord(NamedTuple):
@@ -316,14 +329,91 @@ class SampleRecord(NamedTuple):
     ok: bool
 
 
+def _sample_records(columns: dict) -> tuple[SampleRecord, ...]:
+    """The records of a certificate's columns, residual dicts included."""
+    residuals = columns["membership_residuals"]
+    columns = {
+        **columns,
+        "membership_residuals": repeat(None) if residuals is None else _rows(residuals),
+    }
+    return tuple(map(SampleRecord._make, zip(*(columns[name] for name in SampleRecord._fields))))
+
+
+def _sample_columns(records) -> dict:
+    """The columns of records such as ``certify_path`` makes: the inverse of
+    ``_sample_records``."""
+    columns = {name: [r[i] for r in records] for i, name in enumerate(SampleRecord._fields)}
+    residuals = columns["membership_residuals"]
+    columns["membership_residuals"] = (
+        None
+        if not residuals or residuals[0] is None
+        else {name: [r[name] for r in residuals] for name in residuals[0]}
+    )
+    return columns
+
+
+def _audit_records(columns: dict) -> tuple[dict, ...]:
+    """The records of an audit's columns, one dict per sample."""
+    return tuple(_rows(columns))
+
+
+def _audit_columns(records) -> dict:
+    """The columns of audit records, in the key order ``audit_flip_path`` uses."""
+    names = (
+        "t",
+        "segment",
+        "local_t",
+        "range_split_ok",
+        "range_condition",
+        "kernel_ok",
+        "kernel_angle",
+    )
+    return {name: [r[name] for r in records] for name in names}
+
+
+class _Records:
+    """The per-sample records field of a certificate or an audit, held as columns.
+
+    The field is given the records or their columns, a dict of one list
+    per record field.  The columns are kept, under ``_columns``, and are
+    what the JSON writers read; given records are kept as well, and
+    unzipped into columns.  Otherwise the records are built from the
+    columns on first read, and then kept.
+    """
+
+    def __init__(self, build, unzip):
+        self.build, self.unzip = build, unzip
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:  # read on the class: the dataclass field has no default
+            raise AttributeError(self.name)
+        held = obj.__dict__
+        if self.name not in held:
+            held[self.name] = self.build(held["_columns"])
+        return held[self.name]
+
+    def __set__(self, obj, value):
+        if not isinstance(value, dict):
+            obj.__dict__[self.name] = value
+            value = self.unzip(value)
+        obj.__dict__["_columns"] = value
+
+
 @dataclass(frozen=True)
 class PathCertificate:
-    """Machine-checkable evidence for one path."""
+    """Machine-checkable evidence for one path.
+
+    The per-sample evidence is held as columns; ``per_sample`` builds its
+    records from them on first read.
+    """
 
     instance: dict | None
     grid_size: int
     expected_k: int
-    per_sample: tuple[SampleRecord, ...]
+    per_sample: tuple[SampleRecord, ...] = _Records(_sample_records, _sample_columns)
     endpoint_errors: tuple[float, float]
     verdict: str
     failures: tuple[float, ...]
@@ -348,15 +438,16 @@ def certify_path(
     singular value counts as machine zero), and every requested membership
     check holds.  The verdict is "degenerate" for rank-zero targets, whose
     passes would be vacuous.  Failures are listed by the local parameter
-    of the leg they occur on.  An ``expected_k`` outside [0, min(m, n)]
-    raises InputError.
+    of the leg they occur on.  An ``expected_k`` that is not an integer,
+    or is outside [0, min(m, n)], raises InputError.
     """
+    expected_k = _integer(expected_k, "expected rank")
     if not 0 <= expected_k <= min(path.shape):
         raise InputError(f"expected rank {expected_k} outside [0, {min(path.shape)}]")
     if membership is not None:
         _check_ambient(membership, path.shape)
     spec = membership if membership is not None and membership.any() else None
-    samples = sample_parameters(path, grid)
+    t, segs, locals_ = _sample_grid(path, grid)
 
     def reduce(values):
         return (
@@ -365,23 +456,17 @@ def certify_path(
             _columns(values, tol, expected_k, spec),
         )
 
-    e0s, e1s, parts = zip(*_walk(path, samples, spec is not None, reduce))
+    e0s, e1s, parts = zip(*_walk(path, segs, locals_, spec is not None, reduce))
     e0, e1 = e0s[0], e1s[-1]  # from the first and the last chunk
     columns = _join(parts)
     ok = columns["ok"]
-    residuals = [None] * len(samples)
+    residuals = None
     if spec is not None:
         names = list(_checks(spec))
         for name in names:
             ok &= columns[name + "_ok"]
-        per_sample = zip(*(columns[name].tolist() for name in names))
-        residuals = [dict(zip(names, row)) for row in per_sample]
-    ts, segs, locals_ = zip(*samples)
-    rank_part = (columns[name].tolist() for name in ("rank", "sigma_k", "sigma_k_plus_1"))
-    records = tuple(
-        map(SampleRecord._make, zip(ts, segs, locals_, *rank_part, residuals, ok.tolist()))
-    )
-    failures = {locals_[i] for i in np.flatnonzero(~ok).tolist()}
+        residuals = {name: columns[name].tolist() for name in names}
+    failures = np.unique(locals_[~ok]).tolist()
     endpoints_ok = e0 <= ENDPOINT_PASS_TOL * (1.0 + maxabs(path.start)) and e1 <= (
         ENDPOINT_PASS_TOL * (1.0 + maxabs(path.end))
     )
@@ -391,24 +476,30 @@ def certify_path(
         verdict = "pass"
     else:
         verdict = "fail"
+    evidence = {
+        "t": t.tolist(),
+        "segment": segs.tolist(),
+        "local_t": locals_.tolist(),
+        **{name: columns[name].tolist() for name in ("rank", "sigma_k", "sigma_k_plus_1")},
+        "membership_residuals": residuals,
+        "ok": ok.tolist(),
+    }
     return PathCertificate(
-        instance,
-        len(samples),
-        expected_k,
-        records,
-        (e0, e1),
-        verdict,
-        tuple(sorted(failures)),
+        instance, t.size, expected_k, evidence, (e0, e1), verdict, tuple(failures)
     )
 
 
 @dataclass(frozen=True)
 class FlipAudit:
-    """Pointwise membership evidence for a flip path."""
+    """Pointwise membership evidence for a flip path.
+
+    The evidence is held as columns; ``records`` builds one dict per
+    sample from them on first read.
+    """
 
     grid_size: int
     degenerate: bool
-    records: tuple[dict, ...]
+    records: tuple[dict, ...] = _Records(_audit_records, _audit_columns)
     failures: tuple[float, ...]
 
     @property
@@ -432,30 +523,28 @@ def audit_flip_path(
     expected_kernel, complement = s_spec
     spec = MembershipSpec(range_complement=complement, kernel_equals=expected_kernel)
     _check_ambient(spec, path.shape)
-    samples = sample_parameters(path, grid)
+    t, segs, locals_ = _sample_grid(path, grid)
 
     def reduce(values):
         return maxabs(values) == 0.0, _columns(values, tol, spec=spec)
 
-    zero, parts = zip(*_walk(path, samples, True, reduce))
+    zero, parts = zip(*_walk(path, segs, locals_, True, reduce))
     degenerate = all(zero)
     columns = _join(parts)
     names = ("range_complement_cond", "range_complement_cond_ok", "kernel_angle", "kernel_angle_ok")
-    cond, split_ok, angle, kernel_ok = (columns[name].tolist() for name in names)
+    cond, split_ok, angle, kernel_ok = (columns[name] for name in names)
     if degenerate:  # every check holds on the zero path
-        cond = angle = [0.0] * len(samples)
-        split_ok = kernel_ok = [True] * len(samples)
-    records = tuple(
-        {
-            "t": t,
-            "segment": seg,
-            "local_t": local,
-            "range_split_ok": split,
-            "range_condition": c,
-            "kernel_ok": same,
-            "kernel_angle": a,
-        }
-        for (t, seg, local), c, split, a, same in zip(samples, cond, split_ok, angle, kernel_ok)
-    )
-    failures = {r["local_t"] for r in records if not (r["range_split_ok"] and r["kernel_ok"])}
-    return FlipAudit(len(samples), degenerate, records, tuple(sorted(failures)))
+        cond = angle = np.zeros(t.size)
+        split_ok = kernel_ok = np.ones(t.size, dtype=bool)
+    failures = np.unique(locals_[~(split_ok & kernel_ok)]).tolist()
+    evidence = {
+        "t": t,
+        "segment": segs,
+        "local_t": locals_,
+        "range_split_ok": split_ok,
+        "range_condition": cond,
+        "kernel_ok": kernel_ok,
+        "kernel_angle": angle,
+    }
+    evidence = {name: column.tolist() for name, column in evidence.items()}
+    return FlipAudit(t.size, degenerate, evidence, tuple(failures))

@@ -286,6 +286,27 @@ def eval_path(path: OperatorPath, t: float) -> np.ndarray:
     return eval_segment(path.segments[idx], local)
 
 
+def _integer(value, name: str) -> int:
+    """``value`` as a Python int: an integer, numpy's included, but not a bool.
+
+    Anything else raises InputError naming ``name``.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise InputError(f"{name} must be an integer count, got {value!r}")
+    return int(value)
+
+
+def _eval_batch(
+    path: OperatorPath, segs: np.ndarray, locals_: np.ndarray, out: np.ndarray
+) -> np.ndarray:
+    """Fill ``out`` with the values at the segment indices and local parameters given."""
+    # each run of samples on one segment is evaluated straight into its slice
+    bounds = [0, *(np.flatnonzero(np.diff(segs)) + 1).tolist(), len(segs)]
+    for lo, hi in zip(bounds, bounds[1:]):
+        eval_segment_batch(path.segments[segs[lo]], locals_[lo:hi], out[lo:hi])
+    return out
+
+
 def eval_path_batch(path: OperatorPath, samples, out: np.ndarray | None = None) -> np.ndarray:
     """Evaluate at a list of (global_t, segment, local_t) triples, in order.
 
@@ -297,32 +318,44 @@ def eval_path_batch(path: OperatorPath, samples, out: np.ndarray | None = None) 
     if not samples:
         return out
     _, segs, locals_ = zip(*samples)
-    segs, locals_ = np.array(segs), np.array(locals_, dtype=float)
-    # each run of samples on one segment is evaluated straight into its slice
-    bounds = [0, *(np.flatnonzero(np.diff(segs)) + 1).tolist(), len(segs)]
-    for lo, hi in zip(bounds, bounds[1:]):
-        eval_segment_batch(path.segments[segs[lo]], locals_[lo:hi], out[lo:hi])
-    return out
+    return _eval_batch(path, np.array(segs), np.array(locals_, dtype=float), out)
+
+
+def _sample_grid(path: OperatorPath, grid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The arrays (t, segment, local) of ``sample_parameters``, in increasing t.
+
+    The grid points take the same IEEE operations as ``locate``.  A forced
+    midpoint replaces a grid point of the same t.
+    """
+    grid = _integer(grid, "grid")
+    if grid < 2:
+        raise InputError("grid must contain at least 2 points")
+    nseg = len(path.segments)
+    t = np.arange(grid) / (grid - 1)
+    x = t * nseg
+    segs = np.minimum(np.floor(x).astype(np.intp), nseg - 1)
+    locals_ = x - segs
+    affine = [s for s, seg in enumerate(path.segments) if seg.kind == "affine"]
+    mids = np.array(affine, dtype=np.intp)
+    if mids.size:
+        mid_t = (mids + 0.5) / nseg
+        keep = ~np.isin(t, mid_t)
+        t = np.concatenate([t[keep], mid_t])
+        order = np.argsort(t, kind="stable")
+        t = t[order]
+        segs = np.concatenate([segs[keep], mids])[order]
+        locals_ = np.concatenate([locals_[keep], np.full(mids.size, 0.5)])[order]
+    return t, segs, locals_
 
 
 def sample_parameters(path: OperatorPath, grid: int) -> list[tuple[float, int, float]]:
     """Uniform global grid plus the exact midpoint of every affine leg.
 
     Midpoints are forced in because a defect sitting exactly at the middle
-    of an affine leg has measure zero and escapes any uniform grid.
+    of an affine leg has measure zero and escapes any uniform grid.  A
+    ``grid`` that is not an integer count of at least 2 raises InputError.
     """
-    if grid < 2:
-        raise InputError("grid must contain at least 2 points")
-    nseg = len(path.segments)
-    # the same IEEE operations as ``locate``, on the whole grid at once
-    t = np.arange(grid) / (grid - 1)
-    x = t * nseg
-    idx = np.minimum(np.floor(x).astype(np.intp), nseg - 1)
-    samples = dict(zip(t.tolist(), zip(idx.tolist(), (x - idx).tolist())))
-    for s, seg in enumerate(path.segments):
-        if seg.kind == "affine":
-            samples[(s + 0.5) / nseg] = (s, 0.5)
-    return [(t,) + samples[t] for t in sorted(samples)]
+    return list(zip(*(column.tolist() for column in _sample_grid(path, grid))))
 
 
 def _reverse_segment(seg: PathSegment) -> PathSegment:

@@ -15,11 +15,12 @@ from __future__ import annotations
 import json
 import math
 import os
+from itertools import repeat
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
-from .certify import FlipAudit, PathCertificate, SampleRecord
+from .certify import FlipAudit, PathCertificate, _rows
 from .errors import InputError, StrataError
 from .geometry import TangentBasis
 from .paths import (
@@ -294,28 +295,27 @@ def _finite_or_none(x: float) -> float | None:
     return x if math.isfinite(x) else None
 
 
-def _sample_to_obj(rec: SampleRecord) -> dict:
-    residuals = rec.membership_residuals
-    if residuals is not None:
-        residuals = {name: _finite_or_none(value) for name, value in residuals.items()}
-    return {
-        "t": rec.t,
-        "segment": rec.segment,
-        "local_t": rec.local_t,
-        "rank": rec.rank,
-        "sigma_k": _finite_or_none(rec.sigma_k),
-        "sigma_k_plus_1": _finite_or_none(rec.sigma_k_plus_1),
-        "membership_residuals": residuals,
-        "ok": rec.ok,
-    }
+def _finite_column(values: list) -> list:
+    """``values`` with each inf and NaN as null; the list itself when all are finite."""
+    return values if all(map(math.isfinite, values)) else [_finite_or_none(x) for x in values]
 
 
 def certificate_to_obj(cert: PathCertificate) -> dict:
+    """The certificate's JSON object, one per-sample object per row of its columns."""
+    columns = dict(cert._columns)
+    for name in ("sigma_k", "sigma_k_plus_1"):
+        columns[name] = _finite_column(columns[name])
+    residuals = columns["membership_residuals"]
+    columns["membership_residuals"] = (
+        repeat(None)
+        if residuals is None
+        else _rows({name: _finite_column(values) for name, values in residuals.items()})
+    )
     return {
         "instance": cert.instance,
         "grid_size": cert.grid_size,
         "expected_k": cert.expected_k,
-        "per_sample": [_sample_to_obj(r) for r in cert.per_sample],
+        "per_sample": _rows(columns),
         "endpoint_errors": [_finite_or_none(e) for e in cert.endpoint_errors],
         "verdict": cert.verdict,
         "failures": list(cert.failures),
@@ -323,19 +323,16 @@ def certificate_to_obj(cert: PathCertificate) -> dict:
 
 
 def audit_to_obj(audit: FlipAudit) -> dict:
+    """The audit's JSON object, one record object per row of its columns."""
+    columns = dict(audit._columns)
+    for name in ("range_condition", "kernel_angle"):
+        columns[name] = _finite_column(columns[name])
     return {
         "grid_size": audit.grid_size,
         "degenerate": audit.degenerate,
         "passed": audit.passed,
         "failures": list(audit.failures),
-        "records": [
-            {
-                **rec,
-                "range_condition": _finite_or_none(rec["range_condition"]),
-                "kernel_angle": _finite_or_none(rec["kernel_angle"]),
-            }
-            for rec in audit.records
-        ],
+        "records": _rows(columns),
     }
 
 

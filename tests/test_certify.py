@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import sys
@@ -40,7 +41,7 @@ from strata.paths import (
     right_project_path,
     sample_parameters,
 )
-from strata.serialization import audit_to_obj, certificate_to_obj
+from strata.serialization import audit_to_obj, certificate_to_obj, save_json
 from strata.subspaces import (
     ANGLE_TOL,
     DEFAULT_TOL,
@@ -168,6 +169,143 @@ class TestCertify:
         t = np.diag([1.0, 1e-8])
         cert = certify_path(constant_path(t), 1, grid=5)
         assert cert.verdict == "fail"
+
+
+def _two_leg_path():
+    """A 3x3 rank-2 fk path of affine and rotation legs."""
+    payload = gen_instance(InstanceSpec(m=3, n=3, k=2, seed=2, kind="fk-pair"))
+    return connect_fk(payload["T1"], payload["T2"])
+
+
+class TestCountArguments:
+    """``grid`` and ``expected_k`` are integer counts: a fraction would sample
+    off the grid, a float rank would index the singular values."""
+
+    NOT_COUNTS = (2.5, 11.0, np.float64(11.0), True, np.bool_(True), "11", None)
+
+    def test_fractional_grid_rejected(self):
+        path = _two_leg_path()
+        e_star, r = span([1, 0]), span([0, 1])
+        flip = literal_flip_path(e_star, r, tilt(e_star, r, [[0, 0], [1, 0]]))
+        calls = (
+            lambda grid: certify_path(path, 2, grid=grid),
+            lambda grid: sample_parameters(path, grid),
+            lambda grid: audit_flip_path(flip, (r, r), grid=grid),
+        )
+        for call in calls:
+            for grid in self.NOT_COUNTS:
+                with pytest.raises(InputError, match="grid must be an integer count"):
+                    call(grid)
+
+    def test_numpy_integer_grid(self):
+        path = _two_leg_path()
+        assert sample_parameters(path, np.int64(11)) == sample_parameters(path, 11)
+        cert = certify_path(path, 2, grid=np.int32(11))
+        assert cert == certify_path(path, 2, grid=11) and type(cert.grid_size) is int
+
+    def test_expected_rank_must_be_an_integer(self):
+        path = _two_leg_path()
+        for k in self.NOT_COUNTS:
+            with pytest.raises(InputError, match="expected rank must be an integer count"):
+                certify_path(path, k, grid=11)
+
+    def test_numpy_integer_expected_rank(self, tmp_path):
+        path = _two_leg_path()
+        cert = certify_path(path, np.int64(2), grid=11)
+        assert type(cert.expected_k) is int and cert == certify_path(path, 2, grid=11)
+        texts = []
+        for name, k in (("numpy.json", np.int64(2)), ("int.json", 2)):
+            save_json(certificate_to_obj(certify_path(path, k, grid=11)), tmp_path / name)
+            texts.append((tmp_path / name).read_text())
+        assert texts[0] == texts[1]
+
+
+class TestLazyRecords:
+    """Certificates and audits hold their evidence as columns; the per-sample
+    records and residual dicts are built when first read."""
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        counts = {"records": 0, "dicts": 0}
+
+        class Counting(SampleRecord):
+            __slots__ = ()
+
+            def __new__(cls, *fields):
+                counts["records"] += 1
+                return SampleRecord(*fields)
+
+            @classmethod
+            def _make(cls, fields):
+                counts["records"] += 1
+                return SampleRecord._make(fields)
+
+        rows = certify_module._rows
+
+        def counting_rows(columns):
+            out = rows(columns)
+            counts["dicts"] += len(out)
+            return out
+
+        monkeypatch.setattr(certify_module, "SampleRecord", Counting)
+        monkeypatch.setattr(certify_module, "_rows", counting_rows)
+        return counts
+
+    @staticmethod
+    def _flip():
+        e_star, r = span([1, 0, 0]), span([0, 1, 0], [0, 0, 1])
+        return literal_flip_path(e_star, r, tilt(e_star, r, [[0, 0, 0], [1, 0, 0], [0, 0, 0]])), r
+
+    def test_certificate(self, built, tmp_path):
+        path, r = self._flip()
+        spec = MembershipSpec(range_complement=r, kernel_equals=r)
+        cert = certify_path(path, 1, grid=1001, membership=spec)
+        save_json(certificate_to_obj(cert), tmp_path / "cert.json")
+        assert built == {"records": 0, "dicts": 0}
+        records = cert.per_sample
+        # the legs' midpoints t = 0.25 and 0.75 are grid points
+        assert cert.grid_size == len(records) == 1001
+        assert built == {"records": 1001, "dicts": 1001}
+        assert cert.per_sample is records and built == {"records": 1001, "dicts": 1001}
+        assert type(records) is tuple and {type(rec) for rec in records} == {SampleRecord}
+        assert {type(rec.membership_residuals) for rec in records} == {dict}
+
+    def test_audit(self, built, tmp_path):
+        path, r = self._flip()
+        audit = audit_flip_path(path, (r, r), grid=1001)
+        save_json(audit_to_obj(audit), tmp_path / "audit.json")
+        assert built == {"records": 0, "dicts": 0}
+        records = audit.records
+        assert type(records) is tuple and len(records) == audit.grid_size == 1001
+        assert built == {"records": 0, "dicts": 1001}
+        assert audit.records is records and built["dicts"] == 1001
+
+    def test_equality_reads_the_records(self):
+        path, r = self._flip()
+        spec = MembershipSpec(range_complement=r)
+        cert = certify_path(path, 1, grid=101, membership=spec)
+        fresh = certify_path(path, 1, grid=101, membership=spec)
+        cert.per_sample  # one read, one not: the same certificate
+        assert cert == fresh and fresh == cert
+        # built from its records, as dataclasses.replace does
+        copy = dataclasses.replace(fresh)
+        assert copy == cert and copy.per_sample == cert.per_sample
+        assert certificate_to_obj(copy) == certificate_to_obj(cert)
+        records = list(cert.per_sample)
+        records[7] = records[7]._replace(sigma_k=records[7].sigma_k * (1.0 + 1e-15))
+        assert dataclasses.replace(cert, per_sample=tuple(records)) != cert
+        residuals = dict(records[3].membership_residuals, range_complement_cond=1.0)
+        records = list(cert.per_sample)
+        records[3] = records[3]._replace(membership_residuals=residuals)
+        assert dataclasses.replace(cert, per_sample=tuple(records)) != cert
+        audit = audit_flip_path(path, (r, r), grid=101)
+        assert audit == audit_flip_path(path, (r, r), grid=101)
+        assert dataclasses.replace(audit) == audit
+        changed = [dict(rec) for rec in audit.records]
+        changed[0]["kernel_ok"] = not changed[0]["kernel_ok"]
+        assert dataclasses.replace(audit, records=tuple(changed)) != audit
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cert.per_sample = ()
 
 
 def _membership_checks(

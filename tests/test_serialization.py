@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import json
 import math
@@ -11,14 +12,18 @@ from hypothesis import strategies as st_hyp
 
 from strata import (
     GraphParam,
+    MembershipSpec,
     OperatorPath,
     StratumPoint,
     Subspace,
+    audit_flip_path,
+    certify_path,
     connect_fk,
     constant_path,
     discover_chain,
     eval_path,
     gl_connect,
+    literal_flip_path,
     make_segment,
     reverse_path,
     tangent_basis,
@@ -366,6 +371,128 @@ class TestMembership:
         m = ser.membership_from_obj(obj)
         assert m.range_complement is not None
         assert m.kernel_complement is None and m.kernel_equals is None
+
+
+def _finite_or_none(x):
+    return x if math.isfinite(x) else None
+
+
+def _sample_obj(rec) -> dict:
+    """One per-sample object of a certificate, written from its record."""
+    residuals = rec.membership_residuals
+    if residuals is not None:
+        residuals = {name: _finite_or_none(value) for name, value in residuals.items()}
+    return {
+        "t": rec.t,
+        "segment": rec.segment,
+        "local_t": rec.local_t,
+        "rank": rec.rank,
+        "sigma_k": _finite_or_none(rec.sigma_k),
+        "sigma_k_plus_1": _finite_or_none(rec.sigma_k_plus_1),
+        "membership_residuals": residuals,
+        "ok": rec.ok,
+    }
+
+
+def _certificate_obj_from_records(cert) -> dict:
+    """The reference writer: the certificate object built one record at a time."""
+    return {
+        "instance": cert.instance,
+        "grid_size": cert.grid_size,
+        "expected_k": cert.expected_k,
+        "per_sample": [_sample_obj(r) for r in cert.per_sample],
+        "endpoint_errors": [_finite_or_none(e) for e in cert.endpoint_errors],
+        "verdict": cert.verdict,
+        "failures": list(cert.failures),
+    }
+
+
+def _audit_obj_from_records(audit) -> dict:
+    """The reference writer: the audit object built one record at a time."""
+    return {
+        "grid_size": audit.grid_size,
+        "degenerate": audit.degenerate,
+        "passed": audit.passed,
+        "failures": list(audit.failures),
+        "records": [
+            {
+                **rec,
+                "range_condition": _finite_or_none(rec["range_condition"]),
+                "kernel_angle": _finite_or_none(rec["kernel_angle"]),
+            }
+            for rec in audit.records
+        ],
+    }
+
+
+def _flip_path():
+    e_star, r = span([1, 0, 0]), span([0, 1, 0], [0, 0, 1])
+    coeff = r.basis.T @ np.array([[0, 0, 0], [1, 0, 0], [0.5, 0, 0]]) @ e_star.basis
+    return literal_flip_path(e_star, r, GraphParam(e_star, r, coeff)), r
+
+
+class TestEvidenceFormat:
+    """Certificates and audits are written from their columns; the objects
+    equal those written one record at a time, in values, types and key order."""
+
+    @staticmethod
+    def _assert_same_text(obj, reference):
+        assert obj == reference
+        assert json.dumps(obj, indent=2, allow_nan=False) == json.dumps(
+            reference, indent=2, allow_nan=False
+        )
+
+    def certificates(self):
+        payload = gen_instance(InstanceSpec(m=4, n=3, k=2, seed=5, kind="fk-pair"))
+        path = connect_fk(payload["T1"], payload["T2"])
+        flip, r = _flip_path()
+        # kernel of diag(1, 0, 0) is a plane: its angle to a line is inf
+        plane_kernel, line = constant_path(np.diag([1.0, 0.0, 0.0])), span([0, 0, 1])
+        return [
+            certify_path(path, 2, grid=101, instance={"seed": 5}),
+            certify_path(path, 1, grid=101),
+            certify_path(path, 0, grid=11),
+            certify_path(flip, 1, grid=101, membership=MembershipSpec(r, r, r)),
+            certify_path(plane_kernel, 1, grid=11, membership=MembershipSpec(span([1, 0, 0]))),
+            certify_path(plane_kernel, 1, grid=11, membership=MembershipSpec(kernel_equals=line)),
+        ]
+
+    def test_certificates(self):
+        certs = self.certificates()
+        # a singular direct sum has condition number inf
+        inf = float("inf")
+        assert certs[4].per_sample[0].membership_residuals == {"range_complement_cond": inf}
+        assert certs[5].per_sample[0].membership_residuals == {"kernel_angle": inf}
+        for cert in certs:
+            self._assert_same_text(ser.certificate_to_obj(cert), _certificate_obj_from_records(cert))
+        for cert, name in ((certs[4], "range_complement_cond"), (certs[5], "kernel_angle")):
+            obj = ser.certificate_to_obj(cert)
+            assert {s["membership_residuals"][name] for s in obj["per_sample"]} == {None}
+
+    def test_audits(self):
+        flip, r = _flip_path()
+        audits = [
+            audit_flip_path(flip, (r, r), grid=101),
+            # a kernel of the wrong dimension: angle inf at every sample
+            audit_flip_path(constant_path(np.diag([1.0, 0.0, 0.0])), (span([0, 0, 1]), r), grid=3),
+            # the zero path: degenerate, every check holds
+            audit_flip_path(constant_path(np.zeros((3, 3))), (span([1, 0, 0]), r), grid=11),
+        ]
+        assert 0.5 in audits[0].failures
+        assert {rec["kernel_angle"] for rec in audits[1].records} == {float("inf")}
+        assert audits[2].degenerate and audits[2].passed
+        for audit in audits:
+            self._assert_same_text(ser.audit_to_obj(audit), _audit_obj_from_records(audit))
+
+    def test_built_from_records(self):
+        # a certificate or audit given its records is written the same way
+        flip, r = _flip_path()
+        cert = certify_path(flip, 1, grid=101, membership=MembershipSpec(r, r, r))
+        copy = dataclasses.replace(cert, per_sample=cert.per_sample)
+        self._assert_same_text(ser.certificate_to_obj(copy), ser.certificate_to_obj(cert))
+        audit = audit_flip_path(flip, (r, r), grid=101)
+        copy = dataclasses.replace(audit, records=audit.records)
+        self._assert_same_text(ser.audit_to_obj(copy), ser.audit_to_obj(audit))
 
 
 def stdlib_text(obj) -> str:
