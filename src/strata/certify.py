@@ -12,12 +12,17 @@ Both walk the sample grid one chunk at a time: a chunk is evaluated into
 a buffer that the next chunk reuses, factored with one stacked SVD (of
 the singular values only, when no membership is checked) and reduced to
 named per-sample columns, all read from that one factorization.  Each
-direct-sum check and the kernel angle (the largest principal angle
-between a sample's kernel and the expected one) take one more stacked SVD
-per sample rank, of matrices built from that factorization's slices.  A grid
-of more than one chunk is cut into one contiguous stretch per worker
-(``WORKERS``, the usable cores), walked at once, with numpy's and
-scipy's OpenBLAS held to one thread meanwhile.
+membership residual is read from the sines of the principal angles between
+a spec subspace and the sample's range or kernel: the singular values of
+the spec basis in the coordinates of the sample's complement frame, a
+slice of its singular vectors (Bjorck & Golub 1973).  Each direct-sum
+check (its condition number, from the smallest sine) and the kernel angle
+(the largest principal angle between a sample's kernel and the expected
+one, from the largest sine) take one more stacked SVD per sample rank, of
+matrices of at most max(k, n - k) rows.  A grid of more than one chunk is
+cut into one contiguous stretch per worker (``WORKERS``, the usable
+cores), walked at once, with numpy's and scipy's OpenBLAS held to one
+thread meanwhile.
 The working memory is set by ``CHUNK_BYTES``, shared by the workers, not
 by the grid size, and the results are those of one sample at a time
 wherever the chunks and stretches split.
@@ -51,7 +56,8 @@ from .subspaces import (
     DEFAULT_TOL,
     Subspace,
     ToleranceConfig,
-    _largest_angle,
+    _angle_from_sines,
+    _condition_from_sines,
     maxabs,
     rank_from_singular_values,
 )
@@ -160,25 +166,6 @@ def _check_ambient(spec: MembershipSpec, shape: tuple[int, int]) -> None:
             )
 
 
-def _direct_sum_column(
-    bases: np.ndarray, other: Subspace, tol: ToleranceConfig
-) -> tuple[np.ndarray, np.ndarray]:
-    """``is_direct_sum([sample subspace, other])`` over a stack of sample bases.
-
-    Same column order, same condition number rule (inf for a singular
-    stack) and the same dimension count, with one SVD for the stack.
-    """
-    count, n, d = bases.shape
-    parts = [p for p in (bases, np.broadcast_to(other.basis, (count, n, other.dim))) if p.shape[-1]]
-    if not parts:
-        cond = np.ones(count)
-    else:
-        s = np.linalg.svd(np.concatenate(parts, axis=-1), compute_uv=False)
-        cond = np.full(count, np.inf)
-        np.divide(s[:, 0], s[:, -1], out=cond, where=s[:, -1] > 0.0)
-    return cond, (d + other.dim == n) & (cond <= tol.membership_cond_max)
-
-
 def _checks(spec: MembershipSpec) -> dict[str, Subspace]:
     """The subspace of each check ``spec`` asks for, by column name, in certificate order."""
     named = (
@@ -203,15 +190,22 @@ def _columns(
     name in ``_checks`` and its pass flag under that name plus "_ok".
     Without checks the SVD takes the singular values only.  With them it is
     a full SVD, whose own singular values give the rank part and the rank
-    each sample's kernel and range are cut at.  Samples of equal rank share
-    one stacked SVD per check: the direct sums' condition numbers, and the
-    residuals whose largest singular values are the sines of the kernel
-    angles, measured from the kernels sliced out of the chunk's SVD.  A
-    kernel of the wrong dimension has angle inf to the expected one.  The
-    values equal those of the checks made one sample at a time with
-    ``rank_kernel_range``, ``is_direct_sum`` and ``_largest_angle``.
+    each sample's kernel and range are cut at.  Each spec basis is taken
+    once into the coordinates of every sample's singular frame (U^T C for
+    the codomain, V^T R for the domain).  Cut at the sample's rank k, those
+    rows are the cosines and the sines of the principal angles between the
+    spec subspace and the sample's range or kernel (Bjorck & Golub 1973).
+    Samples of equal rank share one stacked SVD per check, of matrices of
+    at most max(k, n - k) rows: the smallest sines give the direct sums'
+    condition numbers (``_condition_from_sines``, which factors the
+    cosines too for the samples whose smallest sine exceeds sqrt(1/2)),
+    and the largest sines between the expected kernel and the sample's give
+    the kernel angles (``_angle_from_sines``).  A kernel of the wrong
+    dimension has angle inf to the expected one.  No matrix of the
+    concatenated bases is formed.  The values equal those of the same rules
+    applied one sample at a time to the sample's own SVD.
     """
-    count, _, cols = values.shape
+    count, rows, cols = values.shape
     if spec is None:
         s = np.linalg.svd(values, compute_uv=False)
     else:
@@ -230,23 +224,29 @@ def _columns(
     if spec is None:
         return out
     checks = _checks(spec)
+    # cut at rank k, rows :k of U^T C lie along the range and rows k: across
+    # it; rows :k of V^T R lie across the kernel and rows k: along it
+    coords = {
+        name: (np.swapaxes(u, -1, -2) if name == "range_complement_cond" else vt) @ want.basis
+        for name, want in checks.items()
+    }
     for name in checks:
         out[name], out[name + "_ok"] = np.empty(count), np.empty(count, dtype=bool)
     for k in np.unique(ranks).tolist():
         group = np.flatnonzero(ranks == k)
-        kernels = np.swapaxes(vt[group, k:, :], -1, -2)
         for name, want in checks.items():
-            if name == "kernel_angle":
-                if cols - k != want.dim:
-                    value = np.full(group.size, np.inf)
-                elif want.dim == 0:
-                    value = np.zeros(group.size)
-                else:
-                    value = _largest_angle(kernels, want.basis)
+            head, tail = coords[name][group, :k], coords[name][group, k:]
+            if name == "range_complement_cond":
+                value = _condition_from_sines(head, tail)
+                passed = (k + want.dim == rows) & (value <= tol.membership_cond_max)
+            elif name == "kernel_complement_cond":
+                value = _condition_from_sines(tail, head)
+                passed = (want.dim == k) & (value <= tol.membership_cond_max)
+            elif want.dim == cols - k:
+                value = _angle_from_sines(head)
                 passed = value < ANGLE_TOL
             else:
-                own = u[group, :, :k] if name == "range_complement_cond" else kernels
-                value, passed = _direct_sum_column(own, want, tol)
+                value, passed = np.full(group.size, np.inf), False
             out[name][group], out[name + "_ok"][group] = value, passed
     return out
 
@@ -255,7 +255,7 @@ def _chunk_samples(shape: tuple[int, int], membership: bool) -> int:
     """Samples in flight: CHUNK_BYTES over the working set of one sample.
 
     That is its m*n values and, when the membership pass runs, its U and
-    V^T with the slices of them stacked for the direct-sum and angle steps.
+    V^T with room for the spec bases' coordinates in them and their slices.
     """
     rows, cols = shape
     values = rows * cols + (6 * (rows * rows + cols * cols) if membership else 0)

@@ -7,10 +7,12 @@ input it cannot use: a path file with a missing field or an unknown
 segment kind, a `certify --k` outside [0, min(m, n)], an instance file
 without the matrices T1 and T2 that `connect` reads (a `gl` or
 `subspace-pair` file written by `gen`), an instance or membership file,
-or the instance echo of a path file, that is not a JSON object, a NaN or
-an infinity in any matrix or instance echo, or rank-one factors whose
-product overflows (the error names the field), a path shape that is not
-two counts, or a file that cannot be read or written.
+or the instance echo of a path file, that is not a JSON object, a
+membership file with a key other than `range_complement`,
+`kernel_complement` and `kernel_equals`, a NaN or an infinity in any
+matrix or instance echo, or rank-one factors whose product overflows (the
+error names the field), a path shape that is not two counts, a
+STRATA_TOL that is not a number, or a file that cannot be read or written.
 The STRATA_TOL environment variable overrides the default relative rank
 tolerance everywhere.  Each command runs with numpy's and scipy's
 OpenBLAS held to one thread, so the files it writes do not depend on the
@@ -27,7 +29,7 @@ import numpy as np
 
 from . import serialization as ser
 from .certify import _one_blas_thread, audit_flip_path, certify_path
-from .errors import StrataError
+from .errors import InputError, StrataError
 from .geometry import StratumPoint, dim_fk, tangent_basis
 from .instances import InstanceSpec, gen_instance, random_subspace
 from .paths import (
@@ -42,9 +44,13 @@ from .subspaces import DEFAULT_TOL, ToleranceConfig, is_direct_sum
 
 
 def _tolerance(rank_rel_tol: float | None = None) -> ToleranceConfig:
+    """The rank tolerance given, else STRATA_TOL's, else the default."""
     if rank_rel_tol is None:
         env = os.environ.get("STRATA_TOL")
-        rank_rel_tol = float(env) if env else DEFAULT_TOL.rank_rel_tol
+        try:
+            rank_rel_tol = float(env) if env else DEFAULT_TOL.rank_rel_tol
+        except ValueError:
+            raise InputError(f"STRATA_TOL must be a number, got {env!r}") from None
     return ToleranceConfig(rank_rel_tol=rank_rel_tol)
 
 

@@ -12,6 +12,7 @@ fixed everywhere so identical inputs produce byte-identical files.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import os
@@ -20,7 +21,7 @@ from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
-from .certify import FlipAudit, PathCertificate, _rows
+from .certify import FlipAudit, MembershipSpec, PathCertificate, _rows
 from .errors import InputError, StrataError
 from .geometry import TangentBasis
 from .paths import (
@@ -394,10 +395,13 @@ def instance_echo(payload: dict) -> dict:
 
 
 def membership_from_obj(obj: dict):
-    from .certify import MembershipSpec
-
+    """The MembershipSpec of a membership file; a key that names no spec field is refused."""
     if not isinstance(obj, dict):
         raise StrataError("a membership file must hold a JSON object")
+    names = [field.name for field in dataclasses.fields(MembershipSpec)]
+    unknown = [key for key in obj if key not in names]
+    if unknown:
+        raise StrataError(f"membership file has unknown fields {unknown}; the fields are {names}")
 
     def get(key):
         value = obj.get(key)
@@ -408,11 +412,7 @@ def membership_from_obj(obj: dict):
         except StrataError as exc:
             raise StrataError(f"membership field {key!r}: {exc}") from None
 
-    return MembershipSpec(
-        range_complement=get("range_complement"),
-        kernel_complement=get("kernel_complement"),
-        kernel_equals=get("kernel_equals"),
-    )
+    return MembershipSpec(**{name: get(name) for name in names})
 
 
 def witness_to_obj(w: ChainWitness) -> dict:

@@ -344,17 +344,53 @@ def common_complement(
     return Subspace.from_columns(cols, tol)
 
 
-def _largest_angle(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Largest principal angle between the column space of each a[i] and that of b.
+def _angle_from_sines(outside: np.ndarray) -> np.ndarray:
+    """Largest principal angle between a subspace A and the span of an orthonormal basis b.
 
-    ``a`` is a stack (S, n, d) of orthonormal bases and ``b`` one (n, d)
-    orthonormal basis, with d > 0.  The sine of the largest angle is the
-    largest singular value of ``b - a[i] a[i]^T b``, the part of b outside
-    a[i] (Bjorck & Golub 1973): accurate for angles near zero, and free of
-    scale.  Shape (S,).
+    ``outside`` is a stack (S, r, e) of the parts of b outside A: either
+    ``b - a a^T b`` in ambient coordinates, or ``p^T b`` for an orthonormal
+    basis p of A's orthogonal complement.  Its singular values are the
+    sines of the principal angles (Bjorck & Golub 1973), so the largest
+    angle is the arcsine of the largest one, clamped at 1: accurate for
+    angles near zero, and free of scale.  An empty part has no angle, 0.
+    Shape (S,).
     """
-    resid = b - a @ (np.swapaxes(a, -1, -2) @ b)
-    return np.arcsin(np.minimum(1.0, np.linalg.svd(resid, compute_uv=False)[:, 0]))
+    if 0 in outside.shape[1:]:
+        return np.zeros(len(outside))
+    return np.arcsin(np.minimum(1.0, np.linalg.svd(outside, compute_uv=False)[:, 0]))
+
+
+def _condition_from_sines(inside: np.ndarray, outside: np.ndarray) -> np.ndarray:
+    """Condition number of ``[a | b]`` for orthonormal bases a (n, d) and b (n, e).
+
+    ``inside`` (S, d, e) is ``a^T b`` and ``outside`` (S, n - d, e) is
+    ``p^T b`` for an orthonormal basis p of the complement of span(a): the
+    cosines and the sines of the principal angles between the two spans.
+    The Gram matrix of ``[a | b]`` has eigenvalues 1 +- cos(theta_i) and
+    1, so its condition number is (1 + c) / s, with c the largest cosine
+    and s = sqrt(1 - c^2) the smallest sine, and inf at s = 0.  The
+    smaller of the two is read from its own matrix and the other follows
+    from it, so either keeps full precision: sines give s whenever s <=
+    sqrt(1/2); the cosines are factored only for the samples where s is
+    larger.  s is the smallest of the e sines, so it is 0 when ``outside``
+    has fewer rows than e (the spans meet); the condition number is 1 when
+    e == 0.  Shape (S,).
+    """
+    count, rows, e = outside.shape
+    if e == 0:
+        return np.ones(count)
+    if rows < e:
+        s = np.zeros(count)
+    else:
+        s = np.minimum(1.0, np.linalg.svd(outside, compute_uv=False)[:, -1])
+    c = np.sqrt((1.0 - s) * (1.0 + s))
+    wide = np.flatnonzero(s > np.sqrt(0.5))
+    if wide.size:  # no cosine at all when a has no columns
+        c[wide] = np.linalg.svd(inside[wide], compute_uv=False)[:, 0] if inside.shape[1] else 0.0
+        s[wide] = np.sqrt((1.0 - c[wide]) * (1.0 + c[wide]))
+    cond = np.full(count, np.inf)
+    np.divide(1.0 + c, s, out=cond, where=s > 0.0)
+    return cond
 
 
 def principal_angles(a: Subspace, b: Subspace) -> np.ndarray:
@@ -377,7 +413,8 @@ def subspaces_equal(a: Subspace, b: Subspace) -> bool:
         return False
     if a.dim == 0:
         return True
-    return float(_largest_angle(a.basis[None], b.basis)[0]) < ANGLE_TOL
+    outside = b.basis - a.basis @ (a.basis.T @ b.basis)
+    return float(_angle_from_sines(outside[None])[0]) < ANGLE_TOL
 
 
 def require_direct_sum(parts, tol: ToleranceConfig, what: str) -> DirectSumCheck:

@@ -46,8 +46,9 @@ from strata.subspaces import (
     ANGLE_TOL,
     DEFAULT_TOL,
     ToleranceConfig,
+    _angle_from_sines,
+    _condition_from_sines,
     _factor,
-    _largest_angle,
     is_direct_sum,
     maxabs,
     rank_from_singular_values,
@@ -313,27 +314,35 @@ def _membership_checks(
 ) -> dict[str, tuple[float, bool]]:
     """Residual and pass flag of each check ``spec`` asks for, at one sample.
 
-    The sample's kernel and range come from one SVD.  A kernel of the wrong
+    The sample's own SVD gives its rank k and its singular frames.  Each
+    spec basis is taken into the coordinates of the frame of its side and
+    cut at k: the sines and cosines of the principal angles between the
+    spec subspace and the sample's range or kernel.  A kernel of the wrong
     dimension has angle inf to the expected one; any other angle is the
     largest one, checked against scipy's.
     """
-    _, ker, rng = rank_kernel_range(w, tol)
+    rows, cols = w.shape
+    _, k, (u, _, vt) = _factor(w, tol)
     out = {}
     if spec.range_complement is not None:
-        check = is_direct_sum([rng, spec.range_complement], tol)
-        out["range_complement_cond"] = (float(check.condition_number), check.ok)
+        comp = spec.range_complement
+        coords = (u.T @ comp.basis)[None]
+        cond = float(_condition_from_sines(coords[:, :k], coords[:, k:])[0])
+        ok = k + comp.dim == rows and cond <= tol.membership_cond_max
+        out["range_complement_cond"] = (cond, ok)
     if spec.kernel_complement is not None:
-        check = is_direct_sum([ker, spec.kernel_complement], tol)
-        out["kernel_complement_cond"] = (float(check.condition_number), check.ok)
+        comp = spec.kernel_complement
+        coords = (vt @ comp.basis)[None]
+        cond = float(_condition_from_sines(coords[:, k:], coords[:, :k])[0])
+        out["kernel_complement_cond"] = (cond, comp.dim == k and cond <= tol.membership_cond_max)
     if spec.kernel_equals is not None:
         want = spec.kernel_equals
-        if ker.dim != want.dim:
+        if cols - k != want.dim:
             angle = float("inf")
-        elif ker.dim == 0:
-            angle = 0.0
         else:
-            angle = float(_largest_angle(ker.basis[None], want.basis)[0])
-            assert_largest_angle_near_scipy(angle, ker.basis, want.basis)
+            angle = float(_angle_from_sines((vt @ want.basis)[None, :k])[0])
+            if want.dim:
+                assert_largest_angle_near_scipy(angle, vt[k:].T, want.basis)
         out["kernel_angle"] = (angle, angle < ANGLE_TOL)
     return out
 
@@ -541,6 +550,28 @@ def _check_degenerate(check_audit, check):
     assert not check_audit(half, (plane, plane), 11).degenerate
 
 
+def _tilted(rng, q, d, e, theta):
+    """An e-dimensional subspace at smallest principal angle ``theta`` to span(q[:, :d]).
+
+    ``q`` is orthogonal and d + e <= n.  The other angles are random in
+    [theta, pi/2], and e - min(d, e) directions are orthogonal to q[:, :d].
+    """
+    m = min(d, e)
+    angles = np.concatenate([[theta], rng.uniform(theta, np.pi / 2, m - 1)])
+    cols = np.cos(angles) * q[:, :m] + np.sin(angles) * q[:, d : d + m]
+    basis = np.hstack([cols, q[:, d + m : d + e]])
+    return Subspace(len(q), basis @ np.linalg.qr(rng.standard_normal((e, e)))[0])
+
+
+def _near(rng, q, d, phi):
+    """A d-dimensional subspace at largest principal angle ``phi`` to span(q[:, :d])."""
+    m = min(d, len(q) - d)
+    angles = np.concatenate([[phi], rng.uniform(0.0, phi, m - 1)])
+    cols = np.cos(angles) * q[:, :m] + np.sin(angles) * q[:, d : d + m]
+    basis = np.hstack([cols, q[:, m:d]])
+    return Subspace(len(q), basis @ np.linalg.qr(rng.standard_normal((d, d)))[0])
+
+
 class TestMembershipReference:
     """The stacked membership pass against the one-sample-at-a-time checks."""
 
@@ -649,6 +680,42 @@ class TestMembershipReference:
     def test_degenerate_audit(self):
         _check_degenerate(_assert_audit_matches_reference, _assert_matches_reference)
 
+    @given(
+        st_hyp.integers(2, 20),
+        st_hyp.integers(0, 2**16),
+        st_hyp.floats(0.0, 7.0),
+        st_hyp.floats(-12.0, 0.2),
+    )
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_sine_rules_against_their_definitions(self, n, seed, log_cond, log_angle):
+        # an n x n sample of rank k with random range and kernel, direct-sum
+        # complements of both at condition number 10**log_cond, and an expected
+        # kernel at largest angle 10**log_angle rad to the sample's
+        rng = np.random.default_rng(seed)
+        k = int(rng.integers(1, n))
+        q_range, q_kernel = (np.linalg.qr(rng.standard_normal((n, n)))[0] for _ in range(2))
+        w = q_range[:, :k] @ np.diag(rng.uniform(0.5, 2.0, k)) @ q_kernel[:, n - k :].T
+        theta = 2.0 * np.arctan(10.0**-log_cond)  # cond = cot(theta / 2)
+        spec = MembershipSpec(
+            _tilted(rng, q_range, k, int(rng.integers(1, n - k + 1)), theta),
+            _tilted(rng, q_kernel, n - k, int(rng.integers(1, k + 1)), theta),
+            _near(rng, q_kernel, n - k, 10.0**log_angle),
+        )
+        checks = _membership_checks(w, spec, DEFAULT_TOL)
+        _, ker, rng_w = rank_kernel_range(w)
+        eps = np.finfo(float).eps
+        for name, own, comp in (
+            ("range_complement_cond", rng_w, spec.range_complement),
+            ("kernel_complement_cond", ker, spec.kernel_complement),
+        ):
+            want = is_direct_sum([own, comp]).condition_number
+            assert want <= 1.01e7
+            assert abs(checks[name][0] - want) <= 64 * eps * want * want, (name, checks[name], want)
+        expected = spec.kernel_equals.basis
+        outside = expected - ker.basis @ (ker.basis.T @ expected)
+        sine = np.linalg.svd(outside, compute_uv=False)[0]
+        assert abs(np.sin(checks["kernel_angle"][0]) - sine) <= 16 * eps, (checks, sine)
+
     def test_svd_calls_are_batched(self, monkeypatch):
         rng = np.random.default_rng(8)
         path, ker, n_sub, _ = _project_path(rng, "left", 8, 8, 4, 8)
@@ -673,18 +740,22 @@ class TestMembershipReference:
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_each_sample_factored_once(self, monkeypatch, workers):
-        # a 7x5 leg: no direct-sum or angle matrix has the samples' shape
+        # a 7x5 leg of rank 3: no direct-sum or angle matrix has the samples'
+        # shape. A concatenated basis would be 7x7 or 5x5 and a kernel residual
+        # 5x2; the sines and cosines have at most max(k, n - k) = 4 rows
         monkeypatch.setattr(certify_module, "WORKERS", workers)
         monkeypatch.setattr(certify_module, "CHUNK_BYTES", 1 << 15)
         rng = np.random.default_rng(11)
         path, ker, n_sub, _ = _project_path(rng, "left", 7, 5, 3, 11)
         spec = MembershipSpec(n_sub, _complement(rng, ker), ker)
-        factored = []
+        factored, others = [], set()
         original = np.linalg.svd
 
         def recorded(a, *args, **kwargs):
             if np.shape(a)[-2:] == path.shape:
                 factored.append(np.shape(a)[:-2])
+            else:
+                others.add(np.shape(a)[-2:])
             return original(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "svd", recorded)
@@ -693,6 +764,7 @@ class TestMembershipReference:
         # the samples go in stacks, each sample in exactly one
         assert len(factored) > 2 and all(len(shape) == 1 for shape in factored)
         assert sum(shape[0] for shape in factored) == 1001
+        assert others and all(rows <= 4 for rows, _ in others), others
 
     @pytest.mark.parametrize(
         "spec, field",

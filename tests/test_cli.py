@@ -266,6 +266,21 @@ class TestOtherCommands:
         assert code == 4
         assert message in capsys.readouterr().err
 
+    def test_misspelled_membership_key_exits_4(self, tmp_path, capsys):
+        # {"kernel_equal": ...} once certified with no membership check: exit 0
+        path_file, member_file = tmp_path / "path.json", tmp_path / "member.json"
+        cert_file = tmp_path / "cert.json"
+        ser.save_json(ser.path_to_obj(constant_path(np.diag([1.0, 0.0]))), path_file)
+        wrong = ser.subspace_to_obj(Subspace.span([1, 0]))  # not the kernel, span([0, 1])
+        argv = ["certify", "--path", path_file, "--k", 1, "--samples", 5,
+                "--membership", member_file, "--out", cert_file]
+        ser.save_json({"kernel_equal": wrong}, member_file)
+        assert run(argv) == 4
+        assert "unknown fields ['kernel_equal']" in capsys.readouterr().err
+        assert not cert_file.exists()
+        ser.save_json({"kernel_equals": wrong}, member_file)
+        assert run(argv) == 1
+
     @staticmethod
     def affine_path_obj():
         """A one-leg affine path from diag(1, 0) to diag(1, 1), in the current layout."""
@@ -344,6 +359,20 @@ class TestOtherCommands:
         assert all(isinstance(r["range_condition"], float) for r in records)
         with pytest.raises(ValueError):
             ser.save_json({"x": float("inf")}, tmp_path / "bad.json")
+
+    @pytest.mark.parametrize("command", ["certify", "tangent"])
+    def test_strata_tol_not_a_number_exits_4(self, tmp_path, monkeypatch, capsys, command):
+        monkeypatch.setenv("STRATA_TOL", "abc")
+        t, out = tmp_path / "T.json", tmp_path / "out.json"
+        if command == "certify":
+            ser.save_json(ser.path_to_obj(constant_path(np.diag([1.0, 0.0]))), t)
+            argv = ["certify", "--path", t, "--k", 1, "--samples", 5, "--out", out]
+        else:
+            ser.save_json(ser.matrix_to_obj(np.diag([1.0, 0.0])), t)
+            argv = ["tangent", "--in", t, "--out", out]
+        assert run(argv) == 4
+        assert capsys.readouterr().err == "error: STRATA_TOL must be a number, got 'abc'\n"
+        assert not out.exists()
 
     def test_strata_tol_env(self, tmp_path, monkeypatch):
         monkeypatch.setenv("STRATA_TOL", "1e-2")

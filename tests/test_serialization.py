@@ -372,6 +372,19 @@ class TestMembership:
         assert m.range_complement is not None
         assert m.kernel_complement is None and m.kernel_equals is None
 
+    @pytest.mark.parametrize("key", ["kernel_equal", "range", "Kernel_equals", ""])
+    def test_unknown_key_rejected(self, key):
+        # a misspelled field would otherwise drop its check without a word
+        sub = ser.subspace_to_obj(span([0, 1]))
+        with pytest.raises(StrataError, match=re.escape(repr(key))):
+            ser.membership_from_obj({"range_complement": sub, key: sub})
+        with pytest.raises(StrataError, match="'kernel_equals'"):  # the fields are listed
+            ser.membership_from_obj({key: None})
+
+    def test_every_field_with_null_taken(self):
+        obj = dict.fromkeys(("range_complement", "kernel_complement", "kernel_equals"))
+        assert ser.membership_from_obj(obj) == MembershipSpec()
+
 
 def _finite_or_none(x):
     return x if math.isfinite(x) else None

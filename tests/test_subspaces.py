@@ -20,7 +20,12 @@ from strata import (
 )
 from strata.errors import InputError
 from strata.geometry import StratumPoint
-from strata.subspaces import ANGLE_TOL, _largest_angle, as_matrix, rank_from_singular_values
+from strata.subspaces import (
+    ANGLE_TOL,
+    _angle_from_sines,
+    as_matrix,
+    rank_from_singular_values,
+)
 from strata.instances import random_subspace
 
 from conftest import assert_largest_angle_near_scipy, span
@@ -393,12 +398,13 @@ class TestPrincipalAngles:
         for stack, b in _angle_cases(rng, n):
             if stack.shape[-1] != b.shape[-1]:
                 continue  # the largest angle compares subspaces of one dimension
-            got = _largest_angle(stack, b)
+            # the part of b outside each span, in ambient coordinates
+            got = _angle_from_sines(b - stack @ (np.swapaxes(stack, -1, -2) @ b))
             assert got.shape == (len(stack),)
             for a, angle in zip(stack, got):
                 assert_largest_angle_near_scipy(float(angle), a, b)
                 # a stack of one gives the same bits as its place in a longer stack
-                assert _largest_angle(a[None], b)[0] == angle
+                assert _angle_from_sines((b - a @ (a.T @ b))[None])[0] == angle
                 if angle < ANGLE_TOL:
                     kinds.add("near")
                 elif angle > np.pi / 2 - 1e-7:  # arcsin keeps sqrt(eps) near 1
