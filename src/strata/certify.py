@@ -19,10 +19,14 @@ slice of its singular vectors (Bjorck & Golub 1973).  Each direct-sum
 check (its condition number, from the smallest sine) and the kernel angle
 (the largest principal angle between a sample's kernel and the expected
 one, from the largest sine) take one more stacked SVD per sample rank, of
-matrices of at most max(k, n - k) rows.  A grid of more than one chunk is
-cut into one contiguous stretch per worker (``WORKERS``, the usable
-cores), walked at once, with numpy's and scipy's OpenBLAS held to one
-thread meanwhile.
+matrices of at most max(k, n - k) rows.  Every grid is walked the same
+way: cut into one contiguous stretch per worker (``WORKERS``, the usable
+cores), as many as leave each stretch at least 256 samples or 32 KiB of
+sample values, and walked at once.  The calling thread walks the first
+stretch; a pool of ``WORKERS - 1`` threads, started on first use and kept
+for the life of the process, walks the others, and numpy's and scipy's
+OpenBLAS are held to one thread meanwhile.  A grid too light for two
+stretches is one stretch, walked on the calling thread alone.
 The working memory is set by ``CHUNK_BYTES``, shared by the workers, not
 by the grid size, and the results are those of one sample at a time
 wherever the chunks and stretches split.
@@ -40,7 +44,8 @@ from __future__ import annotations
 import ctypes
 import glob
 import os
-from concurrent.futures import ThreadPoolExecutor
+import threading
+from concurrent.futures import ThreadPoolExecutor, wait
 from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import repeat
@@ -116,6 +121,41 @@ _SCIPY_BLAS = _blas_threads(scipy)
 # stretches of the grid walked at once: one per usable core, or one when
 # numpy's BLAS threads cannot be held (they would compete with the workers)
 WORKERS = len(os.sched_getaffinity(0)) if _BLAS is not None else 1
+
+
+# the lightest stretch handed to a pool thread: 256 samples, or 32 KiB of
+# sample values where that is fewer samples (larger than 4x4).  A lighter
+# one costs more in handing it over and in evaluating its samples, which
+# holds the GIL, than its share of the stacked SVDs saves
+_STRETCH_SAMPLES = 256
+_STRETCH_BYTES = 1 << 15
+
+_pool_lock = threading.Lock()
+_pool_held = None  # (size, executor)
+
+
+def _pool(size: int) -> ThreadPoolExecutor:
+    """The process's pool of ``size`` threads, started on first use.
+
+    A walk that wants another size (``WORKERS`` was changed) replaces it.
+    The old pool is not shut down: a walk may still be handing it stretches,
+    and its threads end once it is no longer held.
+    """
+    global _pool_held
+    with _pool_lock:
+        if _pool_held is None or _pool_held[0] != size:
+            _pool_held = size, ThreadPoolExecutor(size, thread_name_prefix="strata-walk")
+        return _pool_held[1]
+
+
+def _forget_pool():
+    """In a forked child: drop the parent's pool, whose threads did not fork."""
+    global _pool_lock, _pool_held
+    _pool_lock, _pool_held = threading.Lock(), None
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
 
 
 @contextmanager
@@ -254,11 +294,14 @@ def _columns(
 def _chunk_samples(shape: tuple[int, int], membership: bool) -> int:
     """Samples in flight: CHUNK_BYTES over the working set of one sample.
 
-    That is its m*n values and, when the membership pass runs, its U and
-    V^T with room for the spec bases' coordinates in them and their slices.
+    That is its m*n values and, when the membership pass runs, what
+    ``_columns`` allocates for it: its U (m*m) and V^T (n*n), the spec
+    bases' coordinates in them (at most m*m for the range check and n*n for
+    each kernel check), as much again for their slices at the sample's rank,
+    and 32 numbers of per-sample columns and singular values.
     """
     rows, cols = shape
-    values = rows * cols + (6 * (rows * rows + cols * cols) if membership else 0)
+    values = rows * cols + (3 * rows * rows + 5 * cols * cols + 32 if membership else 0)
     return max(1, CHUNK_BYTES // (8 * values))
 
 
@@ -277,18 +320,26 @@ def _chunks(path: OperatorPath, segs: np.ndarray, locals_: np.ndarray, step: int
 def _walk(path: OperatorPath, segs: np.ndarray, locals_: np.ndarray, membership: bool, reduce):
     """``reduce`` of each chunk's values, in grid order.
 
-    A grid that fits in one chunk runs here alone.  A longer one is cut
-    into one contiguous stretch per worker: this thread walks the first,
-    a pool the others, each in chunks of its share of CHUNK_BYTES, with
-    numpy's OpenBLAS held to one thread.  ``reduce`` must copy what it
-    keeps, because the values are overwritten by the next chunk.  An
-    exception of any stretch is raised here, once every stretch stopped.
+    The grid is cut into one contiguous stretch per worker, as many as
+    ``WORKERS`` allows with at least ``_STRETCH_SAMPLES`` samples or
+    ``_STRETCH_BYTES`` of values each: this thread walks the first, the
+    process's pool (``_pool``) the others, each in chunks of its share of
+    CHUNK_BYTES, with numpy's OpenBLAS held to one thread.  A grid too
+    light for two stretches is one stretch, walked here alone, with
+    OpenBLAS as it is.  ``reduce`` must copy what it keeps, because the
+    values are overwritten by the next chunk.  An exception of any stretch
+    is raised here, once every stretch stopped.
     """
-    total = _chunk_samples(path.shape, membership)
-    if segs.size <= total:
-        return [reduce(values) for values in _chunks(path, segs, locals_, total)]
-    workers = min(WORKERS, segs.size)
-    step = max(1, total // workers)
+    rows, cols = path.shape
+    stretches = max(1, segs.size // _STRETCH_SAMPLES, segs.size * 8 * rows * cols // _STRETCH_BYTES)
+    workers = min(WORKERS, stretches)
+    step = max(1, _chunk_samples(path.shape, membership) // workers)
+
+    def stretch(lo, hi):
+        return [reduce(values) for values in _chunks(path, segs[lo:hi], locals_[lo:hi], step)]
+
+    if workers == 1:  # nothing runs beside it, so BLAS keeps its threads
+        return stretch(0, segs.size)
     bounds = [segs.size * i // workers for i in range(workers + 1)]
     # set up each rotation leg at the process's BLAS thread count, as a
     # first evaluation outside a walk does: OpenBLAS rounds some layouts
@@ -296,14 +347,14 @@ def _walk(path: OperatorPath, segs: np.ndarray, locals_: np.ndarray, membership:
     for seg in path.segments:
         if seg.kind == "rotation":
             seg._plane_coords
-
-    def stretch(lo, hi):
-        return [reduce(values) for values in _chunks(path, segs[lo:hi], locals_[lo:hi], step)]
-
-    # a pool given nothing to do starts no thread
-    with _one_blas_thread(), ThreadPoolExecutor(max(1, workers - 1)) as pool:
+    pool = _pool(workers - 1)
+    with _one_blas_thread():
         rest = [pool.submit(stretch, lo, hi) for lo, hi in zip(bounds[1:], bounds[2:])]
-        first = stretch(bounds[0], bounds[1])
+        try:
+            first = stretch(bounds[0], bounds[1])
+        finally:
+            # every stretch stops before the BLAS threads are given back
+            wait(rest)
         return first + [out for future in rest for out in future.result()]
 
 

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import multiprocessing
 import os
 import sys
 import threading
@@ -864,10 +865,29 @@ class TestChunkBoundaries:
 
 class TestWorkingMemory:
     def test_chunk_rule(self):
-        # 100x100 values are 80 kB a sample; membership adds 6 (m^2 + n^2) doubles
+        # 100x100 values are 80 kB a sample; membership adds 3m^2 + 5n^2 + 32 doubles
         assert certify_module._chunk_samples((100, 100), False) == 52
-        assert certify_module._chunk_samples((20, 20), True) == 100
+        assert certify_module._chunk_samples((20, 20), True) == 144
         assert certify_module._chunk_samples((2000, 2000), True) == 1
+
+    @pytest.mark.parametrize("rows, cols", [(20, 20), (8, 30), (30, 8), (4, 4)])
+    def test_membership_budget_covers_a_chunk(self, rows, cols):
+        # whole-space spec subspaces have the largest coordinates and slices
+        # the pass can allocate: one chunk of them, its values included, fits
+        # in CHUNK_BYTES, and fills most of it
+        rng = np.random.default_rng(rows * cols)
+        k = min(rows, cols) // 2
+        count = certify_module._chunk_samples((rows, cols), True)
+        values = rng.standard_normal((count, rows, k)) @ rng.standard_normal((count, k, cols))
+        spec = MembershipSpec(Subspace.full(rows), Subspace.full(cols), Subspace.full(cols))
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            certify_module._columns(values, DEFAULT_TOL, k, spec)
+            peak = values.nbytes + tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert 0.75 * certify_module.CHUNK_BYTES < peak <= certify_module.CHUNK_BYTES, peak
 
     def test_peak_is_set_by_the_chunk_not_the_grid(self):
         # the 100x100 rank-50 fk path: a whole-grid stack at 1001 samples is 80 MB
@@ -1003,14 +1023,14 @@ class TestWorkers:
 
         monkeypatch.setattr(np.linalg, "svd", recorded)
         assert certify_path(path, 10, grid=1001, membership=spec).verdict == "pass"
-        # 11 chunks of 100 samples, 3 SVDs each: rank, kernels and ranges
+        # 7 chunks of 144 samples, 3 SVDs each: rank, kernels and ranges
         # from one; the direct sums; the residuals of the kernel angles.
         # The expected kernel's basis is never factored
-        assert calls["svd"] == 11 * 3 and not any(of_basis)
+        assert calls["svd"] == 7 * 3 and not any(of_basis)
         calls.clear()
         of_basis.clear()
         audit_flip_path(path, (ker, n_sub), grid=1001)
-        assert calls["svd"] == 11 * 3 and not any(of_basis)
+        assert calls["svd"] == 7 * 3 and not any(of_basis)
 
 
 @pytest.fixture
@@ -1026,7 +1046,8 @@ def blas_threads():
 
 
 class TestBlasThreads:
-    """Stretches run with OpenBLAS at one thread; its count is restored."""
+    """Stretches run at once with OpenBLAS at one thread, and its count is
+    restored; a lone stretch leaves it as it is."""
 
     @pytest.fixture(autouse=True)
     def two_workers(self, monkeypatch):
@@ -1056,14 +1077,41 @@ class TestBlasThreads:
         audit_flip_path(path, (ker, n_sub), grid=1001)
         assert blas_threads() == 3
 
-    def test_one_chunk_runs_inline(self, blas_threads, monkeypatch):
+    @pytest.mark.parametrize(
+        "path, k, grid",
+        [
+            # 511 samples, one short of two stretches of 256, of 2x2 and of
+            # 4x4 (64 KiB of values, two stretches of 32 KiB, at 512); an
+            # audit of 11 samples
+            (constant_path(np.diag([1.0, 0.0])), 1, 511),
+            (constant_path(np.diag([1.0, 2.0, 3.0, 0.0])), 3, 511),
+            (None, None, 11),
+        ],
+    )
+    def test_light_grid_never_touches_the_pool(self, blas_threads, monkeypatch, path, k, grid):
         seen = self._spy(monkeypatch, blas_threads)
-        thread = []
-        monkeypatch.setattr(
-            certify_module, "ThreadPoolExecutor", lambda *a: thread.append(a) or 1 / 0
-        )
-        certify_path(constant_path(np.diag([1.0, 2.0, 0.0])), 2, grid=1001)
-        assert seen == [3] and not thread and blas_threads() == 3
+        monkeypatch.setattr(certify_module, "_pool", lambda size: 1 / 0)
+        if path is None:
+            e_star, r = random_split(np.random.default_rng(1), 4, 2)
+            audit_flip_path(literal_flip_path(e_star, r, tilt(e_star, r, np.eye(4))), (r, r), grid=grid)
+        else:
+            certify_path(path, k, grid=grid)
+        # one chunk, walked here; nothing runs beside it, so OpenBLAS keeps its 3 threads
+        assert seen == [3] and blas_threads() == 3
+
+    def test_one_chunk_grid_held_at_one_thread(self, blas_threads, monkeypatch):
+        # 1001 samples of 4x4 are one chunk, cut into two stretches of one
+        # chunk each; the certificate is that of one worker, whose one
+        # stretch leaves OpenBLAS at its 3 threads
+        payload = gen_instance(InstanceSpec(m=4, n=4, k=2, seed=3, kind="fk-pair"))
+        path = connect_fk(payload["T1"], payload["T2"])
+        assert certify_module._chunk_samples(path.shape, False) > 1001
+        seen = self._spy(monkeypatch, blas_threads)
+        written = _written(certify_path, path, 2, 1001)
+        assert seen == [1, 1] and blas_threads() == 3
+        monkeypatch.setattr(certify_module, "WORKERS", 1)
+        assert _written(certify_path, path, 2, 1001) == written
+        assert seen == [1, 1, 3] and blas_threads() == 3
 
     @pytest.mark.parametrize("where", ["caller", "worker"])
     def test_restored_when_a_chunk_raises(self, blas_threads, monkeypatch, where):
@@ -1074,6 +1122,65 @@ class TestBlasThreads:
         with pytest.raises(RuntimeError, match="chunk failed"):
             certify_path(connect_fk(payload["T1"], payload["T2"]), 10, grid=4001)
         assert blas_threads() == 3
+
+
+def _certify_into(name, path, k):
+    """Write the certificate of ``path`` at 1001 samples to the file ``name``."""
+    with open(name, "w") as f:
+        f.write(_written(certify_path, path, k, 1001))
+
+
+class TestPool:
+    """The stretches go to one pool of WORKERS - 1 threads that outlives the call."""
+
+    @pytest.mark.parametrize("workers", [1, 2, 3, 2 * (os.cpu_count() or 1) + 1])
+    def test_follows_workers(self, monkeypatch, workers):
+        # 20x20 samples are 3200 bytes: a stretch of 11 is heavy enough, so
+        # a grid of 12 per worker has a stretch for each
+        payload = gen_instance(InstanceSpec(m=20, n=20, k=10, seed=4, kind="fk-pair"))
+        path = connect_fk(payload["T1"], payload["T2"])
+        grid = 12 * workers
+        whole = _whole_grid(_written, certify_path, path, 10, grid)
+        monkeypatch.setattr(certify_module, "WORKERS", workers)
+        pools, threads = [], set()
+        pool, columns = certify_module._pool, certify_module._columns
+
+        def spied_pool(size):
+            pools.append((size, pool(size)))
+            return pools[-1][1]
+
+        def spied_columns(*args, **kwargs):
+            threads.add(threading.current_thread())
+            return columns(*args, **kwargs)
+
+        monkeypatch.setattr(certify_module, "_pool", spied_pool)
+        monkeypatch.setattr(certify_module, "_columns", spied_columns)
+        assert [_written(certify_path, path, 10, grid) for _ in range(2)] == [whole] * 2
+        # both calls walk on one pool of workers - 1 threads; one worker needs none
+        assert [size for size, _ in pools] == ([workers - 1] * 2 if workers > 1 else [])
+        assert len({id(executor) for _, executor in pools}) == min(1, workers - 1)
+        assert threading.main_thread() in threads and len(threads) <= workers
+        assert all(t.name.startswith("strata-walk") for t in threads - {threading.main_thread()})
+
+    @pytest.mark.filterwarnings("ignore:This process .* is multi-threaded:DeprecationWarning")
+    @pytest.mark.skipif(not hasattr(os, "register_at_fork"), reason="no fork here")
+    def test_forked_child_certifies(self, monkeypatch, tmp_path):
+        # the parent's pool has a thread, which the child does not inherit:
+        # the child starts a pool of its own instead of waiting on that one
+        monkeypatch.setattr(certify_module, "WORKERS", 2)
+        payload = gen_instance(InstanceSpec(m=4, n=4, k=2, seed=3, kind="fk-pair"))
+        path = connect_fk(payload["T1"], payload["T2"])
+        written = _written(certify_path, path, 2, 1001)
+        name = tmp_path / "child.json"
+        child = multiprocessing.get_context("fork").Process(target=_certify_into, args=(name, path, 2))
+        child.start()
+        child.join(timeout=30)
+        hung = child.is_alive()
+        if hung:
+            child.kill()
+            child.join()
+        assert not hung and child.exitcode == 0
+        assert name.read_text() == written
 
 
 class TestInstances:
