@@ -158,20 +158,35 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_forget_pool)
 
 
+_hold_lock = threading.Lock()
+_holds = 0  # holds open in the process, on any thread
+_held_counts = []  # (set, thread count before the first open hold)
+
+
 @contextmanager
 def _one_blas_thread():
-    """Hold numpy's and scipy's OpenBLAS to one thread, restoring their counts on exit."""
-    held = []
-    for blas in (_BLAS, _SCIPY_BLAS):
-        if blas is not None:
-            get, put = blas
-            held.append((put, get()))
-            put(1)
+    """Hold numpy's and scipy's OpenBLAS to one thread while any thread holds them.
+
+    The thread counts are the process's, so the holds are counted
+    process-wide: the first saves the counts and sets one thread, and the
+    last to end restores the saved counts, in whatever order threads end
+    them.
+    """
+    global _holds
+    with _hold_lock:
+        if not _holds:
+            _held_counts[:] = [(put, get()) for get, put in filter(None, (_BLAS, _SCIPY_BLAS))]
+            for put, _ in _held_counts:
+                put(1)
+        _holds += 1
     try:
         yield
     finally:
-        for put, before in held:
-            put(before)
+        with _hold_lock:
+            _holds -= 1
+            if not _holds:
+                for put, before in _held_counts:
+                    put(before)
 
 
 @dataclass(frozen=True)

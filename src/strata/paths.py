@@ -186,25 +186,33 @@ def _endpoint_slack(start: np.ndarray, payload: dict) -> float:
 
 
 def _frozen(value, name: str) -> np.ndarray:
-    """A read-only float copy, so a segment shares no array with its caller.
+    """A read-only C-ordered float copy, so a segment shares no array with its caller.
 
-    A non-finite number raises InputError naming the field.
+    The order is that of every array a path file loads to: OpenBLAS rounds
+    a product by the layout of its factors, and scipy's Schur form gives
+    Fortran-ordered planes.  A non-finite number raises InputError naming
+    the field.
     """
-    out = np.array(value, dtype=float)
+    out = np.array(value, dtype=float, order="C")
     if not np.isfinite(out).all():
         raise InputError(f"segment field {name!r} holds a non-finite number")
     out.setflags(write=False)
     return out
 
 
+def _own_end(seg: PathSegment) -> np.ndarray:
+    """The leg's value at t = 1, from its start and motion alone."""
+    return eval_segment_batch(seg, np.ones(1))[0]
+
+
 def make_segment(kind: str, payload: dict, start, end=None) -> PathSegment:
     """Build the leg that leaves ``start`` with this motion.
 
     The leg gives ``start`` at t = 0 exactly.  An ``end`` given is checked
-    against the leg's value at t = 1 within ``_endpoint_slack``; an end
-    left out is that value.  The segment holds read-only copies of
-    ``start``, ``end`` and the payload arrays; a non-finite number in any
-    of them raises InputError.
+    against the leg's value at t = 1 (``_own_end``) within
+    ``_endpoint_slack``; an end left out is that value.  The segment holds
+    read-only copies of ``start``, ``end`` and the payload arrays; a
+    non-finite number in any of them raises InputError.
     """
     clean = {}
     for key, value in payload.items():
@@ -223,7 +231,7 @@ def make_segment(kind: str, payload: dict, start, end=None) -> PathSegment:
         )
     if kind == "rotation":
         _check_planes(clean["z"], clean["theta"])
-    reached = eval_segment_batch(probe, np.ones(1))[0]
+    reached = _own_end(probe)
     end = _frozen(reached if end is None else end, "end")
     # written so that a NaN difference fails too
     if not maxabs(end - reached) <= _endpoint_slack(start, clean):
@@ -358,20 +366,21 @@ def sample_parameters(path: OperatorPath, grid: int) -> list[tuple[float, int, f
     return list(zip(*(column.tolist() for column in _sample_grid(path, grid))))
 
 
-def _reverse_segment(seg: PathSegment) -> PathSegment:
-    """The leg from ``seg``'s declared end back to its start, by the opposite motion."""
-    p = seg.payload
-    if seg.kind == "affine":
-        reversed_payload = {"b": -p["b"]}
-    else:
-        reversed_payload = {**p, "theta": -p["theta"]}
-    return make_segment(seg.kind, reversed_payload, seg.end, seg.start)
-
-
 def reverse_path(path: OperatorPath) -> OperatorPath:
-    """The same trajectory traversed backwards, re-expressed in closed form."""
-    segs = tuple(_reverse_segment(s) for s in reversed(path.segments))
-    return OperatorPath(segs, path.shape)
+    """The same trajectory traversed backwards, re-expressed in closed form.
+
+    Each leg runs a forward leg's motion backwards.  The first starts at the
+    forward end, each later one at the end its predecessor evaluates to, and
+    only the last declares an end: the forward start, exactly.  So, as on a
+    ``frame_connect`` path, every interior join is a leg's own value.
+    """
+    legs = []
+    for i, seg in enumerate(reversed(path.segments)):
+        p = seg.payload
+        payload = {"b": -p["b"]} if seg.kind == "affine" else {**p, "theta": -p["theta"]}
+        end = path.start if i == len(path.segments) - 1 else None
+        legs.append(make_segment(seg.kind, payload, legs[-1].end if legs else path.end, end))
+    return OperatorPath(tuple(legs), path.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -618,11 +627,12 @@ def frame_connect(x, y, tol: ToleranceConfig = DEFAULT_TOL) -> OperatorPath:
 
     Legs 1 and 5 are left out when the tail they would move is within the
     endpoint tolerance, and so are legs that would not move at all.  Each
-    leg declares its evaluated end, so the rounding of the rotation
-    logarithm never reaches an endpoint check; only the last leg declares
-    x itself.  Rotations keep every singular value, so the rank is k at
-    every parameter.  Raises DisconnectedComponentsError for square
-    invertible endpoints with opposite determinant signs.
+    leg ends at its own value at t = 1 and the next starts there, so the
+    rounding of the rotation logarithm never reaches an endpoint check;
+    only the last leg declares an end, x itself.  A path file writes none
+    of the interior ends.  Rotations keep every singular value, so the
+    rank is k at every parameter.  Raises DisconnectedComponentsError for
+    square invertible endpoints with opposite determinant signs.
     """
     return _frame_path(_factor(x, tol), _factor(y, tol))
 

@@ -29,6 +29,7 @@ from .paths import (
     ChainWitness,
     OperatorPath,
     PathSegment,
+    _own_end,
     make_segment,
 )
 from .projections import GraphParam
@@ -163,7 +164,13 @@ _VECTOR_KEYS = {"theta"}
 _SCALAR_KEYS = {"side"}
 
 
-def _segment_to_obj(seg: PathSegment, start: dict) -> dict:
+def _segment_to_obj(seg: PathSegment, previous: PathSegment | None) -> dict:
+    """The segment's kind and motion, and the ends that ``_segment_from_obj`` cannot derive.
+
+    ``start`` is written on the first segment and wherever it is not bit
+    for bit ``previous``'s end; ``end`` wherever it is not bit for bit the
+    leg's own value at t = 1.
+    """
     obj = {"kind": seg.kind}
     for key in sorted(seg.payload):
         value = seg.payload[key]
@@ -173,17 +180,21 @@ def _segment_to_obj(seg: PathSegment, start: dict) -> dict:
             obj[key] = np.asarray(value, dtype=float).ravel().tolist()
         else:
             obj[key] = matrix_to_obj(value)
-    obj["start"] = start
-    obj["end"] = matrix_to_obj(seg.end)
+    if previous is None or seg.start.tobytes() != previous.end.tobytes():
+        obj["start"] = matrix_to_obj(seg.start)
+    if seg.end.tobytes() != _own_end(seg).tobytes():
+        obj["end"] = matrix_to_obj(seg.end)
     return obj
 
 
-def _segment_from_obj(obj: dict, index: int) -> PathSegment:
+def _segment_from_obj(obj: dict, index: int, previous: PathSegment | None) -> PathSegment:
     """Decode one segment; a missing or malformed field raises StrataError naming it.
 
-    A field ``a`` from an older layout, which repeated the base point,
-    loads only when it equals ``start`` entry for entry, with no tolerance;
-    older writers could store 0.0 in ``start`` where ``a`` held -0.0.
+    A missing ``start`` is ``previous``'s end, and a missing ``end`` the
+    leg's own value at t = 1; the first segment must have a start.  A field
+    ``a`` from an older layout, which repeated the base point, loads only
+    when it equals the start entry for entry, with no tolerance; older
+    writers could store 0.0 in ``start`` where ``a`` held -0.0.
     """
     if not isinstance(obj, dict):
         raise StrataError(f"path segment {index} is not an object")
@@ -201,8 +212,10 @@ def _segment_from_obj(obj: dict, index: int) -> PathSegment:
         except (StrataError, ValueError) as exc:
             error = type(exc) if isinstance(exc, StrataError) else StrataError
             raise error(f"path segment {index} field {key!r}: {exc}") from None
+    if "start" not in payload and previous is not None:
+        payload["start"] = previous.end
     try:
-        kind, start, end = obj["kind"], payload.pop("start"), payload.pop("end")
+        kind, start, end = obj["kind"], payload.pop("start"), payload.pop("end", None)
     except KeyError as exc:
         raise StrataError(f"path segment {index} is missing field {exc.args[0]!r}") from None
     try:
@@ -218,22 +231,17 @@ def _segment_from_obj(obj: dict, index: int) -> PathSegment:
 def path_to_obj(p: OperatorPath, instance: dict | None = None) -> dict:
     """The path's shape, its instance echo if given, and its segments.
 
-    A segment whose ``start`` is bit for bit the previous segment's ``end``
-    shares that ``data`` list, which ``save_json`` then renders once.  The
-    object is read-only: changing one shared list changes both fields.
+    Each segment holds its motion and only the ends that carry information
+    (see ``_segment_to_obj``): on a ``frame_connect`` or ``reverse_path``
+    path, the first start and the last end.
     """
     obj = {"shape": [int(p.shape[0]), int(p.shape[1])]}
     if instance is not None:
         obj["instance"] = instance
-    segments, previous = [], None
-    for seg in p.segments:
-        if previous is not None and seg.start.tobytes() == previous.end.tobytes():
-            start = {**segments[-1]["end"]}  # shares its data list
-        else:
-            start = matrix_to_obj(seg.start)
-        segments.append(_segment_to_obj(seg, start))
-        previous = seg
-    obj["segments"] = segments
+    obj["segments"] = [
+        _segment_to_obj(seg, previous)
+        for seg, previous in zip(p.segments, (None, *p.segments))
+    ]
     return obj
 
 
@@ -241,7 +249,8 @@ def path_from_obj(obj: dict) -> OperatorPath:
     """Load a path; a missing field raises StrataError naming it and its segment.
 
     ``shape`` must be a list of two counts, and an ``instance`` echo is
-    checked as ``instance_echo``'s, before any segment is decoded.
+    checked as ``instance_echo``'s, before any segment is decoded.  Files
+    that write every start and end load the same way.
     """
     if not isinstance(obj, dict):
         raise StrataError("path is not an object with a shape list")
@@ -255,8 +264,10 @@ def path_from_obj(obj: dict) -> OperatorPath:
         raise StrataError(f"path shape must be a list of two counts, not {shape!r}")
     if not isinstance(raw, list):
         raise StrataError("path segments must be a list")
-    segments = tuple(_segment_from_obj(s, i) for i, s in enumerate(raw))
-    return OperatorPath(segments, tuple(shape))
+    segments = []
+    for i, s in enumerate(raw):
+        segments.append(_segment_from_obj(s, i, segments[-1] if segments else None))
+    return OperatorPath(tuple(segments), tuple(shape))
 
 
 def _shared_rows(factors: np.ndarray) -> list[list]:
@@ -574,9 +585,9 @@ def save_json(obj, path) -> None:
     of floats is rendered in one pass instead of one token at a time, and
     a list object that ``obj`` holds more than once is rendered once per
     indentation, its text written at every place it occurs.  Objects from
-    ``tangent_basis_to_obj`` and ``path_to_obj`` share lists so.  The
-    file is written under a temporary name beside ``path`` and moved onto
-    it once complete, so a write that raises leaves ``path`` as it was.
+    ``tangent_basis_to_obj`` share lists so.  The file is written under a
+    temporary name beside ``path`` and moved onto it once complete, so a
+    write that raises leaves ``path`` as it was.
     """
     path = os.fspath(path)
     directory, name = os.path.split(path)

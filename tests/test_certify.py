@@ -1099,6 +1099,38 @@ class TestBlasThreads:
         # one chunk, walked here; nothing runs beside it, so OpenBLAS keeps its 3 threads
         assert seen == [3] and blas_threads() == 3
 
+    def test_overlapping_holds_of_two_threads(self, blas_threads):
+        """Thread A holds, then B; A ends first.  OpenBLAS stays at one thread
+        until B ends too, then has the counts it had before A began."""
+        hold = certify_module._one_blas_thread
+        scipy_blas = certify_module._SCIPY_BLAS
+        before = scipy_blas[0]() if scipy_blas else None
+        barrier = threading.Barrier(2, timeout=30)
+        seen = []
+
+        def first():
+            with hold():
+                barrier.wait()  # A holds
+                barrier.wait()  # B holds
+            barrier.wait()  # A has ended its hold
+
+        def second():
+            barrier.wait()
+            with hold():
+                barrier.wait()
+                barrier.wait()
+                seen.append(blas_threads())
+
+        threads = [threading.Thread(target=first), threading.Thread(target=second)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+        assert not any(thread.is_alive() for thread in threads)
+        assert seen == [1]
+        assert blas_threads() == 3
+        assert (scipy_blas[0]() if scipy_blas else None) == before
+
     def test_one_chunk_grid_held_at_one_thread(self, blas_threads, monkeypatch):
         # 1001 samples of 4x4 are one chunk, cut into two stretches of one
         # chunk each; the certificate is that of one worker, whose one

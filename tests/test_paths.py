@@ -258,6 +258,21 @@ class TestSegmentsAndEval:
         assert np.array_equal(eval_path(r, 0.0), p.end)
         assert np.array_equal(eval_path(rq, 0.0), q.end)
 
+    def test_reverse_joins_are_own_ends(self, rng):
+        """Each reversed leg starts where the one before it evaluates to at 1;
+        only the last declares its end, the forward start, exactly."""
+        t1 = rng.uniform(-1, 1, (5, 3)) @ rng.uniform(-1, 1, (3, 4))
+        t2 = rng.uniform(-1, 1, (5, 3)) @ rng.uniform(-1, 1, (3, 4))
+        # the flip declares every interior end; the frame path none
+        for p in (connect_fk(t1, t2), corrected_flip_path(t1)):
+            r = reverse_path(p)
+            assert len(r.segments) == len(p.segments) >= 3
+            assert r.start.tobytes() == p.end.tobytes()
+            assert r.end.tobytes() == p.start.tobytes()
+            for before, seg in zip(r.segments, r.segments[1:]):
+                own = eval_segment_batch(before, np.ones(1))[0]
+                assert before.end.tobytes() == own.tobytes() == seg.start.tobytes()
+
 
 class TestRotationLegs:
     @staticmethod

@@ -18,8 +18,11 @@ from strata import (
     Subspace,
     audit_flip_path,
     certify_path,
+    chain_connect,
     connect_fk,
+    connect_phi,
     constant_path,
+    corrected_flip_path,
     discover_chain,
     eval_path,
     gl_connect,
@@ -179,6 +182,36 @@ class TestGraphParam:
         assert np.allclose(back.coeff, g.coeff)
 
 
+def assert_same_legs(got: OperatorPath, want: OperatorPath) -> None:
+    """Equal shapes and legs: kind, payload, start and end, bit for bit."""
+    assert got.shape == want.shape and len(got.segments) == len(want.segments)
+    for seg, ref in zip(got.segments, want.segments):
+        assert seg.kind == ref.kind and seg.payload.keys() == ref.payload.keys()
+        for key, value in ref.payload.items():
+            if isinstance(value, str):
+                assert seg.payload[key] == value
+            else:
+                assert seg.payload[key].tobytes() == value.tobytes()
+        assert seg.start.tobytes() == ref.start.tobytes()
+        assert seg.end.tobytes() == ref.end.tobytes()
+
+
+def _pair(n: int, kind: str = "fk-pair") -> tuple[np.ndarray, np.ndarray]:
+    pair = gen_instance(InstanceSpec(m=n, n=n - 1, k=n // 2, seed=3, kind=kind))
+    return pair["T1"], pair["T2"]
+
+
+# every builder whose paths a file may hold, at an (n - 1) x n shape (gl: n x n)
+BUILDERS = {
+    "fk": lambda n: connect_fk(*_pair(n)),
+    "phi": lambda n: connect_phi(*_pair(n, "phi-pair")),
+    "chain": lambda n: chain_connect(*_pair(n), discover_chain(*_pair(n))),
+    "flip": lambda n: corrected_flip_path(_pair(n)[0]),
+    "gl": lambda n: gl_connect(np.random.default_rng(3).standard_normal((n, n)))[0],
+    "reversed": lambda n: reverse_path(connect_fk(*_pair(n))),
+}
+
+
 class TestPathFormat:
     def test_round_trip_every_kind(self, rng):
         """A connect_fk path holds both kinds, affine and rotation; all legs round-trip."""
@@ -209,30 +242,58 @@ class TestPathFormat:
         assert loaded["shape"] == [2, 2]
 
     def test_segments_store_no_base_point_copy(self, rng):
+        """No field "a"; a start on the first leg only, an end on the last only."""
         t1 = rng.uniform(-1, 1, (3, 2)) @ rng.uniform(-1, 1, (2, 4))
         t2 = rng.uniform(-1, 1, (3, 2)) @ rng.uniform(-1, 1, (2, 4))
-        obj = ser.path_to_obj(connect_fk(t1, t2))
-        assert [list(seg) for seg in obj["segments"]] == [
-            ["kind", "b", "start", "end"]
-            if seg["kind"] == "affine"
-            else ["kind", "side", "theta", "z", "start", "end"]
-            for seg in obj["segments"]
-        ]
+        for p in (connect_fk(t1, t2), reverse_path(connect_fk(t1, t2))):
+            segments = ser.path_to_obj(p)["segments"]
+            last = len(segments) - 1
+            assert [list(seg) for seg in segments] == [
+                (["kind", "b"] if seg["kind"] == "affine" else ["kind", "side", "theta", "z"])
+                + ["start"] * (i == 0)
+                + ["end"] * (i == last and "end" in seg)
+                for i, seg in enumerate(segments)
+            ]
+            assert np.array_equal(ser.path_from_obj({"shape": [3, 4], "segments": segments}).end,
+                                  p.end)
+
+    @staticmethod
+    def every_end_obj(p, base_copy=False) -> dict:
+        """``p`` in the older layout: every start and end, and field "a" if asked."""
+        obj = ser.path_to_obj(p)
+        segments = []
+        for seg, written in zip(p.segments, obj["segments"]):
+            a = {"a": ser.matrix_to_obj(seg.start)} if base_copy else {}
+            motion = {k: v for k, v in written.items() if k not in ("start", "end")}
+            segments.append({**a, **motion, "start": ser.matrix_to_obj(seg.start),
+                             "end": ser.matrix_to_obj(seg.end)})
+        return {**obj, "segments": segments}
 
     def test_older_layout_with_base_point_copy_loads(self, rng):
-        """Files that repeated the start as field "a" load to the same path."""
+        """Files that wrote every start and end and repeated the start as "a" load to the same path."""
         t1 = rng.uniform(-1, 1, (3, 2)) @ rng.uniform(-1, 1, (2, 4))
         t2 = rng.uniform(-1, 1, (3, 2)) @ rng.uniform(-1, 1, (2, 4))
-        obj = ser.path_to_obj(connect_fk(t1, t2))
-        segments = [{"kind": s["kind"], "a": s["start"], **s} for s in obj["segments"]]
-        old = {**obj, "segments": segments}
-        assert all("a" in seg for seg in old["segments"])
+        p = connect_fk(t1, t2)
+        obj, old = ser.path_to_obj(p), self.every_end_obj(p, base_copy=True)
+        assert all({"a", "start", "end"} <= set(seg) for seg in old["segments"])
         back, want = ser.path_from_obj(old), ser.path_from_obj(obj)
         assert ser.path_to_obj(back) == obj
         for seg, ref in zip(back.segments, want.segments):
             assert np.array_equal(eval_segment_batch(seg, np.linspace(0, 1, 7)),
                                   eval_segment_batch(ref, np.linspace(0, 1, 7)))
 
+    @pytest.mark.parametrize("reverse", [False, True], ids=["fwd", "reversed"])
+    def test_older_layout_gives_the_same_certificate(self, reverse):
+        """20x20: a file with every start and end loads to the built path, bit for bit."""
+        pair = gen_instance(InstanceSpec(m=20, n=20, k=10, seed=1, kind="fk-pair"))
+        p = connect_fk(pair["T1"], pair["T2"])
+        p = reverse_path(p) if reverse else p
+        back = ser.path_from_obj(json.loads(json.dumps(self.every_end_obj(p))))
+        assert_same_legs(back, p)
+        assert ser.path_to_obj(back) == ser.path_to_obj(p)
+        assert ser.certificate_to_obj(certify_path(back, 10, grid=1001)) == (
+            ser.certificate_to_obj(certify_path(p, 10, grid=1001))
+        )
 
     def test_rank_one_field_loads_to_the_same_path(self, rng):
         """A segment field written in rank-one form loads as its dense twin."""
@@ -246,27 +307,77 @@ class TestPathFormat:
         back = ser.path_from_obj({**obj, "segments": [first, *obj["segments"][1:]]})
         assert ser.path_to_obj(back) == obj
 
-    def test_joins_share_the_data_list(self, rng):
-        """Each leg's start is the previous leg's end bit for bit, and shares its data list."""
+    def test_interior_joins_are_left_out(self, rng):
+        """Each leg starts at the previous leg's end and, but for the last, ends at
+        its own value: no later start and no interior end is written, and the
+        loaded legs are the built ones, bit for bit."""
         t1 = rng.uniform(-1, 1, (5, 3)) @ rng.uniform(-1, 1, (3, 4))
         t2 = rng.uniform(-1, 1, (5, 3)) @ rng.uniform(-1, 1, (3, 4))
         for p in (connect_fk(t1, t2), reverse_path(connect_fk(t1, t2))):
-            segments = ser.path_to_obj(p)["segments"]
+            obj = ser.path_to_obj(p)
+            segments = obj["segments"]
             assert len(segments) >= 3
-            for before, seg in zip(segments, segments[1:]):
-                assert seg["start"]["data"] is before["end"]["data"]
-                assert seg["start"] is not before["end"]
-            assert ser.path_to_obj(ser.path_from_obj(json.loads(json.dumps(
-                ser.path_to_obj(p))))) == ser.path_to_obj(p)
+            assert ["start" in seg for seg in segments] == [True] + [False] * (len(segments) - 1)
+            assert not any("end" in seg for seg in segments[:-1])
+            back = ser.path_from_obj(json.loads(json.dumps(obj)))
+            assert_same_legs(back, p)
+            assert ser.path_to_obj(back) == obj
 
-    def test_join_shared_only_when_bits_agree(self):
-        """A start that equals the previous end only up to the sign of a zero keeps its own list."""
+    def test_start_kept_when_bits_differ(self):
+        """A start that equals the previous end only up to the sign of a zero keeps its own field."""
         a = np.array([[1.0, 0.0], [0.0, 0.0]])
         first = make_segment("affine", {"b": np.zeros((2, 2))}, a)
         second = make_segment("affine", {"b": np.eye(2)}, np.array([[1.0, -0.0], [0.0, 0.0]]))
-        segments = ser.path_to_obj(OperatorPath((first, second), (2, 2)))["segments"]
-        assert segments[1]["start"]["data"] is not segments[0]["end"]["data"]
+        p = OperatorPath((first, second), (2, 2))
+        segments = ser.path_to_obj(p)["segments"]
+        assert "start" in segments[1]
         assert math.copysign(1.0, segments[1]["start"]["data"][1]) < 0
+        assert_same_legs(ser.path_from_obj(ser.path_to_obj(p)), p)
+
+    def test_end_kept_when_bits_differ(self):
+        """A declared end that is not bit for bit the leg's own value keeps its field."""
+        a, b = np.array([[0.1, 0.0], [0.0, 1.0]]), np.array([[0.2, 0.0], [0.0, 0.0]])
+        own = a + b  # 0.1 + 0.2 is 0.30000000000000004
+        declared = np.array([[0.3, 0.0], [0.0, 1.0]])
+        assert not np.array_equal(own, declared)
+        leg = make_segment("affine", {"b": b}, a, declared)
+        nxt = make_segment("affine", {"b": -b}, declared)
+        p = OperatorPath((leg, nxt), (2, 2))
+        segments = ser.path_to_obj(p)["segments"]
+        assert segments[0]["end"]["data"] == [0.3, 0.0, 0.0, 1.0]
+        assert "start" not in segments[1]
+        assert_same_legs(ser.path_from_obj(ser.path_to_obj(p)), p)
+
+    def test_first_segment_needs_a_start(self):
+        obj = ser.path_to_obj(constant_path(np.eye(3)))
+        del obj["segments"][0]["start"]
+        with pytest.raises(StrataError, match="path segment 0 is missing field 'start'"):
+            ser.path_from_obj(obj)
+
+    @pytest.mark.parametrize("n", [4, 20])
+    @pytest.mark.parametrize("build", sorted(BUILDERS))
+    def test_every_builder_round_trips(self, build, n):
+        """The file of every builder's path reloads to it, bit for bit, and writes the same file."""
+        p = BUILDERS[build](n)
+        obj = json.loads(json.dumps(ser.path_to_obj(p)))
+        back = ser.path_from_obj(obj)
+        assert_same_legs(back, p)
+        assert ser.path_to_obj(back) == obj
+
+    @pytest.mark.parametrize("reverse", [False, True], ids=["fwd", "reversed"])
+    @pytest.mark.parametrize("n", [20, 100])
+    def test_loaded_path_certifies_as_built(self, n, reverse):
+        """Arrays of a built path are C-ordered, as loaded ones are: both certify to the same bytes."""
+        pair = gen_instance(InstanceSpec(m=n, n=n, k=n // 2, seed=1, kind="fk-pair"))
+        p = connect_fk(pair["T1"], pair["T2"])
+        p = reverse_path(p) if reverse else p
+        back = ser.path_from_obj(ser.path_to_obj(p))
+        for seg in p.segments:
+            assert all(v.flags.c_contiguous for v in (seg.start, seg.end, *seg.payload.values())
+                       if isinstance(v, np.ndarray))
+        assert ser.certificate_to_obj(certify_path(back, n // 2, grid=1001)) == (
+            ser.certificate_to_obj(certify_path(p, n // 2, grid=1001))
+        )
 
     @pytest.mark.parametrize(
         "shape", [[3.9, 3.2], ["3", "3"], [3, "x"]], ids=["floats", "strings", "non-number"]
@@ -604,14 +715,15 @@ class TestSaveJson:
         assert (tmp_path / "tangent.json").read_text() == stdlib_text(obj)
 
     def test_path_renders_each_join_once(self, monkeypatch, tmp_path):
-        """A 3-leg 100x100 connect_fk path: 7 data lists rendered, not 9."""
+        """A 3-leg 100x100 connect_fk path: 5 data lists rendered, the motions,
+        the first start and the last end; no join is written."""
         pair = gen_instance(InstanceSpec(m=100, n=100, k=50, seed=1, kind="fk-pair"))
         obj = ser.path_to_obj(connect_fk(pair["T1"], pair["T2"]))
-        assert len(obj["segments"]) == 3
+        assert [list(seg)[-1] for seg in obj["segments"]] == ["start", "z", "end"]
         seen = self.renders(monkeypatch)
         ser.save_json(obj, tmp_path / "path.json")
-        assert seen.count(100 * 100) == 7
-        assert sum(seen) == 7 * 100 * 100 + 100  # and the two theta lists
+        assert seen.count(100 * 100) == 5
+        assert sum(seen) == 5 * 100 * 100 + 100  # and the two theta lists
         assert (tmp_path / "path.json").read_text() == stdlib_text(obj)
 
     def test_number_list_longer_than_a_chunk(self, tmp_path):
