@@ -24,9 +24,12 @@ way: cut into one contiguous stretch per worker (``WORKERS``, the usable
 cores), as many as leave each stretch at least 256 samples or 32 KiB of
 sample values, and walked at once.  The calling thread walks the first
 stretch; a pool of ``WORKERS - 1`` threads, started on first use and kept
-for the life of the process, walks the others, and numpy's and scipy's
-OpenBLAS are held to one thread meanwhile.  A grid too light for two
-stretches is one stretch, walked on the calling thread alone.
+for the life of the process, walks the others.  A grid too light for two
+stretches is one stretch, walked on the calling thread alone.  Like every
+entry point of the library that computes, ``certify_path`` and
+``audit_flip_path`` hold numpy's and scipy's OpenBLAS to one thread for
+the whole call (``strata.blas``), the pool's threads included, so a
+certificate is the same on any number of cores.
 The working memory is set by ``CHUNK_BYTES``, shared by the workers, not
 by the grid size, and the results are those of one sample at a time
 wherever the chunks and stretches split.
@@ -41,19 +44,16 @@ first read and then kept.
 
 from __future__ import annotations
 
-import ctypes
-import glob
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor, wait
-from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import repeat
 from typing import NamedTuple
 
 import numpy as np
-import scipy.linalg
 
+from .blas import _BLAS, _one_blas_thread
 from .errors import InputError
 from .paths import OperatorPath, _eval_batch, _integer, _sample_grid
 from .subspaces import (
@@ -80,44 +80,6 @@ ENDPOINT_PASS_TOL = 1e-9
 SIGMA_GAP_MIN = 1e6
 CHUNK_BYTES = 1 << 22  # working memory of the chunks in flight, all workers together
 
-
-def _blas_threads(package):
-    """(get, set) of the thread count of the OpenBLAS ``package`` runs on, or None.
-
-    Only a library the package has already loaded from its wheel's
-    ``<package>.libs`` counts; its functions are ``scipy_openblas_*64_``
-    in numpy 2 wheels, ``scipy_openblas_*`` in scipy's and ``openblas_*``
-    (maybe with the ``64_`` suffix) in older ones.  Looked for on Linux
-    only, where the usable cores can be read.
-    """
-    if not hasattr(os, "sched_getaffinity"):
-        return None
-    root = os.path.dirname(os.path.dirname(package.__file__))
-    libs = os.path.join(root, f"{package.__name__}.libs")
-    for name in sorted(glob.glob(os.path.join(libs, "*openblas*"))):
-        try:
-            lib = ctypes.CDLL(name, mode=os.RTLD_NOLOAD)
-        except OSError:
-            continue
-        for prefix, suffix in (
-            ("scipy_openblas", "64_"),
-            ("scipy_openblas", ""),
-            ("openblas", "64_"),
-            ("openblas", ""),
-        ):
-            get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
-            put = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
-            if get is not None and put is not None:
-                get.argtypes, get.restype = [], ctypes.c_int
-                put.argtypes, put.restype = [ctypes.c_int], None
-                return get, put
-    return None
-
-
-_BLAS = _blas_threads(np)
-# scipy's wheel brings an OpenBLAS of its own, which scipy.linalg.schur
-# (the rotation planes of a connect) runs on
-_SCIPY_BLAS = _blas_threads(scipy)
 # stretches of the grid walked at once: one per usable core, or one when
 # numpy's BLAS threads cannot be held (they would compete with the workers)
 WORKERS = len(os.sched_getaffinity(0)) if _BLAS is not None else 1
@@ -156,37 +118,6 @@ def _forget_pool():
 
 if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_forget_pool)
-
-
-_hold_lock = threading.Lock()
-_holds = 0  # holds open in the process, on any thread
-_held_counts = []  # (set, thread count before the first open hold)
-
-
-@contextmanager
-def _one_blas_thread():
-    """Hold numpy's and scipy's OpenBLAS to one thread while any thread holds them.
-
-    The thread counts are the process's, so the holds are counted
-    process-wide: the first saves the counts and sets one thread, and the
-    last to end restores the saved counts, in whatever order threads end
-    them.
-    """
-    global _holds
-    with _hold_lock:
-        if not _holds:
-            _held_counts[:] = [(put, get()) for get, put in filter(None, (_BLAS, _SCIPY_BLAS))]
-            for put, _ in _held_counts:
-                put(1)
-        _holds += 1
-    try:
-        yield
-    finally:
-        with _hold_lock:
-            _holds -= 1
-            if not _holds:
-                for put, before in _held_counts:
-                    put(before)
 
 
 @dataclass(frozen=True)
@@ -339,38 +270,29 @@ def _walk(path: OperatorPath, segs: np.ndarray, locals_: np.ndarray, membership:
     ``WORKERS`` allows with at least ``_STRETCH_SAMPLES`` samples or
     ``_STRETCH_BYTES`` of values each: this thread walks the first, the
     process's pool (``_pool``) the others, each in chunks of its share of
-    CHUNK_BYTES, with numpy's OpenBLAS held to one thread.  A grid too
-    light for two stretches is one stretch, walked here alone, with
-    OpenBLAS as it is.  ``reduce`` must copy what it keeps, because the
-    values are overwritten by the next chunk.  An exception of any stretch
-    is raised here, once every stretch stopped.
+    CHUNK_BYTES.  A grid too light for two stretches never reaches the
+    pool.  The caller holds OpenBLAS to one thread, for the pool's threads
+    too.  ``reduce`` must copy what it keeps, because the values are
+    overwritten by the next chunk.  An exception of any stretch is raised
+    here, once every stretch stopped.
     """
     rows, cols = path.shape
     stretches = max(1, segs.size // _STRETCH_SAMPLES, segs.size * 8 * rows * cols // _STRETCH_BYTES)
     workers = min(WORKERS, stretches)
     step = max(1, _chunk_samples(path.shape, membership) // workers)
+    bounds = [segs.size * i // workers for i in range(workers + 1)]
 
     def stretch(lo, hi):
         return [reduce(values) for values in _chunks(path, segs[lo:hi], locals_[lo:hi], step)]
 
-    if workers == 1:  # nothing runs beside it, so BLAS keeps its threads
-        return stretch(0, segs.size)
-    bounds = [segs.size * i // workers for i in range(workers + 1)]
-    # set up each rotation leg at the process's BLAS thread count, as a
-    # first evaluation outside a walk does: OpenBLAS rounds some layouts
-    # by its thread count
-    for seg in path.segments:
-        if seg.kind == "rotation":
-            seg._plane_coords
-    pool = _pool(workers - 1)
-    with _one_blas_thread():
-        rest = [pool.submit(stretch, lo, hi) for lo, hi in zip(bounds[1:], bounds[2:])]
-        try:
-            first = stretch(bounds[0], bounds[1])
-        finally:
-            # every stretch stops before the BLAS threads are given back
-            wait(rest)
-        return first + [out for future in rest for out in future.result()]
+    pool = _pool(workers - 1) if workers > 1 else None
+    rest = [pool.submit(stretch, lo, hi) for lo, hi in zip(bounds[1:], bounds[2:])]
+    try:
+        first = stretch(bounds[0], bounds[1])
+    finally:
+        # every stretch stops before the caller's hold gives the BLAS threads back
+        wait(rest)
+    return first + [out for future in rest for out in future.result()]
 
 
 def _join(chunks: list[dict]) -> dict[str, np.ndarray]:
@@ -489,6 +411,7 @@ class PathCertificate:
         return self.verdict == "pass"
 
 
+@_one_blas_thread()
 def certify_path(
     path: OperatorPath,
     expected_k: int,
@@ -573,6 +496,7 @@ class FlipAudit:
         return not self.failures
 
 
+@_one_blas_thread()
 def audit_flip_path(
     path: OperatorPath,
     s_spec: tuple[Subspace, Subspace],

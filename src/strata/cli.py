@@ -14,9 +14,9 @@ matrix or instance echo, or rank-one factors whose product overflows (the
 error names the field), a path shape that is not two counts, a
 STRATA_TOL that is not a number, or a file that cannot be read or written.
 The STRATA_TOL environment variable overrides the default relative rank
-tolerance everywhere.  Each command runs with numpy's and scipy's
-OpenBLAS held to one thread, so the files it writes do not depend on the
-number of cores.
+tolerance everywhere.  The library holds numpy's and scipy's OpenBLAS to
+one thread at each of its entry points that computes (``strata.blas``), so
+the files a command writes do not depend on the number of cores.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ import sys
 import numpy as np
 
 from . import serialization as ser
-from .certify import _one_blas_thread, audit_flip_path, certify_path
+from .certify import audit_flip_path, certify_path
 from .errors import InputError, StrataError
 from .geometry import StratumPoint, dim_fk, tangent_basis
 from .instances import InstanceSpec, gen_instance, random_subspace
@@ -213,10 +213,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        # OpenBLAS rounds some products by its thread count, which follows
-        # the usable cores; at one thread every file is the same on any host
-        with _one_blas_thread():
-            return args.func(args)
+        return args.func(args)
     except (StrataError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4

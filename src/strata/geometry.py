@@ -19,6 +19,7 @@ from functools import cached_property
 
 import numpy as np
 
+from .blas import _one_blas_thread
 from .errors import InputError
 from .subspaces import (
     DEFAULT_TOL,
@@ -88,6 +89,7 @@ class StratumPoint:
         object.__setattr__(self, "_row", svd[2][: self.k].T)
 
     @classmethod
+    @_one_blas_thread()
     def at(cls, op, tol: ToleranceConfig = DEFAULT_TOL) -> "StratumPoint":
         """The stratum point at ``op``: rank, kernel and range read from one SVD.
 
@@ -169,6 +171,7 @@ def tangent_violation(x: StratumPoint, v) -> float:
     return float(np.max(np.abs(residual))) if residual.size else 0.0
 
 
+@_one_blas_thread()
 def tangency_order(x: StratumPoint, v, t_grid=None):
     """Fitted decay order of the (k+1)-th singular value along X + tV.
 

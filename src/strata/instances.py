@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .blas import _one_blas_thread
 from .errors import InputError
 from .subspaces import Subspace
 
@@ -63,6 +64,7 @@ def _invertible_matrix(rng: np.random.Generator, n: int) -> np.ndarray:
             return a
 
 
+@_one_blas_thread()
 def random_subspace(rng: np.random.Generator, ambient: int, dim: int) -> Subspace:
     """A well-spread random subspace of the given dimension."""
     if dim == 0:
@@ -76,6 +78,7 @@ def random_subspace(rng: np.random.Generator, ambient: int, dim: int) -> Subspac
             return Subspace.from_columns(cols)
 
 
+@_one_blas_thread()
 def gen_instance(spec: InstanceSpec) -> dict:
     """Materialize an instance payload, deterministic in the seed."""
     rng = np.random.default_rng(spec.seed)

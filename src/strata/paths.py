@@ -29,6 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
+from .blas import _one_blas_thread
 from .errors import (
     DisconnectedComponentsError,
     InputError,
@@ -205,6 +206,7 @@ def _own_end(seg: PathSegment) -> np.ndarray:
     return eval_segment_batch(seg, np.ones(1))[0]
 
 
+@_one_blas_thread()
 def make_segment(kind: str, payload: dict, start, end=None) -> PathSegment:
     """Build the leg that leaves ``start`` with this motion.
 
@@ -289,6 +291,7 @@ def locate(path: OperatorPath, t: float) -> tuple[int, float]:
     return idx, x - idx
 
 
+@_one_blas_thread()
 def eval_path(path: OperatorPath, t: float) -> np.ndarray:
     idx, local = locate(path, t)
     return eval_segment(path.segments[idx], local)
@@ -315,6 +318,7 @@ def _eval_batch(
     return out
 
 
+@_one_blas_thread()
 def eval_path_batch(path: OperatorPath, samples, out: np.ndarray | None = None) -> np.ndarray:
     """Evaluate at a list of (global_t, segment, local_t) triples, in order.
 
@@ -366,6 +370,7 @@ def sample_parameters(path: OperatorPath, grid: int) -> list[tuple[float, int, f
     return list(zip(*(column.tolist() for column in _sample_grid(path, grid))))
 
 
+@_one_blas_thread()
 def reverse_path(path: OperatorPath) -> OperatorPath:
     """The same trajectory traversed backwards, re-expressed in closed form.
 
@@ -387,6 +392,7 @@ def reverse_path(path: OperatorPath) -> OperatorPath:
 # projector flip families
 
 
+@_one_blas_thread()
 def literal_flip_path(
     e_star: Subspace, r: Subspace, alpha: GraphParam, tol: ToleranceConfig = DEFAULT_TOL
 ) -> OperatorPath:
@@ -415,7 +421,7 @@ def literal_flip_path(
 
 
 def _half_turn(
-    base: np.ndarray, u: np.ndarray, w: np.ndarray, side: str, end: np.ndarray
+    base: np.ndarray, u: np.ndarray, w: np.ndarray, side: str, end: np.ndarray | None
 ) -> PathSegment:
     """Rotate direction u of base through the spare unit vector w, theta = pi."""
     return make_segment(
@@ -426,6 +432,7 @@ def _half_turn(
     )
 
 
+@_one_blas_thread()
 def corrected_flip_path(
     t_mat, k: int | None = None, side: str | None = None, tol: ToleranceConfig = DEFAULT_TOL
 ) -> OperatorPath:
@@ -437,7 +444,10 @@ def corrected_flip_path(
     complement, half a turn each.  Every intermediate frame stays
     orthonormal, so the singular values, and hence the rank, are constant
     along the whole path.  Requires a spare direction on the chosen side.
-    A rank ``k`` given as None is the matrix's own.
+    A rank ``k`` given as None is the matrix's own.  As on a
+    ``frame_connect`` path, each half-turn starts at the value the one
+    before it reaches at t = 1, and only the last declares an end: the
+    negated matrix, exactly.
     """
     t_mat, rank, (u_full, _, vt_full) = _factor(t_mat, tol)
     rows, cols = t_mat.shape
@@ -468,17 +478,11 @@ def corrected_flip_path(
     else:
         w = vt_full[k, :]
         axes = [vt_full[i, :] for i in range(k)]
-    segments = []
-    base = t_mat.copy()
+    legs = []
     for i, u in enumerate(axes):
-        if side == "range":
-            nxt = base - 2.0 * np.outer(u, u @ base)
-        else:
-            nxt = base - 2.0 * np.outer(base @ u, u)
-        declared_end = -t_mat if i == k - 1 else nxt
-        segments.append(_half_turn(base, u, w, side, declared_end))
-        base = nxt
-    return OperatorPath(tuple(segments), t_mat.shape)
+        base = legs[-1].end if legs else t_mat
+        legs.append(_half_turn(base, u, w, side, -t_mat if i == k - 1 else None))
+    return OperatorPath(tuple(legs), t_mat.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -490,6 +494,7 @@ def _line(a: np.ndarray, b: np.ndarray) -> PathSegment:
     return make_segment("affine", {"b": b - a}, a, b)
 
 
+@_one_blas_thread()
 def left_project_path(
     t0, f_star: Subspace, n_sub: Subspace, tol: ToleranceConfig = DEFAULT_TOL
 ) -> OperatorPath:
@@ -511,6 +516,7 @@ def left_project_path(
     return OperatorPath((_line(proj @ t0, t0),), t0.shape)
 
 
+@_one_blas_thread()
 def right_project_path(
     t0, e_star: Subspace, r0: Subspace, tol: ToleranceConfig = DEFAULT_TOL
 ) -> OperatorPath:
@@ -612,6 +618,7 @@ def _orient_frames(u_x, vt_x, u_y, vt_y, k: int) -> None:
         vt_y[k] *= -1.0
 
 
+@_one_blas_thread()
 def frame_connect(x, y, tol: ToleranceConfig = DEFAULT_TOL) -> OperatorPath:
     """Path from y to x, two matrices of equal rank k, in their singular frames.
 
@@ -671,6 +678,7 @@ def _frame_path(fx, fy) -> OperatorPath:
     return OperatorPath(tuple(legs), x.shape)
 
 
+@_one_blas_thread()
 def gl_connect(
     a, tol: ToleranceConfig = DEFAULT_TOL
 ) -> tuple[OperatorPath, int]:
@@ -696,6 +704,7 @@ def gl_connect(
     return _frame_path(_factor(d, tol), fa), sign
 
 
+@_one_blas_thread()
 def connect_fk(t1, t2, tol: ToleranceConfig = DEFAULT_TOL) -> OperatorPath:
     """Build an explicit path from t2 to t1 inside the rank-k stratum.
 
@@ -706,6 +715,7 @@ def connect_fk(t1, t2, tol: ToleranceConfig = DEFAULT_TOL) -> OperatorPath:
     return frame_connect(t1, t2, tol)
 
 
+@_one_blas_thread()
 def connect_phi(
     t1,
     t2,
@@ -800,6 +810,7 @@ def _validate_witness(
                     )
 
 
+@_one_blas_thread()
 def chain_connect(
     t0, t_star, witness: ChainWitness, tol: ToleranceConfig = DEFAULT_TOL
 ) -> OperatorPath:
@@ -838,6 +849,7 @@ def chain_connect(
     return OperatorPath(tuple(kept), t0.shape)
 
 
+@_one_blas_thread()
 def discover_chain(
     t0, t_star, tol: ToleranceConfig = DEFAULT_TOL
 ) -> ChainWitness:

@@ -21,6 +21,7 @@ from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
+from .blas import _one_blas_thread
 from .certify import FlipAudit, MembershipSpec, PathCertificate, _rows
 from .errors import InputError, StrataError
 from .geometry import TangentBasis
@@ -228,6 +229,7 @@ def _segment_from_obj(obj: dict, index: int, previous: PathSegment | None) -> Pa
         raise type(exc)(f"path segment {index}: {exc}") from None
 
 
+@_one_blas_thread()
 def path_to_obj(p: OperatorPath, instance: dict | None = None) -> dict:
     """The path's shape, its instance echo if given, and its segments.
 

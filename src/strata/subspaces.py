@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
+from .blas import _one_blas_thread
 from .errors import DirectSumError, InputError
 
 __all__ = [
@@ -112,6 +113,7 @@ class Subspace:
         return self.basis.shape[1]
 
     @classmethod
+    @_one_blas_thread()
     def from_columns(cls, columns, tol: ToleranceConfig = DEFAULT_TOL) -> "Subspace":
         """Build the span of linearly independent columns.
 
@@ -224,6 +226,7 @@ def range_basis(a, tol: ToleranceConfig = DEFAULT_TOL) -> Subspace:
     return rank_kernel_range(a, tol)[2]
 
 
+@_one_blas_thread()
 def is_direct_sum(parts, tol: ToleranceConfig = DEFAULT_TOL) -> DirectSumCheck:
     """Decide whether the given subspaces decompose their ambient space.
 

@@ -29,6 +29,7 @@ from strata import (
     literal_flip_path,
     oblique_projection,
 )
+import strata.blas as blas_module
 import strata.certify as certify_module
 from strata.certify import SIGMA_GAP_MIN, FlipAudit, SampleRecord
 from strata.errors import InputError
@@ -1036,9 +1037,9 @@ class TestWorkers:
 @pytest.fixture
 def blas_threads():
     """numpy's OpenBLAS (get, set), set to 3 threads for the test."""
-    if certify_module._BLAS is None:
+    if blas_module._BLAS is None:
         pytest.skip("numpy's OpenBLAS thread count cannot be read here")
-    get, put = certify_module._BLAS
+    get, put = blas_module._BLAS
     before = get()
     put(3)
     yield get
@@ -1046,8 +1047,8 @@ def blas_threads():
 
 
 class TestBlasThreads:
-    """Stretches run at once with OpenBLAS at one thread, and its count is
-    restored; a lone stretch leaves it as it is."""
+    """Every stretch, a lone one too, runs with OpenBLAS at one thread, held
+    by the entry point, and the caller's count is restored."""
 
     @pytest.fixture(autouse=True)
     def two_workers(self, monkeypatch):
@@ -1096,14 +1097,14 @@ class TestBlasThreads:
             audit_flip_path(literal_flip_path(e_star, r, tilt(e_star, r, np.eye(4))), (r, r), grid=grid)
         else:
             certify_path(path, k, grid=grid)
-        # one chunk, walked here; nothing runs beside it, so OpenBLAS keeps its 3 threads
-        assert seen == [3] and blas_threads() == 3
+        # one chunk, walked here at one thread; the caller gets its 3 threads back
+        assert seen == [1] and blas_threads() == 3
 
     def test_overlapping_holds_of_two_threads(self, blas_threads):
         """Thread A holds, then B; A ends first.  OpenBLAS stays at one thread
         until B ends too, then has the counts it had before A began."""
-        hold = certify_module._one_blas_thread
-        scipy_blas = certify_module._SCIPY_BLAS
+        hold = blas_module._one_blas_thread
+        scipy_blas = blas_module._SCIPY_BLAS
         before = scipy_blas[0]() if scipy_blas else None
         barrier = threading.Barrier(2, timeout=30)
         seen = []
@@ -1134,7 +1135,7 @@ class TestBlasThreads:
     def test_one_chunk_grid_held_at_one_thread(self, blas_threads, monkeypatch):
         # 1001 samples of 4x4 are one chunk, cut into two stretches of one
         # chunk each; the certificate is that of one worker, whose one
-        # stretch leaves OpenBLAS at its 3 threads
+        # stretch runs at one thread too
         payload = gen_instance(InstanceSpec(m=4, n=4, k=2, seed=3, kind="fk-pair"))
         path = connect_fk(payload["T1"], payload["T2"])
         assert certify_module._chunk_samples(path.shape, False) > 1001
@@ -1143,7 +1144,7 @@ class TestBlasThreads:
         assert seen == [1, 1] and blas_threads() == 3
         monkeypatch.setattr(certify_module, "WORKERS", 1)
         assert _written(certify_path, path, 2, 1001) == written
-        assert seen == [1, 1, 3] and blas_threads() == 3
+        assert seen == [1, 1, 1] and blas_threads() == 3
 
     @pytest.mark.parametrize("where", ["caller", "worker"])
     def test_restored_when_a_chunk_raises(self, blas_threads, monkeypatch, where):

@@ -13,7 +13,7 @@ from strata import (
     make_segment,
     reverse_path,
 )
-from strata import certify as certify_module
+from strata import blas as blas_module
 from strata import cli as cli_module
 from strata.cli import main
 from strata import serialization as ser
@@ -49,27 +49,48 @@ class TestGenConnectCertify:
         assert loaded["instance"]["seed"] == 7
 
     def test_connect_bytes_do_not_depend_on_blas_threads(self, tmp_path):
-        # OpenBLAS rounds some products of a 150x150 connect by its thread
-        # count, in numpy's matrix products and in scipy's Schur form
-        libraries = [certify_module._BLAS, certify_module._SCIPY_BLAS]
+        # OpenBLAS rounds some products of a 100x100 connect by its thread
+        # count, in numpy's matrix products and in scipy's Schur form.  The
+        # CLI holds no threads itself: every command at size 100 writes the
+        # same bytes at 2 threads and at 1 because each library call it makes
+        # holds one
+        libraries = [blas_module._BLAS, blas_module._SCIPY_BLAS]
         if None in libraries:
             pytest.skip("numpy's or scipy's OpenBLAS thread count cannot be read here")
         before = [get() for get, _ in libraries]
-        pair = tmp_path / "pair.json"
-        assert run(["gen", "--m", 150, "--n", 150, "--k", 75, "--seed", 1,
-                    "--kind", "fk-pair", "--out", pair]) == 0
-        paths = []
+        written = []
         try:
             for threads in (2, 1):
                 for _, put in libraries:
                     put(threads)
-                paths.append(tmp_path / f"path-{threads}.json")
-                assert run(["connect", "--in", pair, "--mode", "fk", "--out", paths[-1]]) == 0
-                assert [get() for get, _ in libraries] == [threads, threads]
+                out = tmp_path / f"{threads}-threads"
+                out.mkdir()
+                pair, thin = out / "pair.json", out / "thin-pair.json"
+                commands = [
+                    ["gen", "--m", 100, "--n", 100, "--k", 50, "--seed", 1,
+                     "--kind", "fk-pair", "--out", pair],
+                    ["gen", "--m", 20, "--n", 100, "--k", 5, "--seed", 6,
+                     "--kind", "fk-pair", "--out", thin],
+                    ["connect", "--in", pair, "--mode", "fk", "--out", out / "path.json"],
+                    ["certify", "--path", out / "path.json", "--k", 50, "--samples", 101,
+                     "--out", out / "cert.json"],
+                    ["flip", "--in", out / "t1.json", "--out", out / "flip.json"],
+                    ["tangent", "--in", out / "thin.json", "--out", out / "tangent.json"],
+                    ["audit-thm12", "--dim", 100, "--seed", 0, "--out", out / "audit.json"],
+                ]
+                codes = []
+                for args in commands:
+                    codes.append(run(args))
+                    assert [get() for get, _ in libraries] == [threads, threads]
+                    if args[0] == "gen":  # flip and tangent read T1 as a matrix file
+                        t1 = ser.load_json(args[-1])["T1"]
+                        ser.save_json(t1, out / ("t1.json" if args[-1] == pair else "thin.json"))
+                assert codes == [0, 0, 0, 0, 0, 0, 1]
+                written.append({f.name: f.read_bytes() for f in sorted(out.iterdir())})
         finally:
             for (_, put), count in zip(libraries, before):
                 put(count)
-        assert paths[0].read_bytes() == paths[1].read_bytes()
+        assert len(written[0]) == 9 and written[0] == written[1]
 
     def test_reverse_flag(self, tmp_path):
         pair = tmp_path / "pair.json"
@@ -98,10 +119,9 @@ class TestGenConnectCertify:
         assert run(["connect", "--in", pair, "--mode", "fk", *flag, "--out", path]) == 0
         assert run(["certify", "--path", path, "--k", 10, "--samples", 1001, "--out", cert]) == 0
         payload = ser.instance_from_obj(ser.load_json(pair))
-        with certify_module._one_blas_thread():  # as the CLI runs
-            built = connect_fk(payload["T1"], payload["T2"])
-            built = reverse_path(built) if reverse else built
-            want = certify_path(built, 10, grid=1001, instance=ser.instance_echo(payload))
+        built = connect_fk(payload["T1"], payload["T2"])
+        built = reverse_path(built) if reverse else built
+        want = certify_path(built, 10, grid=1001, instance=ser.instance_echo(payload))
         ser.save_json(ser.certificate_to_obj(want), tmp_path / "want.json")
         assert cert.read_bytes() == (tmp_path / "want.json").read_bytes()
 
