@@ -1,23 +1,27 @@
 """JSON encoding of every artifact the tools read or write.
 
 One matrix object is shared repo-wide, in two forms.  The dense form
-{"rows": r, "cols": c, "data": [r * c row-major numbers]} is what every
-writer uses except the tangent basis.  The rank-one form {"rows": r,
-"cols": c, "left": [r numbers], "right": [c numbers]} means
-np.outer(left, right) + 0.0; tangent files write each basis element so.
-Every reader takes either form.  Subspace files add a "subspace": true
-flag and use their ambient dimension as the row count.  Field order is
-fixed everywhere so identical inputs produce byte-identical files.
+{"rows": r, "cols": c, "data": numbers} is what every writer uses except
+the tangent basis.  The rank-one form {"rows": r, "cols": c, "left":
+numbers, "right": numbers} means np.outer(left, right) + 0.0; tangent
+files write each basis element so.  The writers give each number list as
+one string: the RFC 4648 base64 text of the values' IEEE-754 binary64
+bytes, little-endian and row-major.  Every reader takes that string or a
+JSON list of the same numbers, as older files and hand-written ones hold
+them, and decodes both to the same bits.  Subspace files add a
+"subspace": true flag and use their ambient dimension as the row count.
+Field order is fixed everywhere so identical inputs produce
+byte-identical files.
 """
 
 from __future__ import annotations
 
+import base64
 import dataclasses
 import json
 import math
 import os
 from itertools import repeat
-from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -59,15 +63,23 @@ __all__ = [
 ]
 
 
+def _encoded(values: np.ndarray) -> str:
+    """The base64 text of ``values``' row-major little-endian float64 bytes.
+
+    A NaN or an infinity raises ValueError, as ``json.dump`` does on a
+    float it cannot write, because no reader takes one back.
+    """
+    values = np.asarray(values, dtype="<f8")
+    if not np.isfinite(values).all():
+        raise ValueError("Out of range float values are not JSON compliant")
+    return base64.b64encode(values.tobytes()).decode("ascii")
+
+
 def matrix_to_obj(a) -> dict:
     a = np.asarray(a, dtype=float)
     if a.ndim == 1:
         a = a[:, None]
-    return {
-        "rows": int(a.shape[0]),
-        "cols": int(a.shape[1]),
-        "data": a.ravel().tolist(),
-    }
+    return {"rows": int(a.shape[0]), "cols": int(a.shape[1]), "data": _encoded(a)}
 
 
 def _is_count(x) -> bool:
@@ -84,23 +96,56 @@ def _is_matrix_obj(value) -> bool:
     )
 
 
-def _numbers(obj: dict, key: str, size: int) -> np.ndarray:
-    """The flat list of ``size`` finite numbers under ``key``, as floats.
+def _is_number_type(t: type) -> bool:
+    # numpy would take True as 1.0
+    return issubclass(t, (int, float, np.integer, np.floating)) and t is not bool
 
-    JSON files may hold NaN and Infinity, which Python's reader accepts;
-    no matrix here can use them.
+
+def _number_list(values, name: str) -> np.ndarray:
+    """``values``, a JSON list of numbers, as floats; ``name`` heads each error.
+
+    A boolean, string, null or nested list in it raises StrataError.
     """
-    values = obj[key]
     if not isinstance(values, list):
-        raise StrataError(f"matrix {key} must be a list")
-    values = np.asarray(values)
-    if values.size and (values.ndim != 1 or values.dtype.kind not in "iuf"):
-        raise StrataError(f"matrix {key} must be a flat list of numbers")
-    if values.size != size:
-        raise InputError(f"matrix {key} length disagrees with its shape")
-    values = values.astype(float, copy=False)
+        raise StrataError(f"{name} must be a list")
+    if not all(map(_is_number_type, set(map(type, values)))):
+        raise StrataError(f"{name} must be a flat list of numbers")
+    array = np.asarray(values)
+    if array.dtype.kind not in "iuf":  # an integer beyond 64 bits
+        raise StrataError(f"{name} must be a flat list of numbers")
+    return array.astype(float, copy=False)
+
+
+def _numbers(obj: dict, key: str, size: int) -> np.ndarray:
+    """The ``size`` finite numbers under ``key``, as floats.
+
+    They are a base64 string of ``size`` float64 values, little-endian,
+    as the writers give them, or a JSON list of numbers, as older and
+    hand-written files hold them.  The string must be canonical padded
+    base64 of the standard alphabet.  JSON files may hold NaN and
+    Infinity, which Python's reader accepts, and the bytes may encode
+    them; no matrix here can use them.
+    """
+    values, name = obj[key], f"matrix {key}"
+    if isinstance(values, str):
+        try:
+            raw = base64.b64decode(values, validate=True)
+            # re-encoding refuses what the decoder lets pass, such as stray
+            # bits after the last byte, on every Python version alike
+            canonical = base64.b64encode(raw).decode("ascii") == values
+        except ValueError:  # binascii.Error included
+            canonical = False
+        if not canonical:
+            raise StrataError(f"{name} must be a list of numbers or padded base64 text")
+        if len(raw) != 8 * size:
+            raise InputError(f"{name} length disagrees with its shape")
+        values = np.frombuffer(raw, dtype="<f8").astype(float)
+    else:
+        values = _number_list(values, name)
+        if values.size != size:
+            raise InputError(f"{name} length disagrees with its shape")
     if not np.isfinite(values).all():
-        raise InputError(f"matrix {key} holds a non-finite number")
+        raise InputError(f"{name} holds a non-finite number")
     return values
 
 
@@ -207,12 +252,11 @@ def _segment_from_obj(obj: dict, index: int, previous: PathSegment | None) -> Pa
             if key in _SCALAR_KEYS:
                 payload[key] = value
             elif key in _VECTOR_KEYS:
-                payload[key] = np.asarray(value, dtype=float)
+                payload[key] = _number_list(value, key)
             else:
                 payload[key] = matrix_from_obj(value)
-        except (StrataError, ValueError) as exc:
-            error = type(exc) if isinstance(exc, StrataError) else StrataError
-            raise error(f"path segment {index} field {key!r}: {exc}") from None
+        except StrataError as exc:
+            raise type(exc)(f"path segment {index} field {key!r}: {exc}") from None
     if "start" not in payload and previous is not None:
         payload["start"] = previous.end
     try:
@@ -272,14 +316,14 @@ def path_from_obj(obj: dict) -> OperatorPath:
     return OperatorPath(tuple(segments), tuple(shape))
 
 
-def _shared_rows(factors: np.ndarray) -> list[list]:
-    """One list per row of ``factors``, the same list object for rows of the same bytes."""
-    lists, out = {}, []
+def _shared_rows(factors: np.ndarray) -> list[str]:
+    """The encoded text of each row of ``factors``, one string for rows of the same bytes."""
+    texts, out = {}, []
     for row in factors:
         key = row.tobytes()
-        if key not in lists:  # converts each distinct row once
-            lists[key] = row.tolist()
-        out.append(lists[key])
+        if key not in texts:  # encodes each distinct row once
+            texts[key] = _encoded(row)
+        out.append(texts[key])
     return out
 
 
@@ -287,10 +331,9 @@ def tangent_basis_to_obj(tb: TangentBasis) -> dict:
     """The point, its rank, the dimension and every basis element in rank-one form.
 
     The factors are written with 0.0 added, so the file holds no -0.0.
-    Elements whose factor rows are bit for bit equal share one list, which
-    ``save_json`` renders once: at 40x30 rank 15 the 1,650 factor lists
-    are 85 list objects.  The object is read-only: changing a shared list
-    changes every element that holds it.
+    Elements whose factor rows are bit for bit equal share one string,
+    encoded once: at 40x30 rank 15 the 1,650 factor strings are 85
+    distinct ones.
     """
     rows, cols = tb.at.shape
     return {
@@ -446,148 +489,11 @@ def witness_from_obj(obj: dict) -> ChainWitness:
     )
 
 
-_FLOAT_CHUNK = 1 << 14  # floats rendered per string: bounds the memory of a long number list
-
-
-def _float_text(x: float) -> str:
-    if not math.isfinite(x):
-        raise ValueError(f"Out of range float values are not JSON compliant: {x!r}")
-    return float.__repr__(x)
-
-
-def _scalar_text(value) -> str | None:
-    """JSON text of a non-container value, or None for a list, tuple or dict."""
-    if isinstance(value, str):
-        return encode_basestring_ascii(value)
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
-    if isinstance(value, float):
-        return _float_text(value)
-    if isinstance(value, (list, tuple, dict)):
-        return None
-    raise TypeError(f"Object of type {value.__class__.__name__} is not JSON serializable")
-
-
-def _key_text(key) -> str:
-    if isinstance(key, str):
-        return encode_basestring_ascii(key)
-    if isinstance(key, (int, float)) or key is None:
-        # a non-string key is written as the string of its JSON text
-        return encode_basestring_ascii(_scalar_text(key))
-    raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
-
-
-def _write_floats(write, items, inner: str, outer: str) -> None:
-    """Write a nonempty list of exact floats a chunk at a time, each in one C-level pass."""
-    sep = "," + inner
-    write("[")
-    for start in range(0, len(items), _FLOAT_CHUNK):
-        chunk = items[start : start + _FLOAT_CHUNK]
-        if not all(map(math.isfinite, chunk)):
-            for x in chunk:
-                _float_text(x)  # raises at the first NaN or infinity
-        # join sizes its result once; repr(chunk) would grow it by reallocation,
-        # which fragments the heap and raises the peak memory of later work
-        write((sep if start else inner) + sep.join(map(repr, chunk)))
-    write(outer + "]")
-
-
-_CONTAINER_TYPES = frozenset((list, tuple, dict))
-
-
-def _float_lists(obj) -> dict:
-    """Map the id of each nonempty list or tuple of exact floats in ``obj`` to a memo.
-
-    The memo of a list that ``obj`` holds more than once is a dict, from
-    the indentation the list is written at to its text there; that of a
-    list held once is None.  The walk visits each container once, so it
-    ends on a circular ``obj`` too.
-    """
-    floats, seen, stack = {}, set(), [obj]
-    while stack:
-        value = stack.pop()
-        key = id(value)
-        if key in seen:
-            if key in floats and floats[key] is None:
-                floats[key] = {}
-            continue
-        seen.add(key)
-        # by exact type, without a set per dict; a subclass of the container
-        # types is written right but not walked
-        if isinstance(value, dict):
-            items = value.values()
-            if _CONTAINER_TYPES.isdisjoint(map(type, items)):
-                continue
-        else:
-            items = value
-            types = set(map(type, items))
-            if types == {float}:
-                floats[key] = None
-                continue
-            if _CONTAINER_TYPES.isdisjoint(types):
-                continue
-        stack.extend(v for v in items if type(v) in _CONTAINER_TYPES)
-    return floats
-
-
-def _write_container(write, value, outer: str, open_ids: set, floats: dict) -> None:
-    """Write a list, tuple or dict as json.dump(indent=2, allow_nan=False) does.
-
-    ``outer`` is the newline and indentation of the line the container
-    opens on, and ``floats`` is ``_float_lists`` of the whole document: a
-    list of floats held more than once is rendered once per indentation.
-    """
-    if not value:
-        write("{}" if isinstance(value, dict) else "[]")
-        return
-    inner = outer + "  "
-    if id(value) in floats:
-        texts = floats[id(value)]
-        if texts is None:
-            _write_floats(write, value, inner, outer)
-            return
-        if outer not in texts:
-            parts = []
-            _write_floats(parts.append, value, inner, outer)
-            texts[outer] = "".join(parts)
-        write(texts[outer])
-        return
-    if id(value) in open_ids:
-        raise ValueError("Circular reference detected")
-    if isinstance(value, dict):
-        items = ((_key_text(k) + ": ", v) for k, v in value.items())
-        brackets = "{}"
-    else:
-        items = (("", v) for v in value)
-        brackets = "[]"
-    open_ids.add(id(value))
-    sep = brackets[0] + inner
-    for prefix, item in items:
-        text = _scalar_text(item)
-        if text is None:
-            write(sep + prefix)
-            _write_container(write, item, inner, open_ids, floats)
-        else:
-            write(sep + prefix + text)
-        sep = "," + inner
-    write(outer + brackets[1])
-    open_ids.remove(id(value))
-
-
 def save_json(obj, path) -> None:
     """Write ``obj`` as ``json.dump(obj, f, indent=2, allow_nan=False)`` plus a newline.
 
-    The bytes are the standard library's; only the speed differs: a list
-    of floats is rendered in one pass instead of one token at a time, and
-    a list object that ``obj`` holds more than once is rendered once per
-    indentation, its text written at every place it occurs.  Objects from
-    ``tangent_basis_to_obj`` share lists so.  The file is written under a
+    Matrices reach here as base64 strings, so the standard library's
+    encoder has few numbers left to format.  The file is written under a
     temporary name beside ``path`` and moved onto it once complete, so a
     write that raises leaves ``path`` as it was.
     """
@@ -597,11 +503,7 @@ def save_json(obj, path) -> None:
     try:
         # opened with "x" rather than through tempfile.mkstemp, which would make it 0600
         with open(tmp, "x") as f:
-            text = _scalar_text(obj)
-            if text is None:
-                _write_container(f.write, obj, "\n", set(), _float_lists(obj))
-            else:
-                f.write(text)
+            json.dump(obj, f, indent=2, allow_nan=False)
             f.write("\n")
         os.replace(tmp, path)
     finally:

@@ -1,3 +1,5 @@
+import base64
+import struct
 from collections import Counter
 
 import numpy as np
@@ -32,6 +34,36 @@ def random_flip_instance(rng):
     while np.max(np.abs(coeff)) < 1e-2:
         coeff = rng.uniform(-1.0, 1.0, (r.dim, e_star.dim))
     return e_star, r, GraphParam(e_star, r, coeff)
+
+
+def decoded_numbers(values) -> list:
+    """The numbers of a matrix field as a file holds them: a JSON list, or
+    base64 of little-endian float64 values, decoded here with ``struct``."""
+    if isinstance(values, str):
+        raw = base64.b64decode(values, validate=True)
+        return list(struct.unpack(f"<{len(raw) // 8}d", raw))
+    return list(values)
+
+
+def encoded_numbers(values) -> str:
+    """``values`` as the writers encode a matrix field, encoded here with ``struct``."""
+    return base64.b64encode(struct.pack(f"<{len(values)}d", *values)).decode("ascii")
+
+
+def decimal_copy(obj):
+    """``obj`` with the fields of every matrix object in it as JSON lists of
+    floats, as files written before the base64 encoding held them."""
+    if isinstance(obj, list):
+        return [decimal_copy(v) for v in obj]
+    if not isinstance(obj, dict):
+        return obj
+    matrix = "rows" in obj
+    return {
+        key: decoded_numbers(value)
+        if matrix and key in ("data", "left", "right")
+        else decimal_copy(value)
+        for key, value in obj.items()
+    }
 
 
 def span(*vectors):

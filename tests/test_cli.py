@@ -18,7 +18,7 @@ from strata import cli as cli_module
 from strata.cli import main
 from strata import serialization as ser
 
-from conftest import count_factorizations
+from conftest import count_factorizations, decimal_copy, decoded_numbers, encoded_numbers
 
 
 def run(args):
@@ -124,6 +124,27 @@ class TestGenConnectCertify:
         want = certify_path(built, 10, grid=1001, instance=ser.instance_echo(payload))
         ser.save_json(ser.certificate_to_obj(want), tmp_path / "want.json")
         assert cert.read_bytes() == (tmp_path / "want.json").read_bytes()
+
+    @pytest.mark.parametrize("reverse", [False, True], ids=["fwd", "reversed"])
+    def test_decimal_path_file_certifies_to_the_same_bytes(self, tmp_path, reverse):
+        """100x100 rank 50: the path file with its matrices as decimal lists, as
+        written before the base64 encoding, gives the same certificate bytes."""
+        pair, path, decimal = (tmp_path / f"{name}.json" for name in ("pair", "path", "decimal"))
+        assert run(["gen", "--m", 100, "--n", 100, "--k", 50, "--seed", 1,
+                    "--kind", "fk-pair", "--out", pair]) == 0
+        flag = ["--reverse"] if reverse else []
+        assert run(["connect", "--in", pair, "--mode", "fk", *flag, "--out", path]) == 0
+        assert path.stat().st_size < 550_000
+        with open(decimal, "w") as f:
+            json.dump(decimal_copy(json.loads(path.read_text())), f, indent=2)
+        assert decimal.stat().st_size > 1_500_000
+        certs = []
+        for name in ("path", "decimal"):
+            cert = tmp_path / f"{name}-cert.json"
+            assert run(["certify", "--path", tmp_path / f"{name}.json", "--k", 50,
+                        "--samples", 1001, "--out", cert]) == 0
+            certs.append(cert.read_bytes())
+        assert certs[0] == certs[1]
 
     def test_phi_and_chain_modes(self, tmp_path):
         pair = tmp_path / "pair.json"
@@ -442,11 +463,23 @@ class TestNonFiniteInput:
     @pytest.mark.parametrize("bad", [float("inf"), float("nan")], ids=["inf", "nan"])
     @pytest.mark.parametrize("field", ["start", "end", "b"])
     def test_certify(self, tmp_path, capsys, bad, field):
-        obj = TestOtherCommands.affine_path_obj()
+        self.certify_with(tmp_path, capsys, bad, field, encode=False)
+
+    @pytest.mark.parametrize("bad", [float("inf"), float("-inf"), float("nan")],
+                             ids=["inf", "-inf", "nan"])
+    @pytest.mark.parametrize("field", ["start", "end", "b"])
+    def test_certify_encoded(self, tmp_path, capsys, bad, field):
+        self.certify_with(tmp_path, capsys, bad, field, encode=True)
+
+    def certify_with(self, tmp_path, capsys, bad, field, encode):
+        """Certify the affine path with ``bad`` in ``field``, as a decimal list or encoded."""
+        obj = decimal_copy(TestOtherCommands.affine_path_obj())
         seg = obj["segments"][0]
         # the leg's own end, which the current layout leaves out and older files wrote
-        seg.setdefault("end", ser.matrix_to_obj(np.eye(2)))
+        seg.setdefault("end", decimal_copy(ser.matrix_to_obj(np.eye(2))))
         seg[field]["data"][3] = bad
+        if encode:
+            seg[field]["data"] = encoded_numbers(seg[field]["data"])
         cert = tmp_path / "cert.json"
         path = self.write(tmp_path / "path.json", obj)
         assert run(["certify", "--path", path, "--k", 1, "--samples", 11, "--out", cert]) == 4
@@ -455,9 +488,15 @@ class TestNonFiniteInput:
         assert not cert.exists()
 
     def test_certify_membership(self, tmp_path, capsys):
+        self.certify_membership_with(tmp_path, capsys, [1.0, float("inf")])
+
+    def test_certify_membership_encoded(self, tmp_path, capsys):
+        self.certify_membership_with(tmp_path, capsys, encoded_numbers([1.0, float("inf")]))
+
+    def certify_membership_with(self, tmp_path, capsys, data):
         path, cert = tmp_path / "path.json", tmp_path / "cert.json"
         ser.save_json(TestOtherCommands.affine_path_obj(), path)
-        line = {"rows": 2, "cols": 1, "data": [1.0, float("inf")], "subspace": True}
+        line = {"rows": 2, "cols": 1, "data": data, "subspace": True}
         member = self.write(tmp_path / "member.json", {"kernel_equals": line})
         code = run(["certify", "--path", path, "--k", 1, "--samples", 11,
                     "--membership", member, "--out", cert])
@@ -467,8 +506,18 @@ class TestNonFiniteInput:
 
     @pytest.mark.parametrize("bad", [float("inf"), float("-inf"), float("nan")])
     def test_connect(self, tmp_path, capsys, bad):
+        self.connect_with(tmp_path, capsys, bad, encode=False)
+
+    @pytest.mark.parametrize("bad", [float("inf"), float("-inf"), float("nan")],
+                             ids=["inf", "-inf", "nan"])
+    def test_connect_encoded(self, tmp_path, capsys, bad):
+        self.connect_with(tmp_path, capsys, bad, encode=True)
+
+    def connect_with(self, tmp_path, capsys, bad, encode):
         pair = ser.instance_to_obj({"kind": "fk-pair", "T1": np.eye(2), "T2": np.eye(2)})
-        pair["T2"]["data"][0] = bad
+        values = decoded_numbers(pair["T2"]["data"])
+        values[0] = bad
+        pair["T2"]["data"] = encoded_numbers(values) if encode else values
         out = tmp_path / "path.json"
         code = run(["connect", "--in", self.write(tmp_path / "pair.json", pair),
                     "--mode", "fk", "--out", out])
@@ -543,8 +592,53 @@ class TestNonFiniteInput:
     @pytest.mark.parametrize("bad", [float("inf"), float("nan")], ids=["inf", "nan"])
     def test_matrix_commands(self, tmp_path, capsys, command, bad):
         x = {"rows": 2, "cols": 2, "data": [1.0, 0.0, 0.0, bad]}
+        self.matrix_command_with(tmp_path, capsys, command, x, "data")
+
+    @pytest.mark.parametrize("command", ["tangent", "flip"])
+    @pytest.mark.parametrize("bad", [float("inf"), float("-inf"), float("nan")],
+                             ids=["inf", "-inf", "nan"])
+    @pytest.mark.parametrize("key", ["data", "left", "right"])
+    def test_matrix_commands_encoded(self, tmp_path, capsys, command, bad, key):
+        x = {"rows": 2, "cols": 2, "left": encoded_numbers([1.0, 0.0]),
+             "right": encoded_numbers([1.0, 0.0])}
+        if key == "data":
+            x = {"rows": 2, "cols": 2, "data": encoded_numbers([1.0, 0.0, 0.0, bad])}
+        else:
+            x[key] = encoded_numbers([1.0, bad])
+        self.matrix_command_with(tmp_path, capsys, command, x, key)
+
+    def matrix_command_with(self, tmp_path, capsys, command, x, key):
         matrix = self.write(tmp_path / "x.json", x)
         out = tmp_path / "out.json"
         assert run([command, "--in", matrix, "--out", out]) == 4
-        assert "matrix data holds a non-finite number" in capsys.readouterr().err
+        assert f"matrix {key} holds a non-finite number" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "field, mangle, message",
+        [
+            ("theta", lambda theta: [repr(x) for x in theta], "must be a flat list of numbers"),
+            ("theta", lambda theta: [True] * len(theta), "must be a flat list of numbers"),
+            ("theta", lambda theta: [[x] for x in theta], "must be a flat list of numbers"),
+            ("b", lambda b: {**b, "data": [True, 0.0, 0.0, 1.0]}, "must be a flat list of numbers"),
+            ("b", lambda b: {**b, "data": b["data"][:-1]}, "must be a list of numbers or padded"),
+            ("b", lambda b: {**b, "data": encoded_numbers([0.0] * 3)}, "length disagrees"),
+        ],
+        ids=["theta-strings", "theta-bools", "theta-nested", "data-bool", "data-unpadded",
+             "data-short"],
+    )
+    def test_certify_non_numbers_exit_4(self, tmp_path, capsys, field, mangle, message):
+        """Booleans, strings and nested lists are no numbers, and text must be
+        padded base64 of the matrix's size: exit 4, segment and field named."""
+        rotation = make_segment("rotation", {"z": np.eye(2), "theta": [0.5], "side": "range"},
+                                np.diag([1.0, 0.0]))
+        affine = make_segment("affine", {"b": np.eye(2)}, rotation.end)
+        obj = ser.path_to_obj(OperatorPath((rotation, affine), (2, 2)))
+        index = 0 if field == "theta" else 1
+        obj["segments"][index][field] = mangle(obj["segments"][index][field])
+        cert = tmp_path / "cert.json"
+        path = self.write(tmp_path / "path.json", obj)
+        assert run(["certify", "--path", path, "--k", 1, "--samples", 11, "--out", cert]) == 4
+        err = capsys.readouterr().err
+        assert f"path segment {index} field {field!r}: " in err and message in err
+        assert not cert.exists()

@@ -13,7 +13,7 @@ from strata import (
 from strata import serialization as ser
 from strata.subspaces import Subspace
 
-from conftest import count_factorizations, criterion_9_directions
+from conftest import count_factorizations, criterion_9_directions, decoded_numbers
 
 
 def random_stratum_point(rng, n, m, k):
@@ -182,7 +182,10 @@ class TestTangentBasis:
             else:
                 x = random_stratum_point(rng, n, m, k)
             obj = ser.tangent_basis_to_obj(tangent_basis(x))
-            factors = [v for b in obj["basis"] for v in b["left"] + b["right"]]
+            factors = [
+                v for b in obj["basis"] for key in ("left", "right") for v in decoded_numbers(b[key])
+            ]
+            assert len(factors) == obj["dim"] * (n + m)
             assert not [v for v in factors if v == 0.0 and np.signbit(v)]
             for b in obj["basis"]:
                 element = ser.matrix_from_obj(b)

@@ -1,3 +1,4 @@
+import base64
 import dataclasses
 import io
 import json
@@ -36,15 +37,19 @@ from strata.errors import InputError, StrataError
 from strata.paths import eval_segment_batch
 from strata.instances import InstanceSpec, gen_instance
 
-from conftest import span
+from conftest import decimal_copy, decoded_numbers, encoded_numbers, span
 
 
 class TestMatrixFormat:
     def test_round_trip(self):
         a = np.arange(6, dtype=float).reshape(2, 3)
         obj = ser.matrix_to_obj(a)
-        assert obj == {"rows": 2, "cols": 3, "data": [0.0, 1.0, 2.0, 3.0, 4.0, 5.0]}
+        # base64 of the six little-endian float64 values, row-major
+        assert obj == {"rows": 2, "cols": 3, "data": "AAAAAAAAAAAAAAAAAADwPwAAAAAAAABA"
+                                                     "AAAAAAAACEAAAAAAAAAQQAAAAAAAABRA"}
+        assert decoded_numbers(obj["data"]) == [0.0, 1.0, 2.0, 3.0, 4.0, 5.0]
         assert np.array_equal(ser.matrix_from_obj(obj), a)
+        assert np.array_equal(ser.matrix_from_obj(decimal_copy(obj)), a)
 
     def test_bad_length(self):
         with pytest.raises(InputError):
@@ -86,10 +91,12 @@ class TestMatrixFormat:
         ],
     )
     def test_data_matches_per_element_floats(self, a):
+        """``data`` is the base64 text of the per-element floats' bytes, signed zeros too."""
         old = [float(x) for x in np.asarray(a, dtype=float).ravel(order="C")]
         obj = ser.matrix_to_obj(a)
-        assert json.dumps(obj["data"]) == json.dumps(old)
-        assert all(type(x) is float for x in obj["data"])
+        assert obj["data"] == encoded_numbers(old)
+        assert json.dumps(decoded_numbers(obj["data"])) == json.dumps(old)
+        assert ser.matrix_from_obj(obj).tobytes() == np.array(old).tobytes()
 
     @pytest.mark.parametrize(
         "obj",
@@ -131,6 +138,82 @@ class TestMatrixFormat:
         with pytest.raises(InputError, match=f"matrix {key} holds a non-finite number"):
             ser.matrix_from_obj(obj)
 
+    @pytest.mark.parametrize(
+        "obj, key",
+        [
+            ({"rows": 2, "cols": 2, "data": [True, 2.0, 0.0, 1.0]}, "data"),
+            ({"rows": 2, "cols": 2, "data": [1.0, 2.0, 0.0, False]}, "data"),
+            ({"rows": 2, "cols": 1, "left": [1.0, True], "right": [1.0]}, "left"),
+            ({"rows": 1, "cols": 2, "left": [1.0], "right": ["1.0", 2.0]}, "right"),
+            ({"rows": 1, "cols": 2, "data": [1.0, [2.0]]}, "data"),
+        ],
+        ids=["true", "false", "left-bool", "right-string", "nested"],
+    )
+    def test_booleans_and_strings_are_not_numbers(self, obj, key):
+        with pytest.raises(StrataError, match=f"matrix {key} must be a flat list of numbers"):
+            ser.matrix_from_obj(obj)
+
+    @staticmethod
+    def encoded_obj(key, values) -> dict:
+        """A 2x2 matrix object whose field ``key`` is the base64 text ``values``."""
+        if key == "data":
+            return {"rows": 2, "cols": 2, "data": values}
+        return {"rows": 2, "cols": 2, "left": encoded_numbers([1.0, 2.0]),
+                "right": encoded_numbers([3.0, 4.0]), key: values}
+
+    @staticmethod
+    def stray_bit(text: str) -> str:
+        """``text`` with the lowest bit of its last character before the padding
+        set: a bit past the last byte, which decoders drop."""
+        alphabet = "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
+        i = len(text.rstrip("=")) - 1
+        return text[:i] + alphabet[alphabet.index(text[i]) | 1] + text[i + 1 :]
+
+    @pytest.mark.parametrize(
+        "mangle",
+        [
+            lambda text: text.replace("A", "-", 1),  # the url-safe alphabet
+            lambda text: "*" + text[1:],
+            lambda text: " " + text,
+            lambda text: text + "\n",
+            lambda text: text.rstrip("="),
+            lambda text: text + "=",
+            lambda text: "AA=A" + text[4:],
+            lambda text: TestMatrixFormat.stray_bit(text),
+            lambda text: "\u00e9" * len(text),
+        ],
+        ids=["alphabet", "symbol", "space", "newline", "unpadded", "extra-pad",
+             "inner-pad", "stray-bits", "non-ascii"],
+    )
+    @pytest.mark.parametrize("key", ["data", "left", "right"])
+    def test_malformed_base64_rejected(self, key, mangle):
+        text = encoded_numbers([1.0, 0.0, 0.0, 1.0] if key == "data" else [3.0, 1.0])
+        assert text.endswith("=") and ser.matrix_from_obj(self.encoded_obj(key, text)).size == 4
+        with pytest.raises(StrataError, match=f"matrix {key} must be a list of numbers or padded"):
+            ser.matrix_from_obj(self.encoded_obj(key, mangle(text)))
+
+    @pytest.mark.parametrize("count", [0, 1, 3, 5])
+    @pytest.mark.parametrize("key", ["data", "left", "right"])
+    def test_encoded_length_must_match_the_shape(self, key, count):
+        """Whole floats too few or too many, or bytes that are no whole float: InputError."""
+        for text in (encoded_numbers([0.5] * count),
+                     base64.b64encode(bytes(8 * count + 3)).decode("ascii")):
+            with pytest.raises(InputError, match=f"matrix {key} length disagrees with its shape"):
+                ser.matrix_from_obj(self.encoded_obj(key, text))
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan], ids=["inf", "-inf", "nan"])
+    @pytest.mark.parametrize("key", ["data", "left", "right"])
+    def test_encoded_non_finite_number_rejected(self, bad, key):
+        values = [1.0, bad, 0.0, 1.0] if key == "data" else [1.0, bad]
+        with pytest.raises(InputError, match=f"matrix {key} holds a non-finite number"):
+            ser.matrix_from_obj(self.encoded_obj(key, encoded_numbers(values)))
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan], ids=["inf", "-inf", "nan"])
+    def test_non_finite_matrix_not_written(self, bad):
+        """No writer encodes a number that no reader takes back."""
+        with pytest.raises(ValueError, match="Out of range float values are not JSON compliant"):
+            ser.matrix_to_obj(np.array([[1.0, bad]]))
+
     @pytest.mark.filterwarnings("error")
     def test_rank_one_product_that_overflows_rejected(self):
         """Finite factors whose outer product overflows: InputError, and no numpy warning."""
@@ -145,7 +228,7 @@ class TestMatrixFormat:
 
     def test_non_finite_number_in_a_file_rejected(self):
         """Python's JSON reader takes NaN, Infinity and out-of-range numbers as floats."""
-        path = ser.path_to_obj(connect_fk(np.diag([1.0, 0.0]), np.diag([0.0, 2.0])))
+        path = decimal_copy(ser.path_to_obj(connect_fk(np.diag([1.0, 0.0]), np.diag([0.0, 2.0]))))
         for token in ("NaN", "Infinity", "-Infinity", "1e400"):
             text = json.dumps(path).replace("2.0", token, 1)
             with pytest.raises(InputError, match=r"segment \d+ field '\w+': matrix data holds"):
@@ -331,7 +414,7 @@ class TestPathFormat:
         p = OperatorPath((first, second), (2, 2))
         segments = ser.path_to_obj(p)["segments"]
         assert "start" in segments[1]
-        assert math.copysign(1.0, segments[1]["start"]["data"][1]) < 0
+        assert math.copysign(1.0, decoded_numbers(segments[1]["start"]["data"])[1]) < 0
         assert_same_legs(ser.path_from_obj(ser.path_to_obj(p)), p)
 
     def test_end_kept_when_bits_differ(self):
@@ -344,7 +427,7 @@ class TestPathFormat:
         nxt = make_segment("affine", {"b": -b}, declared)
         p = OperatorPath((leg, nxt), (2, 2))
         segments = ser.path_to_obj(p)["segments"]
-        assert segments[0]["end"]["data"] == [0.3, 0.0, 0.0, 1.0]
+        assert decoded_numbers(segments[0]["end"]["data"]) == [0.3, 0.0, 0.0, 1.0]
         assert "start" not in segments[1]
         assert_same_legs(ser.path_from_obj(ser.path_to_obj(p)), p)
 
@@ -363,6 +446,40 @@ class TestPathFormat:
         back = ser.path_from_obj(obj)
         assert_same_legs(back, p)
         assert ser.path_to_obj(back) == obj
+
+    @pytest.mark.parametrize("n", [4, 20])
+    @pytest.mark.parametrize("build", sorted(BUILDERS))
+    def test_decimal_copy_of_every_builder_loads_the_same(self, build, n):
+        """A file of every builder's path with its matrices as decimal lists, as
+        written before the base64 encoding, loads to the same legs bit for bit."""
+        obj = ser.path_to_obj(BUILDERS[build](n))
+        old = json.loads(json.dumps(decimal_copy(obj)))
+        assert not [seg for seg in old["segments"] for v in seg.values()
+                    if isinstance(v, dict) and isinstance(v["data"], str)]
+        assert_same_legs(ser.path_from_obj(old), ser.path_from_obj(obj))
+        assert ser.path_to_obj(ser.path_from_obj(old)) == obj
+
+    @pytest.mark.parametrize(
+        "field, mangle",
+        [
+            ("theta", lambda theta: [repr(x) for x in theta]),
+            ("theta", lambda theta: [True] * len(theta)),
+            ("theta", lambda theta: [[x] for x in theta]),
+            ("theta", lambda theta: [None] * len(theta)),
+            ("theta", lambda theta: repr(theta)),
+            ("z", lambda z: {**z, "data": [True] + decoded_numbers(z["data"])[1:]}),
+        ],
+        ids=["theta-string", "theta-bool", "theta-nested", "theta-null", "theta-text", "z-bool"],
+    )
+    def test_non_number_in_a_segment_rejected(self, field, mangle):
+        """theta is read by the number-list rule of matrix data: no bool, string or nested list."""
+        p = connect_fk(np.diag([1.0, 0.0, 0.0, 0.0]), np.diag([0.0, 0.0, 0.0, 2.0]))
+        obj = ser.path_to_obj(p)
+        index = next(i for i, seg in enumerate(obj["segments"]) if seg["kind"] == "rotation")
+        segment = obj["segments"][index]
+        segment[field] = mangle(segment[field])
+        with pytest.raises(StrataError, match=f"path segment {index} field '{field}': "):
+            ser.path_from_obj(obj)
 
     @pytest.mark.parametrize("reverse", [False, True], ids=["fwd", "reversed"])
     @pytest.mark.parametrize("n", [20, 100])
@@ -395,6 +512,10 @@ class TestInstancePayload:
         back = ser.instance_from_obj(obj)
         assert np.array_equal(back["T1"], payload["T1"])
         assert back["kind"] == "fk-pair"
+        old = ser.instance_from_obj(json.loads(json.dumps(decimal_copy(obj))))
+        assert [old[key].tobytes() for key in ("T1", "T2")] == [
+            back[key].tobytes() for key in ("T1", "T2")
+        ]
         assert ser.instance_echo(payload) == {
             "kind": "fk-pair",
             "m": 2,
@@ -405,8 +526,12 @@ class TestInstancePayload:
 
     def test_subspace_payload(self):
         payload = gen_instance(InstanceSpec(m=3, n=3, k=2, seed=4, kind="subspace-pair"))
-        back = ser.instance_from_obj(ser.instance_to_obj(payload))
+        obj = ser.instance_to_obj(payload)
+        back = ser.instance_from_obj(obj)
         assert isinstance(back["E1"], Subspace)
+        old = ser.instance_from_obj(json.loads(json.dumps(decimal_copy(obj))))
+        for key in ("E1", "E2"):
+            assert old[key].basis.tobytes() == back[key].basis.tobytes()
 
 
     def test_rank_one_matrix_payload(self):
@@ -424,8 +549,14 @@ class TestWitness:
         t1 = rng.uniform(-1, 1, (2, 1)) @ rng.uniform(-1, 1, (1, 2))
         t2 = rng.uniform(-1, 1, (2, 1)) @ rng.uniform(-1, 1, (1, 2))
         w = discover_chain(t1, t2)
-        back = ser.witness_from_obj(ser.witness_to_obj(w))
+        obj = ser.witness_to_obj(w)
+        back = ser.witness_from_obj(obj)
         assert back.kernel_complements[0].dim == w.kernel_complements[0].dim
+        old = ser.witness_from_obj(json.loads(json.dumps(decimal_copy(obj))))
+        for field in ("kernels", "kernel_complements", "ranges", "range_complements"):
+            assert [s.basis.tobytes() for s in getattr(old, field)] == [
+                s.basis.tobytes() for s in getattr(back, field)
+            ]
 
 
 def _point_40x30(seed=0) -> StratumPoint:
@@ -452,16 +583,27 @@ class TestTangentFormat:
         for old, new in zip(dense, rank_one, strict=True):
             assert ser.matrix_from_obj(old).tobytes() == ser.matrix_from_obj(new).tobytes()
 
+    def test_decimal_copy_loads_the_same(self):
+        """A tangent file with decimal factor lists, as written before the base64
+        encoding, decodes to the same point and elements bit for bit."""
+        obj = ser.tangent_basis_to_obj(tangent_basis(_point_40x30()))
+        old = json.loads(json.dumps(decimal_copy(obj)))
+        assert isinstance(old["basis"][0]["left"], list)
+        assert ser.matrix_from_obj(old["at"]).tobytes() == ser.matrix_from_obj(obj["at"]).tobytes()
+        for was, now in zip(old["basis"], obj["basis"], strict=True):
+            assert ser.matrix_from_obj(was).tobytes() == ser.matrix_from_obj(now).tobytes()
+
     def test_equal_factor_rows_share_one_list(self):
-        """At 40x30 rank 15 the 1,650 factor lists are 85 list objects: rows + k + cols."""
+        """At 40x30 rank 15 the 1,650 factor strings are 85 string objects: rows + k + cols."""
         tb = tangent_basis(_point_40x30())
         obj = ser.tangent_basis_to_obj(tb)
         lefts = [b["left"] for b in obj["basis"]]
         rights = [b["right"] for b in obj["basis"]]
         assert len(lefts) + len(rights) == 1650
-        assert len({id(x) for x in lefts}) == 40 + 15
-        assert len({id(x) for x in rights}) == 15 + 15
-        assert lefts == (tb.left + 0.0).tolist() and rights == (tb.right + 0.0).tolist()
+        assert len({id(x) for x in lefts}) == len(set(lefts)) == 40 + 15
+        assert len({id(x) for x in rights}) == len(set(rights)) == 15 + 15
+        assert [decoded_numbers(x) for x in lefts] == (tb.left + 0.0).tolist()
+        assert [decoded_numbers(x) for x in rights] == (tb.right + 0.0).tolist()
 
     def test_file_object_memory_at_40x30(self):
         """Basis and file object of a 40x30 rank-15 point, without the 7.9 MB dense stack."""
@@ -653,14 +795,11 @@ json_values = st_hyp.recursive(
 )
 
 
-SMALL_CHUNK = 4  # the writer's chunk while shared_float_docs are written
-
-
 @st_hyp.composite
 def shared_float_docs(draw):
     """A document that holds one float list object at two depths, beside an equal-valued
-    twin that differs in the sign of its zeros; the list is often longer than a chunk."""
-    values = draw(st_hyp.lists(finite_floats, min_size=1, max_size=3 * SMALL_CHUNK)) + [0.0]
+    twin that differs in the sign of its zeros."""
+    values = draw(st_hyp.lists(finite_floats, min_size=1, max_size=12)) + [0.0]
     shared = values if draw(st_hyp.booleans()) else tuple(values)
     twin = [-x if x == 0.0 else x for x in values]
     tree = draw(
@@ -686,48 +825,54 @@ class TestSaveJson:
     @given(obj=shared_float_docs())
     def test_shared_lists_match_the_standard_library(self, obj, tmp_path_factory):
         out = tmp_path_factory.getbasetemp() / "shared.json"
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(ser, "_FLOAT_CHUNK", SMALL_CHUNK)
-            ser.save_json(obj, out)
+        ser.save_json(obj, out)
         assert out.read_bytes() == stdlib_text(obj).encode("ascii")
 
     @staticmethod
-    def renders(monkeypatch):
-        """Record the length of every float list the writer renders."""
+    def encodes(monkeypatch):
+        """Record the size of every array the writers encode."""
         seen = []
-        write_floats = ser._write_floats
+        encoded = ser._encoded
 
-        def spied(write, items, *args):
-            seen.append(len(items))
-            return write_floats(write, items, *args)
+        def spied(values):
+            seen.append(np.size(values))
+            return encoded(values)
 
-        monkeypatch.setattr(ser, "_write_floats", spied)
+        monkeypatch.setattr(ser, "_encoded", spied)
         return seen
 
     def test_tangent_renders_each_factor_list_once(self, monkeypatch, tmp_path):
-        """40x30 rank 15: 85 distinct factor lists rendered, not 1,650, plus the point's data."""
+        """40x30 rank 15: 85 distinct factor strings encoded, not 1,650, plus the point's data."""
+        seen = self.encodes(monkeypatch)
         obj = ser.tangent_basis_to_obj(tangent_basis(_point_40x30()))
-        seen = self.renders(monkeypatch)
-        ser.save_json(obj, tmp_path / "tangent.json")
-        assert sum(len(b["left"]) + len(b["right"]) for b in obj["basis"]) == 57750
         assert sorted(seen) == sorted([30] * 30 + [40] * 55 + [1200])
-        assert sum(seen) - 1200 == 3100
+        ser.save_json(obj, tmp_path / "tangent.json")
         assert (tmp_path / "tangent.json").read_text() == stdlib_text(obj)
+        loaded = json.loads((tmp_path / "tangent.json").read_text())
+        factors = [decoded_numbers(b[key]) for b in loaded["basis"] for key in ("left", "right")]
+        assert sum(map(len, factors)) == 57750
 
-    def test_path_renders_each_join_once(self, monkeypatch, tmp_path):
-        """A 3-leg 100x100 connect_fk path: 5 data lists rendered, the motions,
-        the first start and the last end; no join is written."""
+    def test_path_renders_each_join_once(self, tmp_path):
+        """A 3-leg 100x100 connect_fk path: 5 data strings, the motions, the first
+        start and the last end, each decoding to 10,000 floats, and the two theta
+        lists; no join is written."""
         pair = gen_instance(InstanceSpec(m=100, n=100, k=50, seed=1, kind="fk-pair"))
         obj = ser.path_to_obj(connect_fk(pair["T1"], pair["T2"]))
         assert [list(seg)[-1] for seg in obj["segments"]] == ["start", "z", "end"]
-        seen = self.renders(monkeypatch)
         ser.save_json(obj, tmp_path / "path.json")
-        assert seen.count(100 * 100) == 5
-        assert sum(seen) == 5 * 100 * 100 + 100  # and the two theta lists
-        assert (tmp_path / "path.json").read_text() == stdlib_text(obj)
+        text = (tmp_path / "path.json").read_text()
+        assert text == stdlib_text(obj)
+        segments = json.loads(text)["segments"]
+        data = [v["data"] for seg in segments for v in seg.values() if isinstance(v, dict)]
+        assert len(data) == 5 and all(isinstance(d, str) for d in data)
+        assert [len(decoded_numbers(d)) for d in data] == [100 * 100] * 5
+        thetas = [seg["theta"] for seg in segments if "theta" in seg]
+        assert len(thetas) == 2 and sum(map(len, thetas)) == 100
+        assert all(type(x) is float for theta in thetas for x in theta)
 
     def test_number_list_longer_than_a_chunk(self, tmp_path):
-        values = [k / 7.0 for k in range(2 * ser._FLOAT_CHUNK + 3)]
+        """A decimal list of more numbers than the writer once took at a time."""
+        values = [k / 7.0 for k in range(2 * (1 << 14) + 3)]
         obj = {"data": values, "tail": [[values[:5]], values]}
         ser.save_json(obj, tmp_path / "long.json")
         assert (tmp_path / "long.json").read_text() == stdlib_text(obj)
@@ -737,7 +882,7 @@ class TestSaveJson:
         [
             float("nan"),
             [1.0, float("inf")],
-            {"a": [0.5] * (ser._FLOAT_CHUNK + 1) + [-math.inf]},
+            {"a": [0.5] * ((1 << 14) + 1) + [-math.inf]},
             [2, float("nan")],
             {"x": np.float64("nan")},
             {float("inf"): 1},
