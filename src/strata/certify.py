@@ -63,6 +63,7 @@ from .subspaces import (
     ToleranceConfig,
     _angle_from_sines,
     _condition_from_sines,
+    _slack,
     maxabs,
     rank_from_singular_values,
 )
@@ -93,20 +94,20 @@ _STRETCH_SAMPLES = 256
 _STRETCH_BYTES = 1 << 15
 
 _pool_lock = threading.Lock()
-_pool_held = None  # (size, executor)
+_pool_held = None  # (WORKERS, executor)
 
 
-def _pool(size: int) -> ThreadPoolExecutor:
-    """The process's pool of ``size`` threads, started on first use.
+def _pool() -> ThreadPoolExecutor:
+    """The process's pool of ``WORKERS - 1`` threads, started on first use.
 
-    A walk that wants another size (``WORKERS`` was changed) replaces it.
-    The old pool is not shut down: a walk may still be handing it stretches,
-    and its threads end once it is no longer held.
+    A walk with fewer stretches uses it too; a walk after ``WORKERS`` was
+    changed replaces it.  The old pool is not shut down: a walk may still
+    be handing it stretches, and its threads end once it is no longer held.
     """
     global _pool_held
     with _pool_lock:
-        if _pool_held is None or _pool_held[0] != size:
-            _pool_held = size, ThreadPoolExecutor(size, thread_name_prefix="strata-walk")
+        if _pool_held is None or _pool_held[0] != WORKERS:
+            _pool_held = WORKERS, ThreadPoolExecutor(WORKERS - 1, thread_name_prefix="strata-walk")
         return _pool_held[1]
 
 
@@ -171,20 +172,20 @@ def _columns(
     """Named per-sample columns of one chunk, all read from one stacked SVD.
 
     With ``expected_k``: "rank", "sigma_k", "sigma_k_plus_1" and "ok", the
-    rank-and-gap flag (the missing singular value counts as machine zero
-    relative to sigma_1).  With ``spec``: each check's residual under its
-    name in ``_checks`` and its pass flag under that name plus "_ok".
-    Without checks the SVD takes the singular values only.  With them it is
-    a full SVD, whose own singular values give the rank part and the rank
-    each sample's kernel and range are cut at.  Each spec basis is taken
-    once into the coordinates of every sample's singular frame (U^T C for
-    the codomain, V^T R for the domain).  Cut at the sample's rank k, those
-    rows are the cosines and the sines of the principal angles between the
-    spec subspace and the sample's range or kernel (Bjorck & Golub 1973).
-    Samples of equal rank share one stacked SVD per check, of matrices of
-    at most max(k, n - k) rows: the smallest sines give the direct sums'
-    condition numbers (``_condition_from_sines``, which factors the
-    cosines too for the samples whose smallest sine exceeds sqrt(1/2)),
+    rank-and-gap flag (sigma_{k+1} counts as at least eps * sigma_1; an
+    all-zero sample fails by its rank).  With ``spec``: each check's
+    residual under its name in ``_checks`` and its pass flag under that name
+    plus "_ok".  Without checks the SVD takes the singular values only.  With
+    them it is a full SVD, whose own singular values give the rank part and
+    the rank each sample's kernel and range are cut at.  Each spec basis is
+    taken once into the coordinates of every sample's singular frame (U^T C
+    for the codomain, V^T R for the domain).  Cut at the sample's rank k,
+    those rows are the cosines and the sines of the principal angles between
+    the spec subspace and the sample's range or kernel (Bjorck & Golub
+    1973).  Samples of equal rank share one stacked SVD per check, of
+    matrices of at most max(k, n - k) rows: the smallest sines give the
+    direct sums' condition numbers (``_condition_from_sines``, which factors
+    the cosines too for the samples whose smallest sine exceeds sqrt(1/2)),
     and the largest sines between the expected kernel and the sample's give
     the kernel angles (``_angle_from_sines``).  A kernel of the wrong
     dimension has angle inf to the expected one.  No matrix of the
@@ -204,8 +205,9 @@ def _columns(
         sigma_next = s[:, expected_k] if s.shape[1] > expected_k else zeros
         ok = ranks == expected_k
         if expected_k:
-            floor = np.maximum(sigma_next, np.finfo(float).eps * np.maximum(s[:, 0], 1.0))
-            ok &= sigma_k / floor >= SIGMA_GAP_MIN
+            floor = np.maximum(sigma_next, np.finfo(float).eps * s[:, 0])
+            gap = np.divide(sigma_k, floor, out=np.full(count, np.inf), where=floor > 0.0)
+            ok &= gap >= SIGMA_GAP_MIN
         out.update(rank=ranks, sigma_k=sigma_k, sigma_k_plus_1=sigma_next, ok=ok)
     if spec is None:
         return out
@@ -285,8 +287,7 @@ def _walk(path: OperatorPath, segs: np.ndarray, locals_: np.ndarray, membership:
     def stretch(lo, hi):
         return [reduce(values) for values in _chunks(path, segs[lo:hi], locals_[lo:hi], step)]
 
-    pool = _pool(workers - 1) if workers > 1 else None
-    rest = [pool.submit(stretch, lo, hi) for lo, hi in zip(bounds[1:], bounds[2:])]
+    rest = [_pool().submit(stretch, lo, hi) for lo, hi in zip(bounds[1:], bounds[2:])]
     try:
         first = stretch(bounds[0], bounds[1])
     finally:
@@ -423,12 +424,14 @@ def certify_path(
     """Sample a path and certify rank plus optional membership claims.
 
     A sample passes when the rank decision equals ``expected_k``, the
-    sigma_k / sigma_{k+1} gap clears ``SIGMA_GAP_MIN`` (the missing
-    singular value counts as machine zero), and every requested membership
-    check holds.  The verdict is "degenerate" for rank-zero targets, whose
-    passes would be vacuous.  Failures are listed by the local parameter
-    of the leg they occur on.  An ``expected_k`` that is not an integer,
-    or is outside [0, min(m, n)], raises InputError.
+    sigma_k / sigma_{k+1} gap clears ``SIGMA_GAP_MIN`` (sigma_{k+1} counts
+    as at least eps * sigma_1), every requested membership check holds, and
+    the ends lie within ENDPOINT_PASS_TOL times the endpoints' largest entry:
+    relative rules, so a scaled path gets the same verdict.  The verdict is
+    "degenerate" for rank-zero targets, whose passes would be vacuous.
+    Failures are listed by the local parameter of the leg they occur on.
+    An ``expected_k`` that is not an integer, or is outside [0, min(m, n)],
+    raises InputError.
     """
     expected_k = _integer(expected_k, "expected rank")
     if not 0 <= expected_k <= min(path.shape):
@@ -456,8 +459,8 @@ def certify_path(
             ok &= columns[name + "_ok"]
         residuals = {name: columns[name].tolist() for name in names}
     failures = np.unique(locals_[~ok]).tolist()
-    endpoints_ok = e0 <= ENDPOINT_PASS_TOL * (1.0 + maxabs(path.start)) and e1 <= (
-        ENDPOINT_PASS_TOL * (1.0 + maxabs(path.end))
+    endpoints_ok = e0 <= _slack(ENDPOINT_PASS_TOL, path.start) and e1 <= _slack(
+        ENDPOINT_PASS_TOL, path.end
     )
     if expected_k == 0:
         verdict = "degenerate"

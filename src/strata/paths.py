@@ -48,6 +48,7 @@ from .subspaces import (
     ToleranceConfig,
     _factor,
     _kernel_range,
+    _slack,
     as_matrix,
     common_complement,
     is_direct_sum,
@@ -176,16 +177,6 @@ def _check_planes(z: np.ndarray, theta: np.ndarray) -> None:
         raise InputError("rotation planes must have orthonormal columns")
 
 
-def _endpoint_slack(start: np.ndarray, payload: dict) -> float:
-    """Largest endpoint error a leg from ``start`` with this payload may show.
-
-    Rounding in the evaluation is proportional to the magnitude of the
-    base point and the motion, not of the end (projector factors can be
-    large).
-    """
-    return ENDPOINT_TOL * (1.0 + max(maxabs(start), maxabs(payload.get("b", 0.0))))
-
-
 def _frozen(value, name: str) -> np.ndarray:
     """A read-only C-ordered float copy, so a segment shares no array with its caller.
 
@@ -210,11 +201,12 @@ def _own_end(seg: PathSegment) -> np.ndarray:
 def make_segment(kind: str, payload: dict, start, end=None) -> PathSegment:
     """Build the leg that leaves ``start`` with this motion.
 
-    The leg gives ``start`` at t = 0 exactly.  An ``end`` given is checked
-    against the leg's value at t = 1 (``_own_end``) within
-    ``_endpoint_slack``; an end left out is that value.  The segment holds
-    read-only copies of ``start``, ``end`` and the payload arrays; a
-    non-finite number in any of them raises InputError.
+    The leg gives ``start`` at t = 0 exactly.  An ``end`` given must lie
+    within ``_slack(ENDPOINT_TOL, start, b)`` of the leg's value at t = 1
+    (``_own_end``): rounding follows the base point and the motion, not the
+    end.  An end left out is that value.  The segment holds read-only
+    copies of ``start``, ``end`` and the payload arrays; a non-finite
+    number in any of them raises InputError.
     """
     clean = {}
     for key, value in payload.items():
@@ -236,7 +228,7 @@ def make_segment(kind: str, payload: dict, start, end=None) -> PathSegment:
     reached = _own_end(probe)
     end = _frozen(reached if end is None else end, "end")
     # written so that a NaN difference fails too
-    if not maxabs(end - reached) <= _endpoint_slack(start, clean):
+    if not maxabs(end - reached) <= _slack(ENDPOINT_TOL, start, clean.get("b", 0.0)):
         raise InternalConsistencyError(f"segment {kind!r} does not reproduce its declared end")
     return PathSegment(kind, clean, start, end)
 
@@ -259,7 +251,7 @@ class OperatorPath:
                 raise InputError("segment endpoint shape disagrees with path shape")
         for left, right in zip(segs, segs[1:]):
             gap = maxabs(left.end - right.start)
-            if gap > CHAIN_TOL * (1.0 + maxabs(left.end)):
+            if gap > _slack(CHAIN_TOL, left.end, right.start):
                 raise InputError(
                     f"consecutive segments do not chain (gap {gap:.3e})"
                 )
@@ -472,12 +464,8 @@ def corrected_flip_path(
         raise InputError("side='range' needs more rows than the rank")
     if side == "kernel" and cols <= k:
         raise InputError("side='kernel' needs more columns than the rank")
-    if side == "range":
-        w = u_full[:, k]
-        axes = [u_full[:, i] for i in range(k)]
-    else:
-        w = vt_full[k, :]
-        axes = [vt_full[i, :] for i in range(k)]
+    frame = u_full.T if side == "range" else vt_full  # its rows are the directions
+    w, axes = frame[k], frame[:k]
     legs = []
     for i, u in enumerate(axes):
         base = legs[-1].end if legs else t_mat
@@ -581,11 +569,14 @@ def _stratum_rank(fx, fy) -> int:
 
     Raises InputError when the shapes or the ranks differ.
     """
-    (x, k_x, _), (y, k_y, _) = fx, fy
+    (x, k_x, (_, s_x, _)), (y, k_y, (_, s_y, _)) = fx, fy
     if x.shape != y.shape:
         raise InputError("endpoints must share a shape")
     if k_x != k_y:
-        raise InputError(f"rank mismatch: {k_x} vs {k_y}; endpoints lie in different strata")
+        k = min(k_x, k_y)  # each endpoint's sigma_{k+1} / sigma_1 at the smaller rank k
+        ratios = " vs ".join(f"{s[k] / s[0] if s[0] else 0.0:.3g}" for s in (s_x, s_y))
+        strata = f"endpoints lie in different strata (sigma_{k + 1}/sigma_1 {ratios})"
+        raise InputError(f"rank mismatch: {k_x} vs {k_y}; {strata}")
     return k_x
 
 
@@ -660,7 +651,7 @@ def _frame_path(fx, fy) -> OperatorPath:
         legs.append(make_segment(kind, payload, start, end))
 
     drop = (u_y[:, :k] * s_y[:k]) @ vt_y[:k] - y
-    if maxabs(drop) > _endpoint_slack(y, {}):
+    if maxabs(drop) > _slack(ENDPOINT_TOL, y):
         add("affine", b=drop)
     step = (u_y[:, :k] * (s_x[:k] - s_y[:k])) @ vt_y[:k]
     if step.any():
@@ -669,10 +660,10 @@ def _frame_path(fx, fy) -> OperatorPath:
         z, theta = _skew_log_rotation(w)
         if theta.size:
             add("rotation", z=z, theta=theta, side=side)
-    reached = legs[-1].end if legs else y
-    if legs and maxabs(x - reached) <= _endpoint_slack(legs[-1].start, legs[-1].payload):
-        last = legs.pop()
-        legs.append(make_segment(last.kind, last.payload, last.start, x))
+    last = legs[-1] if legs else None
+    reached = last.end if last else y
+    if last and maxabs(x - reached) <= _slack(ENDPOINT_TOL, last.start, last.payload.get("b", 0.0)):
+        legs[-1] = make_segment(last.kind, last.payload, last.start, x)
     else:
         add("affine", end=x, b=x - reached)
     return OperatorPath(tuple(legs), x.shape)

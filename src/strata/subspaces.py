@@ -43,6 +43,11 @@ def maxabs(a) -> float:
     return float(np.max(np.abs(a))) if a.size else 0.0
 
 
+def _slack(rel: float, *operands) -> float:
+    """``rel`` times the largest entry of ``operands``: no absolute floor, so free of scale."""
+    return rel * max(map(maxabs, operands))
+
+
 def as_matrix(a) -> np.ndarray:
     """Coerce to a 2-d float array of finite numbers, rejecting anything else."""
     m = np.asarray(a, dtype=float)

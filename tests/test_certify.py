@@ -5,6 +5,7 @@ import os
 import sys
 import threading
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -415,8 +416,9 @@ def _reference_records(path, expected_k, grid, membership=None, tol=DEFAULT_TOL)
         rank = rank_from_singular_values(s, tol)
         sigma_k = float(s[expected_k - 1]) if 1 <= expected_k <= s.size else 0.0
         sigma_next = float(s[expected_k]) if s.size > expected_k else 0.0
-        floor = max(sigma_next, eps * max(sigma_top, 1.0))
-        gap_ok = expected_k == 0 or (sigma_k / floor >= SIGMA_GAP_MIN)
+        floor = max(sigma_next, eps * sigma_top)
+        # a zero floor is an all-zero sample, decided by its rank alone
+        gap_ok = expected_k == 0 or floor == 0.0 or sigma_k / floor >= SIGMA_GAP_MIN
         ok = rank == expected_k and gap_ok
         residuals = None
         if checked:
@@ -443,8 +445,8 @@ def _assert_matches_reference(path, expected_k, grid, membership=None):
     assert _typed_items(residuals) == _typed_items(r.membership_residuals or {} for r in records)
     assert cert.failures == failures
     e0, e1 = cert.endpoint_errors
-    endpoints_ok = e0 <= 1e-9 * (1.0 + np.max(np.abs(path.start))) and e1 <= 1e-9 * (
-        1.0 + np.max(np.abs(path.end))
+    endpoints_ok = e0 <= 1e-9 * np.max(np.abs(path.start)) and e1 <= 1e-9 * np.max(
+        np.abs(path.end)
     )
     if expected_k == 0:
         assert cert.verdict == "degenerate"
@@ -490,8 +492,16 @@ class TestRecordReference:
         assert all(r.membership_residuals == inf for r in cert.per_sample)
 
     def test_gap_floor_matches_reference(self):
-        # below unit scale the floor eps * max(sigma_1, 1) is absolute and decides
-        cases = (([1e-3, 1e-12], 2, "fail"), ([1.0, 1e-8], 1, "fail"), ([1.0, 1e-8], 2, "pass"))
+        # the floor eps * sigma_1 is relative: 1e-12 / (eps * 1e-3) = 4.5e6
+        # clears the gap.  1.5e-13 and 1.5e-10 pass the rank rule (1.5e-10 >
+        # rank_rel_tol) but not the gap (6.8e5), at either scale
+        cases = (
+            ([1e-3, 1e-12], 2, "pass"),
+            ([1e-3, 1.5e-13], 2, "fail"),
+            ([1.0, 1.5e-10], 2, "fail"),
+            ([1.0, 1e-8], 1, "fail"),
+            ([1.0, 1e-8], 2, "pass"),
+        )
         for diag, k, verdict in cases:
             assert _assert_matches_reference(constant_path(np.diag(diag)), k, 5).verdict == verdict
 
@@ -1091,7 +1101,7 @@ class TestBlasThreads:
     )
     def test_light_grid_never_touches_the_pool(self, blas_threads, monkeypatch, path, k, grid):
         seen = self._spy(monkeypatch, blas_threads)
-        monkeypatch.setattr(certify_module, "_pool", lambda size: 1 / 0)
+        monkeypatch.setattr(certify_module, "_pool", lambda: 1 / 0)
         if path is None:
             e_star, r = random_split(np.random.default_rng(1), 4, 2)
             audit_flip_path(literal_flip_path(e_star, r, tilt(e_star, r, np.eye(4))), (r, r), grid=grid)
@@ -1178,9 +1188,9 @@ class TestPool:
         pools, threads = [], set()
         pool, columns = certify_module._pool, certify_module._columns
 
-        def spied_pool(size):
-            pools.append((size, pool(size)))
-            return pools[-1][1]
+        def spied_pool():
+            pools.append(pool())
+            return pools[-1]
 
         def spied_columns(*args, **kwargs):
             threads.add(threading.current_thread())
@@ -1189,11 +1199,34 @@ class TestPool:
         monkeypatch.setattr(certify_module, "_pool", spied_pool)
         monkeypatch.setattr(certify_module, "_columns", spied_columns)
         assert [_written(certify_path, path, 10, grid) for _ in range(2)] == [whole] * 2
-        # both calls walk on one pool of workers - 1 threads; one worker needs none
-        assert [size for size, _ in pools] == ([workers - 1] * 2 if workers > 1 else [])
-        assert len({id(executor) for _, executor in pools}) == min(1, workers - 1)
+        # both calls walk on one pool of workers - 1 threads, asked for once
+        # per stretch it is handed; one worker needs none
+        assert len(pools) == 2 * (workers - 1)
+        assert {executor._max_workers for executor in pools} <= {workers - 1}
+        assert len({id(executor) for executor in pools}) == min(1, workers - 1)
         assert threading.main_thread() in threads and len(threads) <= workers
         assert all(t.name.startswith("strata-walk") for t in threads - {threading.main_thread()})
+
+    def test_kept_when_the_stretch_count_changes(self, monkeypatch):
+        # 4x4 grids of 1001 samples have 3 stretches, of 600 two: both walk
+        # on the one pool of WORKERS - 1 threads, started once
+        payload = gen_instance(InstanceSpec(m=4, n=4, k=2, seed=3, kind="fk-pair"))
+        path = connect_fk(payload["T1"], payload["T2"])
+        grids = [1001, 600] * 3
+        monkeypatch.setattr(certify_module, "WORKERS", 1)
+        alone = [_written(certify_path, path, 2, grid) for grid in grids]
+        started = []
+
+        class Counted(ThreadPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                started.append(self)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(certify_module, "ThreadPoolExecutor", Counted)
+        monkeypatch.setattr(certify_module, "_pool_held", None)
+        monkeypatch.setattr(certify_module, "WORKERS", 3)
+        assert [_written(certify_path, path, 2, grid) for grid in grids] == alone
+        assert len(started) == 1 and started[0]._max_workers == 2
 
     @pytest.mark.filterwarnings("ignore:This process .* is multi-threaded:DeprecationWarning")
     @pytest.mark.skipif(not hasattr(os, "register_at_fork"), reason="no fork here")

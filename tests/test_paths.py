@@ -951,7 +951,7 @@ class TestConditioning:
         assert maxabs(eval_path(p, 0.0) - t2) <= 1e-9
         assert maxabs(eval_path(p, 1.0) - t1) <= 1e-9
 
-    @pytest.mark.parametrize("kappa", [1e5, 1e6, 1e8])
+    @pytest.mark.parametrize("kappa", [1e5, 1e6, 1e8, 3e9])
     def test_connect_fk_and_phi(self, kappa):
         for t1, t2 in self.pairs(kappa):
             self.assert_certified(connect_fk(t1, t2), t1, t2)
@@ -961,6 +961,64 @@ class TestConditioning:
     def test_chain_connect(self, kappa):
         for t1, t2 in self.pairs(kappa):
             self.assert_certified(chain_connect(t1, t2, discover_chain(t1, t2)), t1, t2)
+
+
+def _generated_pairs():
+    """Seeded generated fk pairs: 6x5 rank 3 and 4x4 rank 2."""
+    for m, n, k, seed in ((6, 5, 3, 0), (6, 5, 3, 1), (6, 5, 3, 2), (4, 4, 2, 3)):
+        payload = gen_instance(InstanceSpec(m=m, n=n, k=k, seed=seed, kind="fk-pair"))
+        yield payload["T1"], payload["T2"], k
+
+
+SCALE_BUILDERS = {
+    "fk": connect_fk,
+    "chain": lambda t1, t2: chain_connect(t1, t2, discover_chain(t1, t2)),
+    "flip": lambda t1, t2: corrected_flip_path(t1),
+}
+
+
+class TestScaleInvariance:
+    """No rule has an absolute floor: a common scale of the endpoints
+    changes no construction decision and no verdict."""
+
+    @staticmethod
+    def decisions(builder, t1, t2, k, c):
+        cert = certify_path(SCALE_BUILDERS[builder](c * t1, c * t2), k, grid=1001)
+        rows = cert.per_sample
+        return cert.verdict, cert.failures, [r.rank for r in rows], [r.ok for r in rows]
+
+    @pytest.mark.parametrize("builder", sorted(SCALE_BUILDERS))
+    @pytest.mark.parametrize("pairs", ["generated", 1e5, 1e8])
+    def test_powers_of_two(self, builder, pairs):
+        # powers of two scale the input exactly, so the decisions must be
+        # those at scale 1, out to the ends of the exponent range
+        if pairs == "generated":
+            cases = list(_generated_pairs())
+        else:
+            cases = [(t1, t2, 3) for t1, t2 in TestConditioning.pairs(pairs)]
+        for t1, t2, k in cases:
+            at_one = self.decisions(builder, t1, t2, k, 1.0)
+            assert at_one[0] == "pass"
+            for e in (40, 498, 996):
+                for c in (2.0**e, 2.0**-e):
+                    assert self.decisions(builder, t1, t2, k, c) == at_one, (e, c)
+
+    @pytest.mark.parametrize("builder", sorted(SCALE_BUILDERS))
+    @pytest.mark.parametrize("c", [1e-12, 1e-150, 1e-300])
+    def test_small_decimal_scales_pass(self, builder, c):
+        for t1, t2, k in _generated_pairs():
+            assert self.decisions(builder, t1, t2, k, c)[0] == "pass"
+
+    def test_rank_mismatch_names_the_ratios(self):
+        t1, t2 = np.diag([2.0, 1.0, 1.0]), np.diag([1.0, 1.0, 1e-11])
+        expected = (
+            "rank mismatch: 3 vs 2; endpoints lie in different strata "
+            "(sigma_3/sigma_1 0.5 vs 1e-11)"
+        )
+        for c in (1.0, 2.0**300, 2.0**-300):
+            with pytest.raises(InputError) as raised:
+                connect_fk(c * t1, c * t2)
+            assert str(raised.value) == expected
 
 
 class TestInputErrors:
