@@ -37,9 +37,9 @@ wherever the chunks and stretches split.
 The grid is carried as arrays from the sampler to the verdict: its
 (t, segment, local) arrays are cut into stretches and chunks, and the
 verdict and failures are read from the joined columns.  A certificate or
-audit holds its evidence as those columns, one list each; its per-sample
-records (and a certificate's membership residual dicts) are built on
-first read and then kept.
+audit holds its evidence as those columns, one list each under the names
+``_columns`` gives them, and is written so; ``PathCertificate.per_sample``
+builds records from them on each read.
 """
 
 from __future__ import annotations
@@ -48,7 +48,6 @@ import os
 import threading
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
-from itertools import repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -64,6 +63,7 @@ from .subspaces import (
     _angle_from_sines,
     _condition_from_sines,
     _slack,
+    _svd,
     maxabs,
     rank_from_singular_values,
 )
@@ -169,7 +169,7 @@ def _columns(
     expected_k: int | None = None,
     spec: MembershipSpec | None = None,
 ) -> dict[str, np.ndarray]:
-    """Named per-sample columns of one chunk, all read from one stacked SVD.
+    """Named per-sample columns of one chunk, all read from one stacked ``_svd``.
 
     With ``expected_k``: "rank", "sigma_k", "sigma_k_plus_1" and "ok", the
     rank-and-gap flag (sigma_{k+1} counts as at least eps * sigma_1; an
@@ -194,9 +194,9 @@ def _columns(
     """
     count, rows, cols = values.shape
     if spec is None:
-        s = np.linalg.svd(values, compute_uv=False)
+        s = _svd(values, compute_uv=False)
     else:
-        u, s, vt = np.linalg.svd(values, full_matrices=True)
+        u, s, vt = _svd(values)
     ranks = rank_from_singular_values(s, tol)
     out = {}
     if expected_k is not None:
@@ -246,10 +246,12 @@ def _chunk_samples(shape: tuple[int, int], membership: bool) -> int:
     ``_columns`` allocates for it: its U (m*m) and V^T (n*n), the spec
     bases' coordinates in them (at most m*m for the range check and n*n for
     each kernel check), as much again for their slices at the sample's rank,
-    and 32 numbers of per-sample columns and singular values.
+    and 32 numbers of per-sample columns and singular values.  Without the
+    pass, m*n more for the copy ``_svd`` scales the values into; with it,
+    that copy is gone before the pass allocates the rest.
     """
     rows, cols = shape
-    values = rows * cols + (3 * rows * rows + 5 * cols * cols + 32 if membership else 0)
+    values = rows * cols + (3 * rows * rows + 5 * cols * cols + 32 if membership else rows * cols)
     return max(1, CHUNK_BYTES // (8 * values))
 
 
@@ -301,12 +303,6 @@ def _join(chunks: list[dict]) -> dict[str, np.ndarray]:
     return {name: np.concatenate([chunk[name] for chunk in chunks]) for name in chunks[0]}
 
 
-def _rows(columns: dict[str, list]) -> list[dict]:
-    """One dict per sample of equal-length ``columns``, keyed in column order."""
-    names = list(columns)
-    return [dict(zip(names, row)) for row in zip(*columns.values())]
-
-
 class SampleRecord(NamedTuple):
     t: float
     segment: int
@@ -318,91 +314,20 @@ class SampleRecord(NamedTuple):
     ok: bool
 
 
-def _sample_records(columns: dict) -> tuple[SampleRecord, ...]:
-    """The records of a certificate's columns, residual dicts included."""
-    residuals = columns["membership_residuals"]
-    columns = {
-        **columns,
-        "membership_residuals": repeat(None) if residuals is None else _rows(residuals),
-    }
-    return tuple(map(SampleRecord._make, zip(*(columns[name] for name in SampleRecord._fields))))
-
-
-def _sample_columns(records) -> dict:
-    """The columns of records such as ``certify_path`` makes: the inverse of
-    ``_sample_records``."""
-    columns = {name: [r[i] for r in records] for i, name in enumerate(SampleRecord._fields)}
-    residuals = columns["membership_residuals"]
-    columns["membership_residuals"] = (
-        None
-        if not residuals or residuals[0] is None
-        else {name: [r[name] for r in residuals] for name in residuals[0]}
-    )
-    return columns
-
-
-def _audit_records(columns: dict) -> tuple[dict, ...]:
-    """The records of an audit's columns, one dict per sample."""
-    return tuple(_rows(columns))
-
-
-def _audit_columns(records) -> dict:
-    """The columns of audit records, in the key order ``audit_flip_path`` uses."""
-    names = (
-        "t",
-        "segment",
-        "local_t",
-        "range_split_ok",
-        "range_condition",
-        "kernel_ok",
-        "kernel_angle",
-    )
-    return {name: [r[name] for r in records] for name in names}
-
-
-class _Records:
-    """The per-sample records field of a certificate or an audit, held as columns.
-
-    The field is given the records or their columns, a dict of one list
-    per record field.  The columns are kept, under ``_columns``, and are
-    what the JSON writers read; given records are kept as well, and
-    unzipped into columns.  Otherwise the records are built from the
-    columns on first read, and then kept.
-    """
-
-    def __init__(self, build, unzip):
-        self.build, self.unzip = build, unzip
-
-    def __set_name__(self, owner, name):
-        self.name = name
-
-    def __get__(self, obj, owner=None):
-        if obj is None:  # read on the class: the dataclass field has no default
-            raise AttributeError(self.name)
-        held = obj.__dict__
-        if self.name not in held:
-            held[self.name] = self.build(held["_columns"])
-        return held[self.name]
-
-    def __set__(self, obj, value):
-        if not isinstance(value, dict):
-            obj.__dict__[self.name] = value
-            value = self.unzip(value)
-        obj.__dict__["_columns"] = value
-
-
 @dataclass(frozen=True)
 class PathCertificate:
     """Machine-checkable evidence for one path.
 
-    The per-sample evidence is held as columns; ``per_sample`` builds its
-    records from them on first read.
+    ``samples`` holds the per-sample evidence as columns, one list each in
+    grid order: "t", "segment", "local_t", "rank", "sigma_k",
+    "sigma_k_plus_1", the residual of each membership check asked for,
+    under its name in ``_checks``, and "ok".
     """
 
     instance: dict | None
     grid_size: int
     expected_k: int
-    per_sample: tuple[SampleRecord, ...] = _Records(_sample_records, _sample_columns)
+    samples: dict[str, list]
     endpoint_errors: tuple[float, float]
     verdict: str
     failures: tuple[float, ...]
@@ -410,6 +335,26 @@ class PathCertificate:
     @property
     def passed(self) -> bool:
         return self.verdict == "pass"
+
+    @property
+    def per_sample(self) -> tuple[SampleRecord, ...]:
+        """One record per sample, built from ``samples`` on each read.
+
+        A record's ``membership_residuals`` is a dict of the residual columns,
+        or None when no membership was checked.
+        """
+        columns = self.samples
+        checks = [name for name in columns if name not in SampleRecord._fields]
+        residuals = (
+            [dict(zip(checks, row)) for row in zip(*(columns[name] for name in checks))]
+            if checks
+            else [None] * self.grid_size
+        )
+        fields = (
+            residuals if name == "membership_residuals" else columns[name]
+            for name in SampleRecord._fields
+        )
+        return tuple(map(SampleRecord._make, zip(*fields)))
 
 
 @_one_blas_thread()
@@ -451,13 +396,10 @@ def certify_path(
     e0s, e1s, parts = zip(*_walk(path, segs, locals_, spec is not None, reduce))
     e0, e1 = e0s[0], e1s[-1]  # from the first and the last chunk
     columns = _join(parts)
+    checks = list(_checks(spec)) if spec is not None else []
     ok = columns["ok"]
-    residuals = None
-    if spec is not None:
-        names = list(_checks(spec))
-        for name in names:
-            ok &= columns[name + "_ok"]
-        residuals = {name: columns[name].tolist() for name in names}
+    for name in checks:
+        ok &= columns[name + "_ok"]
     failures = np.unique(locals_[~ok]).tolist()
     endpoints_ok = e0 <= _slack(ENDPOINT_PASS_TOL, path.start) and e1 <= _slack(
         ENDPOINT_PASS_TOL, path.end
@@ -468,30 +410,26 @@ def certify_path(
         verdict = "pass"
     else:
         verdict = "fail"
-    evidence = {
-        "t": t.tolist(),
-        "segment": segs.tolist(),
-        "local_t": locals_.tolist(),
-        **{name: columns[name].tolist() for name in ("rank", "sigma_k", "sigma_k_plus_1")},
-        "membership_residuals": residuals,
-        "ok": ok.tolist(),
-    }
-    return PathCertificate(
-        instance, t.size, expected_k, evidence, (e0, e1), verdict, tuple(failures)
-    )
+    evidence = {"t": t, "segment": segs, "local_t": locals_}
+    for name in ("rank", "sigma_k", "sigma_k_plus_1", *checks, "ok"):
+        evidence[name] = columns[name]
+    samples = {name: column.tolist() for name, column in evidence.items()}
+    return PathCertificate(instance, t.size, expected_k, samples, (e0, e1), verdict, tuple(failures))
 
 
 @dataclass(frozen=True)
 class FlipAudit:
     """Pointwise membership evidence for a flip path.
 
-    The evidence is held as columns; ``records`` builds one dict per
-    sample from them on first read.
+    ``samples`` holds it as columns, one list each in grid order: "t",
+    "segment", "local_t", and the residual and pass flag of each check
+    under ``certify_path``'s names: "range_complement_cond",
+    "range_complement_cond_ok", "kernel_angle" and "kernel_angle_ok".
     """
 
     grid_size: int
     degenerate: bool
-    records: tuple[dict, ...] = _Records(_audit_records, _audit_columns)
+    samples: dict[str, list]
     failures: tuple[float, ...]
 
     @property
@@ -524,20 +462,11 @@ def audit_flip_path(
     zero, parts = zip(*_walk(path, segs, locals_, True, reduce))
     degenerate = all(zero)
     columns = _join(parts)
-    names = ("range_complement_cond", "range_complement_cond_ok", "kernel_angle", "kernel_angle_ok")
-    cond, split_ok, angle, kernel_ok = (columns[name] for name in names)
     if degenerate:  # every check holds on the zero path
-        cond = angle = np.zeros(t.size)
-        split_ok = kernel_ok = np.ones(t.size, dtype=bool)
-    failures = np.unique(locals_[~(split_ok & kernel_ok)]).tolist()
-    evidence = {
-        "t": t,
-        "segment": segs,
-        "local_t": locals_,
-        "range_split_ok": split_ok,
-        "range_condition": cond,
-        "kernel_ok": kernel_ok,
-        "kernel_angle": angle,
-    }
-    evidence = {name: column.tolist() for name, column in evidence.items()}
-    return FlipAudit(t.size, degenerate, evidence, tuple(failures))
+        for name in _checks(spec):
+            columns[name], columns[name + "_ok"] = np.zeros(t.size), np.ones(t.size, dtype=bool)
+    ok = columns["range_complement_cond_ok"] & columns["kernel_angle_ok"]
+    failures = np.unique(locals_[~ok]).tolist()
+    evidence = {"t": t, "segment": segs, "local_t": locals_, **columns}
+    samples = {name: column.tolist() for name, column in evidence.items()}
+    return FlipAudit(t.size, degenerate, samples, tuple(failures))

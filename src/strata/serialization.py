@@ -21,12 +21,11 @@ import dataclasses
 import json
 import math
 import os
-from itertools import repeat
 
 import numpy as np
 
 from .blas import _one_blas_thread
-from .certify import FlipAudit, MembershipSpec, PathCertificate, _rows
+from .certify import FlipAudit, MembershipSpec, PathCertificate
 from .errors import InputError, StrataError
 from .geometry import TangentBasis
 from .paths import (
@@ -352,27 +351,21 @@ def _finite_or_none(x: float) -> float | None:
     return x if math.isfinite(x) else None
 
 
-def _finite_column(values: list) -> list:
-    """``values`` with each inf and NaN as null; the list itself when all are finite."""
-    return values if all(map(math.isfinite, values)) else [_finite_or_none(x) for x in values]
+def _samples_obj(samples: dict[str, list]) -> dict[str, list]:
+    """A copy of evidence columns, each inf and NaN in them as null."""
+    return {
+        name: values if all(map(math.isfinite, values)) else list(map(_finite_or_none, values))
+        for name, values in samples.items()
+    }
 
 
 def certificate_to_obj(cert: PathCertificate) -> dict:
-    """The certificate's JSON object, one per-sample object per row of its columns."""
-    columns = dict(cert._columns)
-    for name in ("sigma_k", "sigma_k_plus_1"):
-        columns[name] = _finite_column(columns[name])
-    residuals = columns["membership_residuals"]
-    columns["membership_residuals"] = (
-        repeat(None)
-        if residuals is None
-        else _rows({name: _finite_column(values) for name, values in residuals.items()})
-    )
+    """The certificate's JSON object; its ``samples`` are its columns, one list each."""
     return {
         "instance": cert.instance,
         "grid_size": cert.grid_size,
         "expected_k": cert.expected_k,
-        "per_sample": _rows(columns),
+        "samples": _samples_obj(cert.samples),
         "endpoint_errors": [_finite_or_none(e) for e in cert.endpoint_errors],
         "verdict": cert.verdict,
         "failures": list(cert.failures),
@@ -380,16 +373,13 @@ def certificate_to_obj(cert: PathCertificate) -> dict:
 
 
 def audit_to_obj(audit: FlipAudit) -> dict:
-    """The audit's JSON object, one record object per row of its columns."""
-    columns = dict(audit._columns)
-    for name in ("range_condition", "kernel_angle"):
-        columns[name] = _finite_column(columns[name])
+    """The audit's JSON object; its ``samples`` are its columns, one list each."""
     return {
         "grid_size": audit.grid_size,
         "degenerate": audit.degenerate,
         "passed": audit.passed,
         "failures": list(audit.failures),
-        "records": _rows(columns),
+        "samples": _samples_obj(audit.samples),
     }
 
 

@@ -180,16 +180,36 @@ def rank_from_singular_values(s: np.ndarray, tol: ToleranceConfig) -> int | np.n
     return np.count_nonzero(above, axis=-1)
 
 
+def _svd(a: np.ndarray, compute_uv: bool = True):
+    """``np.linalg.svd`` of each matrix of the stack ``a``, taken at the scale of 1.
+
+    Each matrix is multiplied by 2^-e, where e is the exponent of its
+    largest entry (``np.frexp``), and its singular values by 2^e after.
+    Both steps are exact, so a common power-of-two scale of the input
+    gives the same singular vectors and the same singular values scaled,
+    out to the ends of the exponent range, where LAPACK would otherwise
+    rescale by a factor that is not a power of two.  Full matrices when
+    ``compute_uv``.
+    """
+    # the largest |entry| of each matrix, with no temporary the size of the stack
+    e = np.frexp(np.maximum(a.max(axis=(-2, -1)), -a.min(axis=(-2, -1))))[1]
+    out = np.linalg.svd(np.ldexp(a, -e[..., None, None]), compute_uv=compute_uv)
+    if not compute_uv:
+        return np.ldexp(out, e[..., None])
+    u, s, vt = out
+    return u, np.ldexp(s, e[..., None]), vt
+
+
 def rank_of(a, tol: ToleranceConfig = DEFAULT_TOL) -> int:
     """Numerical rank: count of singular values above the relative cutoff."""
     m = as_matrix(a)
     if m.size == 0:
         raise InputError("matrix must be nonempty")
-    return rank_from_singular_values(np.linalg.svd(m, compute_uv=False), tol)
+    return rank_from_singular_values(_svd(m, compute_uv=False), tol)
 
 
 def _factor(a, tol: ToleranceConfig = DEFAULT_TOL) -> tuple[np.ndarray, int, tuple]:
-    """A matrix, its numerical rank and its full SVD (u, s, vt).
+    """A matrix, its numerical rank and its full SVD (u, s, vt), from ``_svd``.
 
     The one factorization a builder takes of each input: rank, kernel,
     range and singular frames are all read from it.
@@ -197,7 +217,7 @@ def _factor(a, tol: ToleranceConfig = DEFAULT_TOL) -> tuple[np.ndarray, int, tup
     m = as_matrix(a)
     if m.size == 0:
         raise InputError("matrix must be nonempty")
-    svd = np.linalg.svd(m, full_matrices=True)
+    svd = _svd(m)
     return m, rank_from_singular_values(svd[1], tol), svd
 
 

@@ -2,10 +2,15 @@
 
 Their results are the same at any thread count, and the caller's counts
 are given back when the call returns or raises, through nested holds and
-holds of several threads.
+holds of several threads.  Decisions with wide margins are the same under
+every kernel OpenBLAS can be made to run.
 """
 
+import ctypes
+import glob
+import json
 import os
+import subprocess
 import sys
 import threading
 
@@ -141,3 +146,71 @@ class TestCountsRestored:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads) and not errors
         assert counts() == [3, 3]
+
+
+def _core_name():
+    """The core type numpy's OpenBLAS runs its kernels for, or None where it cannot be read."""
+    if not hasattr(os, "RTLD_NOLOAD"):
+        return None
+    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
+    for name in sorted(glob.glob(os.path.join(libs, "*openblas*"))):
+        try:
+            lib = ctypes.CDLL(name, mode=os.RTLD_NOLOAD)
+        except OSError:
+            continue
+        get = getattr(lib, "scipy_openblas_get_corename64_", None)
+        if get is not None:
+            get.argtypes, get.restype = [], ctypes.c_char_p
+            return get().decode()
+    return None
+
+
+def _decisions():
+    """Verdict, failures, rank and ok columns of a corpus decided by wide margins.
+
+    The criterion-4 fk corpus (200 paths of shapes 2-6), and the condition
+    number 1e8 pairs of ``TestConditioning`` through ``connect_fk``, the
+    discovered chain and ``corrected_flip_path``, all at 1001 samples.
+    """
+    from test_paths import SCALE_BUILDERS, TestConditioning
+
+    certs = []
+    shapes = np.random.default_rng(4)  # criterion 4's shape schedule
+    for seed in range(200):
+        m, n = int(shapes.integers(2, 7)), int(shapes.integers(2, 7))
+        k = int(shapes.integers(1, min(m, n))) if min(m, n) > 1 else 1
+        payload = gen_instance(InstanceSpec(m=m, n=n, k=k, seed=seed, kind="fk-pair"))
+        certs.append(certify_path(connect_fk(payload["T1"], payload["T2"]), k, grid=1001))
+    for builder in sorted(SCALE_BUILDERS):
+        for t1, t2 in TestConditioning.pairs(1e8):
+            certs.append(certify_path(SCALE_BUILDERS[builder](t1, t2), 3, grid=1001))
+    return [[c.verdict, list(c.failures), c.samples["rank"], c.samples["ok"]] for c in certs]
+
+
+def test_decisions_do_not_depend_on_the_blas_kernel():
+    # OpenBLAS picks its kernels by CPU, and OPENBLAS_CORETYPE forces one:
+    # the host's own, an AVX2 one and a pre-AVX one.  The kernels round
+    # differently, so path and certificate bytes may differ between them
+    # (sigma_k by up to about 1e-6 relative at condition number 3e9, where
+    # decisions at the gap test's edge differ too, so that band is left out).
+    # The decisions on this corpus have wide margins and must not differ
+    if _core_name() is None:
+        pytest.skip("numpy's OpenBLAS core type cannot be read here")
+    here = os.path.dirname(os.path.abspath(__file__))
+    src = os.path.join(os.path.dirname(here), "src")
+    child = "import json, test_blas; print(json.dumps([test_blas._core_name(), test_blas._decisions()]))"
+    runs = []
+    for core in (None, "Haswell", "Prescott"):
+        env = {key: value for key, value in os.environ.items() if key != "OPENBLAS_CORETYPE"}
+        if core is not None:
+            env["OPENBLAS_CORETYPE"] = core
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, here, env.get("PYTHONPATH"))))
+        done = subprocess.run(
+            [sys.executable, "-c", child], env=env, capture_output=True, text=True, timeout=300
+        )
+        assert done.returncode == 0, done.stderr
+        runs.append(json.loads(done.stdout))
+    names = [name for name, _ in runs]
+    assert None not in names and len(runs[0][1]) == 260
+    for name, decisions in runs[1:]:
+        assert decisions == runs[0][1], (names[0], name)

@@ -78,7 +78,7 @@ class TestCertify:
         cert = certify_path(p, 1, grid=11)
         assert cert.verdict == "pass"
         assert cert.failures == ()
-        assert all(r.rank == 1 for r in cert.per_sample)
+        assert cert.samples["rank"] == [1] * 11
 
     def test_literal_flip_fails_at_half(self):
         e_star, r = span([1, 0]), span([0, 1])
@@ -124,19 +124,17 @@ class TestCertify:
             p, 1, grid=11, membership=MembershipSpec(range_complement=r, kernel_equals=r)
         )
         assert 0.5 in audit.failures
-        assert len(audit.records) == len(cert.per_sample)
-        for rec, sample in zip(audit.records, cert.per_sample):
-            assert rec["t"] == sample.t
-            assert rec["range_condition"] == sample.membership_residuals["range_complement_cond"]
-            assert rec["kernel_angle"] == sample.membership_residuals["kernel_angle"]
+        # the audit's residual columns are the certificate's, under the same names
+        for name in ("t", "range_complement_cond", "kernel_angle"):
+            assert audit.samples[name] == cert.samples[name]
 
     def test_audit_kernel_dimension_mismatch_reads_inf(self):
         # kernel of diag(1, 0, 0) is two-dimensional; the expected one is a line
         p = constant_path(np.diag([1.0, 0.0, 0.0]))
         audit = audit_flip_path(p, (span([0, 0, 1]), span([0, 1, 0], [0, 0, 1])), grid=3)
         assert not audit.passed
-        assert all(rec["kernel_angle"] == float("inf") for rec in audit.records)
-        assert not any(rec["kernel_ok"] for rec in audit.records)
+        assert audit.samples["kernel_angle"] == [float("inf")] * 3
+        assert audit.samples["kernel_angle_ok"] == [False] * 3
 
     def test_grid_too_small(self):
         with pytest.raises(ValueError):
@@ -148,7 +146,7 @@ class TestCertify:
         cert = certify_path(p, 2, grid=101)
         assert cert.verdict == "pass"
         rng = np.random.default_rng(0)
-        picks = rng.choice(len(cert.per_sample), size=10, replace=False)
+        picks = rng.choice(cert.grid_size, size=10, replace=False)
         for i in picks:
             rec = cert.per_sample[i]
             w = eval_path(p, rec.t)
@@ -224,90 +222,62 @@ class TestCountArguments:
         assert texts[0] == texts[1]
 
 
-class TestLazyRecords:
-    """Certificates and audits hold their evidence as columns; the per-sample
-    records and residual dicts are built when first read."""
-
-    @pytest.fixture
-    def built(self, monkeypatch):
-        counts = {"records": 0, "dicts": 0}
-
-        class Counting(SampleRecord):
-            __slots__ = ()
-
-            def __new__(cls, *fields):
-                counts["records"] += 1
-                return SampleRecord(*fields)
-
-            @classmethod
-            def _make(cls, fields):
-                counts["records"] += 1
-                return SampleRecord._make(fields)
-
-        rows = certify_module._rows
-
-        def counting_rows(columns):
-            out = rows(columns)
-            counts["dicts"] += len(out)
-            return out
-
-        monkeypatch.setattr(certify_module, "SampleRecord", Counting)
-        monkeypatch.setattr(certify_module, "_rows", counting_rows)
-        return counts
+class TestColumns:
+    """Certificates and audits hold their evidence as columns, one list each;
+    ``per_sample`` builds its records from them on each read."""
 
     @staticmethod
     def _flip():
         e_star, r = span([1, 0, 0]), span([0, 1, 0], [0, 0, 1])
         return literal_flip_path(e_star, r, tilt(e_star, r, [[0, 0, 0], [1, 0, 0], [0, 0, 0]])), r
 
-    def test_certificate(self, built, tmp_path):
+    def test_per_sample_reads_the_columns(self):
         path, r = self._flip()
         spec = MembershipSpec(range_complement=r, kernel_equals=r)
         cert = certify_path(path, 1, grid=1001, membership=spec)
-        save_json(certificate_to_obj(cert), tmp_path / "cert.json")
-        assert built == {"records": 0, "dicts": 0}
-        records = cert.per_sample
+        assert list(cert.samples) == [
+            "t", "segment", "local_t", "rank", "sigma_k", "sigma_k_plus_1",
+            "range_complement_cond", "kernel_angle", "ok",
+        ]
         # the legs' midpoints t = 0.25 and 0.75 are grid points
-        assert cert.grid_size == len(records) == 1001
-        assert built == {"records": 1001, "dicts": 1001}
-        assert cert.per_sample is records and built == {"records": 1001, "dicts": 1001}
+        assert {len(column) for column in cert.samples.values()} == {cert.grid_size} == {1001}
+        records = cert.per_sample
         assert type(records) is tuple and {type(rec) for rec in records} == {SampleRecord}
-        assert {type(rec.membership_residuals) for rec in records} == {dict}
+        assert cert.per_sample == records and cert.per_sample is not records
+        for i, rec in enumerate(records):
+            residuals = {name: cert.samples[name][i] for name in ("range_complement_cond", "kernel_angle")}
+            assert rec.membership_residuals == residuals
+            assert rec._replace(membership_residuals=None) == SampleRecord(
+                *(cert.samples[name][i] if name in cert.samples else None for name in SampleRecord._fields)
+            )
+        plain = certify_path(path, 1, grid=11)
+        assert "ok" in plain.samples and "kernel_angle" not in plain.samples
+        assert {rec.membership_residuals for rec in plain.per_sample} == {None}
 
-    def test_audit(self, built, tmp_path):
+    def test_audit_columns(self):
         path, r = self._flip()
         audit = audit_flip_path(path, (r, r), grid=1001)
-        save_json(audit_to_obj(audit), tmp_path / "audit.json")
-        assert built == {"records": 0, "dicts": 0}
-        records = audit.records
-        assert type(records) is tuple and len(records) == audit.grid_size == 1001
-        assert built == {"records": 0, "dicts": 1001}
-        assert audit.records is records and built["dicts"] == 1001
+        assert list(audit.samples) == [
+            "t", "segment", "local_t",
+            "range_complement_cond", "range_complement_cond_ok", "kernel_angle", "kernel_angle_ok",
+        ]
+        assert {len(column) for column in audit.samples.values()} == {audit.grid_size} == {1001}
+        assert not hasattr(audit, "records")
 
-    def test_equality_reads_the_records(self):
+    def test_equality_reads_the_columns(self):
         path, r = self._flip()
         spec = MembershipSpec(range_complement=r)
         cert = certify_path(path, 1, grid=101, membership=spec)
-        fresh = certify_path(path, 1, grid=101, membership=spec)
-        cert.per_sample  # one read, one not: the same certificate
-        assert cert == fresh and fresh == cert
-        # built from its records, as dataclasses.replace does
-        copy = dataclasses.replace(fresh)
-        assert copy == cert and copy.per_sample == cert.per_sample
-        assert certificate_to_obj(copy) == certificate_to_obj(cert)
-        records = list(cert.per_sample)
-        records[7] = records[7]._replace(sigma_k=records[7].sigma_k * (1.0 + 1e-15))
-        assert dataclasses.replace(cert, per_sample=tuple(records)) != cert
-        residuals = dict(records[3].membership_residuals, range_complement_cond=1.0)
-        records = list(cert.per_sample)
-        records[3] = records[3]._replace(membership_residuals=residuals)
-        assert dataclasses.replace(cert, per_sample=tuple(records)) != cert
+        assert cert == certify_path(path, 1, grid=101, membership=spec)
+        assert dataclasses.replace(cert) == cert
+        changed = {name: list(column) for name, column in cert.samples.items()}
+        changed["sigma_k"][7] *= 1.0 + 1e-15
+        assert dataclasses.replace(cert, samples=changed) != cert
         audit = audit_flip_path(path, (r, r), grid=101)
         assert audit == audit_flip_path(path, (r, r), grid=101)
-        assert dataclasses.replace(audit) == audit
-        changed = [dict(rec) for rec in audit.records]
-        changed[0]["kernel_ok"] = not changed[0]["kernel_ok"]
-        assert dataclasses.replace(audit, records=tuple(changed)) != audit
+        changed = {name: list(column) for name, column in audit.samples.items()}
+        changed["kernel_angle_ok"][0] = not changed["kernel_angle_ok"][0]
+        assert dataclasses.replace(audit, samples=changed) != audit
         with pytest.raises(dataclasses.FrozenInstanceError):
             cert.per_sample = ()
 
@@ -351,13 +321,14 @@ def _membership_checks(
 
 
 def _reference_audit(path, s_spec, grid, tol=DEFAULT_TOL):
-    """The flip audit, one sample at a time."""
+    """The flip audit, one sample at a time: its columns are filled a value at a time."""
     expected_kernel, complement = s_spec
     spec = MembershipSpec(range_complement=complement, kernel_equals=expected_kernel)
     samples = sample_parameters(path, grid)
     values = eval_path_batch(path, samples)
     degenerate = maxabs(values) == 0.0
-    records = []
+    names = ("t", "segment", "local_t", "range_complement_cond", "range_complement_cond_ok")
+    columns = {name: [] for name in (*names, "kernel_angle", "kernel_angle_ok")}
     failures = set()
     for (t, seg, local), w in zip(samples, values):
         if degenerate:
@@ -365,37 +336,29 @@ def _reference_audit(path, s_spec, grid, tol=DEFAULT_TOL):
         else:
             checks = _membership_checks(w, spec, tol)
             range_check, kernel_check = checks["range_complement_cond"], checks["kernel_angle"]
-        records.append(
-            {
-                "t": t,
-                "segment": seg,
-                "local_t": local,
-                "range_split_ok": bool(range_check[1]),
-                "range_condition": range_check[0],
-                "kernel_ok": bool(kernel_check[1]),
-                "kernel_angle": kernel_check[0],
-            }
-        )
+        row = (t, seg, local, range_check[0], bool(range_check[1]), kernel_check[0], bool(kernel_check[1]))
+        for column, value in zip(columns.values(), row):
+            column.append(value)
         if not (range_check[1] and kernel_check[1]):
             failures.add(local)
-    return FlipAudit(len(samples), degenerate, tuple(records), tuple(sorted(failures)))
+    return FlipAudit(len(samples), degenerate, columns, tuple(sorted(failures)))
 
 
-def _typed_items(records):
-    """Each record's (key, value type) pairs, in order."""
-    return [[(key, type(value)) for key, value in rec.items()] for rec in records]
+def _typed_columns(columns):
+    """Each column's name and the types of its values, in order."""
+    return [(name, [type(value) for value in column]) for name, column in columns.items()]
 
 
 def _assert_audit_matches_reference(path, s_spec, grid):
     audit = audit_flip_path(path, s_spec, grid=grid)
     ref = _reference_audit(path, s_spec, grid)
     assert audit == ref
-    assert _typed_items(audit.records) == _typed_items(ref.records)
+    assert _typed_columns(audit.samples) == _typed_columns(ref.samples)
     return audit
 
 
 def _reference_records(path, expected_k, grid, membership=None, tol=DEFAULT_TOL):
-    """The certifier's per-sample loop, one sample at a time: records and failures.
+    """The certifier's per-sample loop, one sample at a time: columns and failures.
 
     With membership checks the rank columns come from each sample's full
     SVD, the one its kernel and range are cut from; without, from its
@@ -409,7 +372,7 @@ def _reference_records(path, expected_k, grid, membership=None, tol=DEFAULT_TOL)
     else:
         svals = np.linalg.svd(values, compute_uv=False)
     eps = np.finfo(float).eps
-    records = []
+    columns = {}
     failures = set()
     for (t, seg, local), w, s in zip(samples, values, svals):
         sigma_top = float(s[0]) if s.size else 0.0
@@ -420,29 +383,34 @@ def _reference_records(path, expected_k, grid, membership=None, tol=DEFAULT_TOL)
         # a zero floor is an all-zero sample, decided by its rank alone
         gap_ok = expected_k == 0 or floor == 0.0 or sigma_k / floor >= SIGMA_GAP_MIN
         ok = rank == expected_k and gap_ok
-        residuals = None
+        residuals = {}
         if checked:
             checks = _membership_checks(w, membership, tol)
             residuals = {name: value for name, (value, _) in checks.items()}
             ok = ok and all(passed for _, passed in checks.values())
-        records.append(
-            SampleRecord(t, seg, local, rank, sigma_k, sigma_next, residuals, bool(ok))
-        )
+        row = {
+            "t": t,
+            "segment": seg,
+            "local_t": local,
+            "rank": rank,
+            "sigma_k": sigma_k,
+            "sigma_k_plus_1": sigma_next,
+            **residuals,
+            "ok": bool(ok),
+        }
+        for name, value in row.items():
+            columns.setdefault(name, []).append(value)
         if not ok:
             failures.add(local)
-    return tuple(records), tuple(sorted(failures))
+    return columns, tuple(sorted(failures))
 
 
 def _assert_matches_reference(path, expected_k, grid, membership=None):
     cert = certify_path(path, expected_k, grid=grid, membership=membership)
-    records, failures = _reference_records(path, expected_k, grid, membership)
-    assert cert.per_sample == records
+    columns, failures = _reference_records(path, expected_k, grid, membership)
+    assert cert.samples == columns
     # equal values of another type (numpy scalars, 1 for True) would change the JSON
-    assert [tuple(map(type, r)) for r in cert.per_sample] == [
-        tuple(map(type, r)) for r in records
-    ]
-    residuals = [r.membership_residuals or {} for r in cert.per_sample]
-    assert _typed_items(residuals) == _typed_items(r.membership_residuals or {} for r in records)
+    assert _typed_columns(cert.samples) == _typed_columns(columns)
     assert cert.failures == failures
     e0, e1 = cert.endpoint_errors
     endpoints_ok = e0 <= 1e-9 * np.max(np.abs(path.start)) and e1 <= 1e-9 * np.max(
@@ -488,8 +456,7 @@ class TestRecordReference:
         spec = MembershipSpec(kernel_equals=span([0, 0, 1]))
         cert = _assert_matches_reference(p, 1, 5, spec)
         assert cert.verdict == "fail"
-        inf = {"kernel_angle": float("inf")}
-        assert all(r.membership_residuals == inf for r in cert.per_sample)
+        assert cert.samples["kernel_angle"] == [float("inf")] * 5
 
     def test_gap_floor_matches_reference(self):
         # the floor eps * sigma_1 is relative: 1e-12 / (eps * 1e-3) = 4.5e6
@@ -665,7 +632,7 @@ class TestMembershipReference:
             kernel_equals=ker,
         )
         cert = _assert_matches_reference(path, k_x, grid, spec)
-        assert len({r.rank for r in cert.per_sample}) > 1
+        assert len(set(cert.samples["rank"])) > 1
         _assert_audit_matches_reference(path, (ker, rng_x), grid)
 
     def test_full_column_rank_and_zero_complements(self):
@@ -687,7 +654,7 @@ class TestMembershipReference:
         wrong = MembershipSpec(span([1, 0, 0]), Subspace.zero(3), span([0, 1, 0]))
         cert = _assert_matches_reference(square, 3, 11, wrong)
         assert cert.verdict == "fail"
-        assert cert.per_sample[0].membership_residuals["kernel_angle"] == float("inf")
+        assert cert.samples["kernel_angle"][0] == float("inf")
 
     def test_degenerate_audit(self):
         _check_degenerate(_assert_audit_matches_reference, _assert_matches_reference)
@@ -806,8 +773,8 @@ def _whole_grid(fn, *args, **kwargs):
 
 
 def _assert_chunked_matches(path, expected_k, grid, membership=None):
-    """Under the patched chunk size: the reference records, and the very
-    certificate of a single chunk (records, failures, verdict, endpoint errors)."""
+    """Under the patched chunk size: the reference columns, and the very
+    certificate of a single chunk (columns, failures, verdict, endpoint errors)."""
     cert = _assert_matches_reference(path, expected_k, grid, membership)
     assert cert == _whole_grid(certify_path, path, expected_k, grid=grid, membership=membership)
     return cert
@@ -867,7 +834,7 @@ class TestChunkBoundaries:
         _, ker, rng_x = rank_kernel_range(nodes[1])
         spec = MembershipSpec(_complement(rng, rng_x), _complement(rng, ker), ker)
         cert = _assert_chunked_matches(path, 2, 23, spec)
-        assert len({r.rank for r in cert.per_sample}) > 1
+        assert len(set(cert.samples["rank"])) > 1
         _assert_chunked_audit_matches(path, (ker, rng_x), 23)
 
     def test_degenerate(self):
@@ -876,8 +843,9 @@ class TestChunkBoundaries:
 
 class TestWorkingMemory:
     def test_chunk_rule(self):
-        # 100x100 values are 80 kB a sample; membership adds 3m^2 + 5n^2 + 32 doubles
-        assert certify_module._chunk_samples((100, 100), False) == 52
+        # 100x100 values are 80 kB a sample, and as much again scaled for
+        # the SVD; membership adds 3m^2 + 5n^2 + 32 doubles to the values
+        assert certify_module._chunk_samples((100, 100), False) == 26
         assert certify_module._chunk_samples((20, 20), True) == 144
         assert certify_module._chunk_samples((2000, 2000), True) == 1
 
@@ -983,7 +951,7 @@ class TestWorkers:
     @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_large_paths(self, monkeypatch, workers):
         monkeypatch.setattr(certify_module, "WORKERS", workers)
-        # 100x100 rank 50, 20 chunks of 52 at one worker, on fresh paths so
+        # 100x100 rank 50, 39 chunks of 26 at one worker, on fresh paths so
         # that the walk sets up their rotation legs; and a 32x32 project leg
         # with every membership check, certified and audited
         payload = gen_instance(InstanceSpec(m=100, n=100, k=50, seed=1, kind="fk-pair"))

@@ -412,18 +412,16 @@ class TestOtherCommands:
                     "--membership", member_file, "--out", cert_file])
         assert code == 1
         cert = strict_json(cert_file.read_text())
-        assert [r["membership_residuals"] for r in cert["per_sample"]] == [
-            {"kernel_angle": None}
-        ] * 5
+        assert cert["samples"]["kernel_angle"] == [None] * 5
         audit = audit_flip_path(
             constant_path(np.diag([1.0, 0.0, 0.0])),
             (Subspace.span([0, 0, 1]), Subspace.span([0, 1, 0], [0, 0, 1])),
             grid=3,
         )
         ser.save_json(ser.audit_to_obj(audit), audit_file)
-        records = strict_json(audit_file.read_text())["records"]
-        assert [r["kernel_angle"] for r in records] == [None] * 3
-        assert all(isinstance(r["range_condition"], float) for r in records)
+        samples = strict_json(audit_file.read_text())["samples"]
+        assert samples["kernel_angle"] == [None] * 3
+        assert all(isinstance(c, float) for c in samples["range_complement_cond"])
         with pytest.raises(ValueError):
             ser.save_json({"x": float("inf")}, tmp_path / "bad.json")
 

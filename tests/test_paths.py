@@ -92,14 +92,21 @@ def ambient_tilt(e_star, r, mapping):
     return GraphParam(e_star, r, coeff)
 
 
+def unit_scale(a):
+    """``a`` times the power of two that puts its largest entry in [0.5, 1),
+    as the library's SVDs of endpoint-scaled matrices take it."""
+    a = np.asarray(a, dtype=float)
+    return np.ldexp(a, -np.frexp(np.max(np.abs(a)))[1])
+
+
 def full_svd_inputs(monkeypatch):
-    """Copies of the matrices np.linalg.svd factors with frames from now on."""
+    """Copies of the matrices np.linalg.svd factors with frames from now on, at unit scale."""
     inputs = []
     original = np.linalg.svd
 
     def recorded(a, *args, **kwargs):
         if kwargs.get("compute_uv", True):
-            inputs.append(np.array(a, dtype=float))
+            inputs.append(unit_scale(a))
         return original(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "svd", recorded)
@@ -381,17 +388,26 @@ class TestAuditFlip:
         audit = audit_flip_path(p, (r, r), grid=11)
         assert 0.5 in audit.failures
         # the defective sample is the one on the second leg
-        bad = [rec for rec in audit.records if not (rec["range_split_ok"] and rec["kernel_ok"])]
-        assert all(rec["segment"] == 1 and rec["local_t"] == 0.5 for rec in bad)
+        samples = audit.samples
+        bad = [
+            (segment, local)
+            for segment, local, range_ok, kernel_ok in zip(
+                samples["segment"], samples["local_t"],
+                samples["range_complement_cond_ok"], samples["kernel_angle_ok"],
+            )
+            if not (range_ok and kernel_ok)
+        ]
+        assert bad and set(bad) == {(1, 0.5)}
 
     def test_endpoints_pass(self):
         e_star, r = span([1, 0]), span([0, 1])
         alpha = ambient_tilt(e_star, r, [[0, 0], [1, 0]])
         p = literal_flip_path(e_star, r, alpha)
         audit = audit_flip_path(p, (r, r), grid=11)
-        by_t = {rec["t"]: rec for rec in audit.records}
-        for t in (0.0, 1.0):
-            assert by_t[t]["range_split_ok"] and by_t[t]["kernel_ok"]
+        samples = audit.samples
+        assert (samples["t"][0], samples["t"][-1]) == (0.0, 1.0)
+        for i in (0, -1):
+            assert samples["range_complement_cond_ok"][i] and samples["kernel_angle_ok"][i]
 
     def test_degenerate_zero_path(self):
         p = constant_path(np.zeros((2, 2)))
@@ -824,7 +840,7 @@ class TestChains:
         moved = p.segments[-1].start  # the walk back starts at the moved operator
         assert not np.array_equal(moved, t0)
         for m in (t0, t_star, moved):
-            assert sum(np.array_equal(m, x) for x in inputs) == 1
+            assert sum(np.array_equal(unit_scale(m), x) for x in inputs) == 1
         assert len(inputs) == 3
         assert eval_path(p, 0.0) == pytest.approx(t_star, abs=1e-12)
         assert eval_path(p, 1.0) == pytest.approx(t0, abs=1e-12)
@@ -892,7 +908,7 @@ class TestFrameConnect:
         p = frame_connect(x, y)
         cert = certify_path(p, k, grid=1001)
         assert cert.verdict == "pass"
-        assert all(rec.rank == k for rec in cert.per_sample)
+        assert set(cert.samples["rank"]) == {k}
         assert maxabs(eval_path(p, 0.0) - y) <= 1e-12 * (1 + maxabs(y))
         assert maxabs(eval_path(p, 1.0) - x) <= 1e-12 * (1 + maxabs(x))
 
@@ -984,21 +1000,24 @@ class TestScaleInvariance:
     @staticmethod
     def decisions(builder, t1, t2, k, c):
         cert = certify_path(SCALE_BUILDERS[builder](c * t1, c * t2), k, grid=1001)
-        rows = cert.per_sample
-        return cert.verdict, cert.failures, [r.rank for r in rows], [r.ok for r in rows]
+        return cert.verdict, cert.failures, cert.samples["rank"], cert.samples["ok"]
 
     @pytest.mark.parametrize("builder", sorted(SCALE_BUILDERS))
-    @pytest.mark.parametrize("pairs", ["generated", 1e5, 1e8])
+    @pytest.mark.parametrize("pairs", ["generated", 1e5, 1e8, 3e9])
     def test_powers_of_two(self, builder, pairs):
-        # powers of two scale the input exactly, so the decisions must be
-        # those at scale 1, out to the ends of the exponent range
+        # powers of two scale the input exactly, and every SVD of a matrix
+        # that carries the scale is taken at the scale of 1, so the decisions
+        # must be those at scale 1, out to the ends of the exponent range.
+        # At condition number 3e9 some samples sit at the gap test's edge,
+        # where the verdict at scale 1 depends on the BLAS kernel: there only
+        # the decisions are compared, not asserted to pass
         if pairs == "generated":
             cases = list(_generated_pairs())
         else:
             cases = [(t1, t2, 3) for t1, t2 in TestConditioning.pairs(pairs)]
         for t1, t2, k in cases:
             at_one = self.decisions(builder, t1, t2, k, 1.0)
-            assert at_one[0] == "pass"
+            assert pairs == 3e9 or at_one[0] == "pass"
             for e in (40, 498, 996):
                 for c in (2.0**e, 2.0**-e):
                     assert self.decisions(builder, t1, t2, k, c) == at_one, (e, c)

@@ -15,6 +15,7 @@ from strata import (
     GraphParam,
     MembershipSpec,
     OperatorPath,
+    SampleRecord,
     StratumPoint,
     Subspace,
     audit_flip_path,
@@ -643,51 +644,40 @@ def _finite_or_none(x):
     return x if math.isfinite(x) else None
 
 
-def _sample_obj(rec) -> dict:
-    """One per-sample object of a certificate, written from its record."""
-    residuals = rec.membership_residuals
-    if residuals is not None:
-        residuals = {name: _finite_or_none(value) for name, value in residuals.items()}
-    return {
-        "t": rec.t,
-        "segment": rec.segment,
-        "local_t": rec.local_t,
-        "rank": rec.rank,
-        "sigma_k": _finite_or_none(rec.sigma_k),
-        "sigma_k_plus_1": _finite_or_none(rec.sigma_k_plus_1),
-        "membership_residuals": residuals,
-        "ok": rec.ok,
-    }
-
-
 def _certificate_obj_from_records(cert) -> dict:
-    """The reference writer: the certificate object built one record at a time."""
+    """The reference writer: the certificate object built from its records,
+    one value at a time, in the writer's column order."""
+    records = cert.per_sample
+    checks = list(records[0].membership_residuals or {})
+    names = ("t", "segment", "local_t", "rank", "sigma_k", "sigma_k_plus_1")
+    samples = {name: [getattr(r, name) for r in records] for name in names}
+    for name in ("sigma_k", "sigma_k_plus_1"):
+        samples[name] = [_finite_or_none(x) for x in samples[name]]
+    for name in checks:
+        samples[name] = [_finite_or_none(r.membership_residuals[name]) for r in records]
+    samples["ok"] = [r.ok for r in records]
     return {
         "instance": cert.instance,
         "grid_size": cert.grid_size,
         "expected_k": cert.expected_k,
-        "per_sample": [_sample_obj(r) for r in cert.per_sample],
+        "samples": samples,
         "endpoint_errors": [_finite_or_none(e) for e in cert.endpoint_errors],
         "verdict": cert.verdict,
         "failures": list(cert.failures),
     }
 
 
-def _audit_obj_from_records(audit) -> dict:
-    """The reference writer: the audit object built one record at a time."""
+def _audit_obj_from_values(audit) -> dict:
+    """The reference writer: the audit object built one value at a time."""
     return {
         "grid_size": audit.grid_size,
         "degenerate": audit.degenerate,
         "passed": audit.passed,
         "failures": list(audit.failures),
-        "records": [
-            {
-                **rec,
-                "range_condition": _finite_or_none(rec["range_condition"]),
-                "kernel_angle": _finite_or_none(rec["kernel_angle"]),
-            }
-            for rec in audit.records
-        ],
+        "samples": {
+            name: [_finite_or_none(x) if type(x) is float else x for x in column]
+            for name, column in audit.samples.items()
+        },
     }
 
 
@@ -698,8 +688,9 @@ def _flip_path():
 
 
 class TestEvidenceFormat:
-    """Certificates and audits are written from their columns; the objects
-    equal those written one record at a time, in values, types and key order."""
+    """Certificates and audits are written as their columns, one list each;
+    the objects equal those written one value at a time, in values, types
+    and key order."""
 
     @staticmethod
     def _assert_same_text(obj, reference):
@@ -730,10 +721,12 @@ class TestEvidenceFormat:
         assert certs[4].per_sample[0].membership_residuals == {"range_complement_cond": inf}
         assert certs[5].per_sample[0].membership_residuals == {"kernel_angle": inf}
         for cert in certs:
-            self._assert_same_text(ser.certificate_to_obj(cert), _certificate_obj_from_records(cert))
+            obj = ser.certificate_to_obj(cert)
+            self._assert_same_text(obj, _certificate_obj_from_records(cert))
+            assert {len(column) for column in obj["samples"].values()} == {cert.grid_size}
         for cert, name in ((certs[4], "range_complement_cond"), (certs[5], "kernel_angle")):
             obj = ser.certificate_to_obj(cert)
-            assert {s["membership_residuals"][name] for s in obj["per_sample"]} == {None}
+            assert obj["samples"][name] == [None] * 11
 
     def test_audits(self):
         flip, r = _flip_path()
@@ -745,20 +738,27 @@ class TestEvidenceFormat:
             audit_flip_path(constant_path(np.zeros((3, 3))), (span([1, 0, 0]), r), grid=11),
         ]
         assert 0.5 in audits[0].failures
-        assert {rec["kernel_angle"] for rec in audits[1].records} == {float("inf")}
+        assert audits[1].samples["kernel_angle"] == [float("inf")] * 3
         assert audits[2].degenerate and audits[2].passed
         for audit in audits:
-            self._assert_same_text(ser.audit_to_obj(audit), _audit_obj_from_records(audit))
+            self._assert_same_text(ser.audit_to_obj(audit), _audit_obj_from_values(audit))
+        assert ser.audit_to_obj(audits[1])["samples"]["kernel_angle"] == [None] * 3
 
     def test_built_from_records(self):
-        # a certificate or audit given its records is written the same way
+        # a certificate whose columns are rebuilt from its records is written the same way
         flip, r = _flip_path()
         cert = certify_path(flip, 1, grid=101, membership=MembershipSpec(r, r, r))
-        copy = dataclasses.replace(cert, per_sample=cert.per_sample)
+        records = cert.per_sample
+        columns = {
+            name: [getattr(rec, name) for rec in records]
+            for name in SampleRecord._fields
+            if name != "membership_residuals"
+        }
+        for name in records[0].membership_residuals:
+            columns[name] = [rec.membership_residuals[name] for rec in records]
+        columns["ok"] = columns.pop("ok")
+        copy = dataclasses.replace(cert, samples=columns)
         self._assert_same_text(ser.certificate_to_obj(copy), ser.certificate_to_obj(cert))
-        audit = audit_flip_path(flip, (r, r), grid=101)
-        copy = dataclasses.replace(audit, records=audit.records)
-        self._assert_same_text(ser.audit_to_obj(copy), ser.audit_to_obj(audit))
 
 
 def stdlib_text(obj) -> str:
