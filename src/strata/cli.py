@@ -17,11 +17,15 @@ The STRATA_TOL environment variable overrides the default relative rank
 tolerance everywhere.  The library holds numpy's and scipy's OpenBLAS to
 one thread at each of its entry points that computes (``strata.blas``), so
 the files a command writes do not depend on the number of cores.
+``main`` builds its argument parser once per process, on its first call,
+and reuses it: usage, help and exit codes are those of a parser built
+anew.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -209,9 +213,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """``build_parser()``'s parser, built on the first call and kept for the process.
+
+    Parsing leaves no state on it: each ``parse_args`` fills a fresh
+    namespace, and each command looks up what it calls in this module's
+    namespace when it runs.
+    """
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (StrataError, ValueError, OSError) as exc:

@@ -8,9 +8,13 @@ files write each basis element so.  The writers give each number list as
 one string: the RFC 4648 base64 text of the values' IEEE-754 binary64
 bytes, little-endian and row-major.  Every reader takes that string or a
 JSON list of the same numbers, as older files and hand-written ones hold
-them, and decodes both to the same bits.  Subspace files add a
-"subspace": true flag and use their ambient dimension as the row count.
-Field order is fixed everywhere so identical inputs produce
+them, and decodes both to the same bits.  A tangent file repeats each
+distinct factor string across many elements, so a rank-one factor is
+decoded and checked once per process and kept in a bounded memo
+(``_decoded_factor``, at most 256 factors of up to 1,024 numbers, about
+5 MB); dense payloads are decoded anew on every read.  Subspace files
+add a "subspace": true flag and use their ambient dimension as the row
+count.  Field order is fixed everywhere so identical inputs produce
 byte-identical files.
 """
 
@@ -18,6 +22,7 @@ from __future__ import annotations
 
 import base64
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -115,37 +120,78 @@ def _number_list(values, name: str) -> np.ndarray:
     return array.astype(float, copy=False)
 
 
+def _decoded(text: str, size: int) -> np.ndarray:
+    """The ``size`` finite float64 values that ``text`` encodes, in a new array.
+
+    ``text`` must be canonical padded base64 of the standard alphabet.  A
+    refusal's message leaves out the field, which ``_numbers`` puts first.
+    """
+    try:
+        raw = base64.b64decode(text, validate=True)
+        # re-encoding refuses what the decoder lets pass, such as stray
+        # bits after the last byte, on every Python version alike
+        canonical = base64.b64encode(raw).decode("ascii") == text
+    except ValueError:  # binascii.Error included
+        canonical = False
+    if not canonical:
+        raise StrataError("must be a list of numbers or padded base64 text")
+    if len(raw) != 8 * size:  # before frombuffer, which needs whole floats
+        raise InputError("length disagrees with its shape")
+    return _checked(np.frombuffer(raw, dtype="<f8").astype(float), size)
+
+
+def _checked(values: np.ndarray, size: int) -> np.ndarray:
+    """``values``, once known to be ``size`` finite numbers; refusals as ``_decoded``'s."""
+    if values.size != size:
+        raise InputError("length disagrees with its shape")
+    if not np.isfinite(values).all():
+        raise InputError("holds a non-finite number")
+    return values
+
+
+_MEMO_ENTRIES = 256
+_MEMO_VALUES = 1024
+
+
+@functools.lru_cache(maxsize=_MEMO_ENTRIES)
+def _decoded_factor(text: str, size: int) -> np.ndarray:
+    """``_decoded``'s read-only array, kept for the next factor of the same text.
+
+    A tangent file repeats each distinct factor string across many basis
+    elements (85 distinct among the 1,650 of a 40x30 rank-15 file), so
+    each is decoded and checked once per process.  Only strings that pass
+    every check are kept; a refusal is raised again on every call.  The
+    memo holds at most ``_MEMO_ENTRIES`` factors of at most
+    ``_MEMO_VALUES`` values: each entry keeps its text (under 11 KB) and
+    its 8 KiB of values, so the memo never holds more than about 5 MB
+    (4.95 MB by tracemalloc, filled with such factors).
+    """
+    values = _decoded(text, size)
+    values.flags.writeable = False
+    return values
+
+
 def _numbers(obj: dict, key: str, size: int) -> np.ndarray:
     """The ``size`` finite numbers under ``key``, as floats.
 
     They are a base64 string of ``size`` float64 values, little-endian,
     as the writers give them, or a JSON list of numbers, as older and
-    hand-written files hold them.  The string must be canonical padded
-    base64 of the standard alphabet.  JSON files may hold NaN and
-    Infinity, which Python's reader accepts, and the bytes may encode
-    them; no matrix here can use them.
+    hand-written files hold them.  JSON files may hold NaN and Infinity,
+    which Python's reader accepts, and the bytes may encode them; no
+    matrix here can use them.  Rank-one factors (``left``, ``right``) of
+    up to ``_MEMO_VALUES`` values are decoded through ``_decoded_factor``
+    and come back read-only; a dense ``data`` payload is always decoded
+    anew into an array of its own.
     """
     values, name = obj[key], f"matrix {key}"
     if isinstance(values, str):
-        try:
-            raw = base64.b64decode(values, validate=True)
-            # re-encoding refuses what the decoder lets pass, such as stray
-            # bits after the last byte, on every Python version alike
-            canonical = base64.b64encode(raw).decode("ascii") == values
-        except ValueError:  # binascii.Error included
-            canonical = False
-        if not canonical:
-            raise StrataError(f"{name} must be a list of numbers or padded base64 text")
-        if len(raw) != 8 * size:
-            raise InputError(f"{name} length disagrees with its shape")
-        values = np.frombuffer(raw, dtype="<f8").astype(float)
+        decode = _decoded_factor if key != "data" and size <= _MEMO_VALUES else _decoded
     else:
-        values = _number_list(values, name)
-        if values.size != size:
-            raise InputError(f"{name} length disagrees with its shape")
-    if not np.isfinite(values).all():
-        raise InputError(f"{name} holds a non-finite number")
-    return values
+        values, decode = _number_list(values, name), _checked
+    try:
+        return decode(values, size)
+    except StrataError as exc:
+        raise type(exc)(f"{name} {exc}") from None
 
 
 def matrix_from_obj(obj: dict) -> np.ndarray:
@@ -171,9 +217,11 @@ def matrix_from_obj(obj: dict) -> np.ndarray:
     try:
         # finite factors give a non-finite product only by overflowing
         with np.errstate(over="raise"):
-            return left[:, None] * right + 0.0  # np.outer's products, with less overhead
+            product = left[:, None] * right  # np.outer's products, with less overhead
     except FloatingPointError:
         raise InputError("matrix left and right multiply to a non-finite number") from None
+    product += 0.0  # in place: the bits of np.outer(left, right) + 0.0, one array fewer
+    return product
 
 
 def subspace_to_obj(s: Subspace) -> dict:

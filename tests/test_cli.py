@@ -640,3 +640,69 @@ class TestNonFiniteInput:
         err = capsys.readouterr().err
         assert f"path segment {index} field {field!r}: " in err and message in err
         assert not cert.exists()
+
+
+class TestOneParser:
+    """``main`` builds its parser once and reuses it for every later call."""
+
+    def test_different_commands_in_one_process(self, tmp_path, capsys, monkeypatch):
+        assert run(["dim", "--m", 3, "--n", 2, "--k", 1]) == 0
+        parser = cli_module._parser()
+        TestNonFiniteInput.forbid(monkeypatch, "build_parser")
+        pair = tmp_path / "pair.json"
+        assert run(["gen", "--m", 3, "--n", 3, "--k", 2, "--seed", 0,
+                    "--kind", "fk-pair", "--out", pair]) == 0
+        assert run(["connect", "--in", pair, "--mode", "fk", "--out", tmp_path / "p.json"]) == 0
+        assert run(["dim", "--m", 4, "--n", 4, "--k", 2]) == 0
+        assert capsys.readouterr().out == "4\n12\n"
+        assert cli_module._parser() is parser
+
+    def test_usage_error_then_a_good_call(self, capsys):
+        run(["dim", "--m", 1, "--n", 1, "--k", 1])
+        with pytest.raises(SystemExit) as raised:
+            run(["certify", "--k", 1])
+        assert raised.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: strata certify") and "--path" in err
+        assert run(["dim", "--m", 3, "--n", 2, "--k", 1]) == 0
+        assert capsys.readouterr().out == "4\n"
+
+    def test_help_and_usage_as_a_new_parser(self):
+        run(["dim", "--m", 1, "--n", 1, "--k", 1])
+        fresh = cli_module.build_parser()
+        assert cli_module._parser().format_help() == fresh.format_help()
+        assert cli_module._parser().format_usage() == fresh.format_usage()
+
+    def test_fresh_namespace_per_call(self):
+        parse = cli_module._parser().parse_args
+        given = parse(["connect", "--in", "a", "--mode", "fk", "--reverse", "--out", "b"])
+        again = parse(["connect", "--in", "a", "--mode", "fk", "--out", "b"])
+        assert given.reverse and not again.reverse and again is not given
+        given = parse(["certify", "--path", "p", "--k", "1", "--tol", "0.1", "--out", "c"])
+        again = parse(["certify", "--path", "p", "--k", "1", "--out", "c"])
+        assert (given.tol, again.tol, again.samples) == (0.1, None, 1001)
+
+    def test_monkeypatches_after_the_parser_exists(self, tmp_path, monkeypatch):
+        run(["dim", "--m", 1, "--n", 1, "--k", 1])
+        calls = []
+
+        def spy(name, real):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(cli_module, name, wrapper)
+
+        spy("certify_path", certify_path)
+        spy("connect_fk", connect_fk)
+        pair, path = tmp_path / "pair.json", tmp_path / "path.json"
+        assert run(["gen", "--m", 3, "--n", 3, "--k", 2, "--seed", 0,
+                    "--kind", "fk-pair", "--out", pair]) == 0
+        assert run(["connect", "--in", pair, "--mode", "fk", "--out", path]) == 0
+        assert run(["certify", "--path", path, "--k", 2, "--samples", 11,
+                    "--out", tmp_path / "cert.json"]) == 0
+        assert calls == ["connect_fk", "certify_path"]
+        TestNonFiniteInput.forbid(monkeypatch, "certify_path")
+        with pytest.raises(AssertionError, match="certify_path ran"):
+            run(["certify", "--path", path, "--k", 2, "--samples", 11,
+                 "--out", tmp_path / "cert.json"])

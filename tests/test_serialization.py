@@ -619,6 +619,106 @@ class TestTangentFormat:
         assert peak < 4e6, peak  # the dense elements alone: 825 * 40 * 30 * 8 = 7.92e6 bytes
 
 
+class TestFactorMemo:
+    """Rank-one factor strings are decoded once per process, refusals on every call."""
+
+    memo = staticmethod(ser._decoded_factor)
+
+    @pytest.fixture(autouse=True)
+    def empty_memo(self):
+        self.memo.cache_clear()
+        yield
+        self.memo.cache_clear()
+
+    def size(self) -> int:
+        return self.memo.cache_info().currsize
+
+    @staticmethod
+    def factor_obj(left: str) -> dict:
+        return {"rows": 2, "cols": 2, "left": left, "right": encoded_numbers([3.0, 4.0])}
+
+    @pytest.mark.parametrize(
+        "left, error, message",
+        [
+            (TestMatrixFormat.stray_bit(encoded_numbers([3.0, 1.0])), StrataError,
+             "matrix left must be a list of numbers or padded base64 text"),
+            (encoded_numbers([3.0, 1.0, 2.0]), InputError, "matrix left length disagrees"),
+            (encoded_numbers([3.0, math.nan]), InputError, "matrix left holds a non-finite number"),
+            (encoded_numbers([math.inf, 1.0]), InputError, "matrix left holds a non-finite number"),
+        ],
+        ids=["non-canonical", "length", "nan", "inf"],
+    )
+    def test_refusals_repeat(self, left, error, message):
+        obj = self.factor_obj(left)
+        for _ in range(2):
+            with pytest.raises(error, match=message) as raised:
+                ser.matrix_from_obj(obj)
+            assert type(raised.value) is error
+        assert self.memo.cache_info().hits == 0 and self.size() == 0
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflow_refused_after_a_hit(self):
+        """Finite factors decoded from the memo still overflow into InputError, with no warning."""
+        big = encoded_numbers([1e200, 1.0])
+        one = encoded_numbers([1.0])
+        assert ser.matrix_from_obj({"rows": 2, "cols": 1, "left": big, "right": one})[0, 0] == 1e200
+        for _ in range(2):
+            with pytest.raises(InputError, match="matrix left and right multiply to a non-finite"):
+                ser.matrix_from_obj({"rows": 2, "cols": 2, "left": big, "right": big})
+        assert self.memo.cache_info().hits >= 2
+
+    def test_decoded_elements_are_fresh(self):
+        obj = self.factor_obj(encoded_numbers([1.0, 2.0]))
+        first = ser.matrix_from_obj(obj)
+        assert first.flags.writeable and first.flags.owndata
+        first[0, 0] = 99.0
+        second = ser.matrix_from_obj(obj)
+        assert self.memo.cache_info().hits == 2
+        assert second.tobytes() == (np.outer([1.0, 2.0], [3.0, 4.0]) + 0.0).tobytes()
+        assert second is not first and second.flags.writeable
+
+    def test_dense_payload_never_enters(self):
+        obj = ser.matrix_to_obj(np.random.default_rng(0).standard_normal((100, 100)))
+        for _ in range(2):
+            a = ser.matrix_from_obj(obj)
+            assert a.flags.writeable and a.shape == (100, 100)
+        assert self.size() == 0
+
+    def test_bounded(self):
+        cap = self.memo.cache_info().maxsize
+        for i in range(cap + 40):
+            ser.matrix_from_obj({"rows": 1, "cols": 1, "left": encoded_numbers([float(i)]),
+                                 "right": encoded_numbers([1.0])})
+            assert self.size() <= cap
+        assert self.size() == cap
+        # a factor longer than the memo takes is decoded without entering it
+        self.memo.cache_clear()
+        n = ser._MEMO_VALUES + 1
+        long = ser.matrix_from_obj({"rows": n, "cols": 1, "left": encoded_numbers([1.0] * n),
+                                    "right": encoded_numbers([2.0])})
+        assert long.shape == (n, 1) and self.size() == 1
+
+    def test_tangent_file_at_40x30(self, monkeypatch):
+        """Each element bit for bit as the basis builds it, from 85 decodes, not 1,650."""
+        tb = tangent_basis(_point_40x30())
+        obj = json.loads(json.dumps(ser.tangent_basis_to_obj(tb)))
+        decodes = []
+
+        def spy(text, size):
+            decodes.append(size)
+            return decode(text, size)
+
+        decode = ser._decoded
+        monkeypatch.setattr(ser, "_decoded", spy)
+        for _ in range(2):
+            elements = [ser.matrix_from_obj(b) for b in obj["basis"]]
+            assert len(elements) == tb.dim == 825
+            for got, want in zip(elements, tb.basis, strict=True):
+                assert got.tobytes() == want.tobytes()
+        assert sorted(decodes) == [30] * (15 + 15) + [40] * (40 + 15)
+        assert self.memo.cache_info().misses == 85
+
+
 class TestMembership:
     def test_partial_spec(self):
         obj = {"range_complement": ser.subspace_to_obj(span([0, 1]))}
