@@ -54,14 +54,16 @@ import numpy as np
 
 from .blas import _BLAS, _one_blas_thread
 from .errors import InputError
-from .paths import OperatorPath, _eval_batch, _integer, _sample_grid
+from .paths import OperatorPath, _eval_batch, _sample_grid
 from .subspaces import (
     ANGLE_TOL,
     DEFAULT_TOL,
+    MEMBERSHIP_COND_MAX,
     Subspace,
     ToleranceConfig,
     _angle_from_sines,
     _condition_from_sines,
+    _integer,
     _slack,
     _svd,
     maxabs,
@@ -226,10 +228,10 @@ def _columns(
             head, tail = coords[name][group, :k], coords[name][group, k:]
             if name == "range_complement_cond":
                 value = _condition_from_sines(head, tail)
-                passed = (k + want.dim == rows) & (value <= tol.membership_cond_max)
+                passed = (k + want.dim == rows) & (value <= MEMBERSHIP_COND_MAX)
             elif name == "kernel_complement_cond":
                 value = _condition_from_sines(tail, head)
-                passed = (want.dim == k) & (value <= tol.membership_cond_max)
+                passed = (want.dim == k) & (value <= MEMBERSHIP_COND_MAX)
             elif want.dim == cols - k:
                 value = _angle_from_sines(head)
                 passed = value < ANGLE_TOL

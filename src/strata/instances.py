@@ -14,7 +14,7 @@ import numpy as np
 
 from .blas import _one_blas_thread
 from .errors import InputError
-from .subspaces import Subspace
+from .subspaces import Subspace, _integer
 
 __all__ = ["InstanceSpec", "gen_instance", "random_subspace"]
 
@@ -25,7 +25,11 @@ CONDITION_FLOOR = 1e-3  # smallest accepted sigma_k / sigma_1
 
 @dataclass(frozen=True)
 class InstanceSpec:
-    """Shape, rank, seed, and flavour of a generated instance."""
+    """Shape, rank, seed, and flavour of a generated instance.
+
+    ``m``, ``n``, ``k`` and ``seed`` are integers, numpy's included; a
+    float or a bool raises InputError.
+    """
 
     m: int
     n: int
@@ -34,6 +38,8 @@ class InstanceSpec:
     kind: str
 
     def __post_init__(self):
+        for name in ("m", "n", "k", "seed"):
+            object.__setattr__(self, name, _integer(getattr(self, name), name))
         if self.m < 1 or self.n < 1:
             raise InputError("shape dimensions must be positive")
         if not 0 <= self.k <= min(self.m, self.n):

@@ -12,7 +12,8 @@ where R(t) = I + Z (G(t*theta) - I) Z.T is an orthogonal rotation in
 plane form: z has orthonormal columns, one consecutive pair per plane,
 and G is block diagonal with one 2x2 rotation by t*theta[j] per plane.
 Both kinds give a at t = 0 exactly.  A do-nothing leg is affine with
-b = 0.
+b = 0.  With theta = pi in every plane, R(1) = -I on the span of z: the
+corrected flip is one such leg.
 
 Builders guarantee their declared endpoints; whether the path stays inside
 the intended operator set is a separate concern handled by the certifier
@@ -47,6 +48,7 @@ from .subspaces import (
     Subspace,
     ToleranceConfig,
     _factor,
+    _integer,
     _kernel_range,
     _slack,
     as_matrix,
@@ -289,16 +291,6 @@ def eval_path(path: OperatorPath, t: float) -> np.ndarray:
     return eval_segment(path.segments[idx], local)
 
 
-def _integer(value, name: str) -> int:
-    """``value`` as a Python int: an integer, numpy's included, but not a bool.
-
-    Anything else raises InputError naming ``name``.
-    """
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise InputError(f"{name} must be an integer count, got {value!r}")
-    return int(value)
-
-
 def _eval_batch(
     path: OperatorPath, segs: np.ndarray, locals_: np.ndarray, out: np.ndarray
 ) -> np.ndarray:
@@ -412,65 +404,44 @@ def literal_flip_path(
     return OperatorPath((leg1, leg2), (n, n))
 
 
-def _half_turn(
-    base: np.ndarray, u: np.ndarray, w: np.ndarray, side: str, end: np.ndarray | None
-) -> PathSegment:
-    """Rotate direction u of base through the spare unit vector w, theta = pi."""
-    return make_segment(
-        "rotation",
-        {"z": np.column_stack([u, w]), "theta": [math.pi], "side": side},
-        base,
-        end,
-    )
-
-
 @_one_blas_thread()
 def corrected_flip_path(
-    t_mat, k: int | None = None, side: str | None = None, tol: ToleranceConfig = DEFAULT_TOL
+    t_mat, k: int | None = None, tol: ToleranceConfig = DEFAULT_TOL
 ) -> OperatorPath:
     """Connect a rank-k matrix to its negative without ever dropping rank.
 
-    Writes the matrix in its singular frame and rotates each of the k
-    range directions (side="range") or row-space directions
-    (side="kernel") through a fixed unit vector taken from the orthogonal
-    complement, half a turn each.  Every intermediate frame stays
-    orthonormal, so the singular values, and hence the rank, are constant
-    along the whole path.  Requires a spare direction on the chosen side.
-    A rank ``k`` given as None is the matrix's own.  As on a
-    ``frame_connect`` path, each half-turn starts at the value the one
-    before it reaches at t = 1, and only the last declares an end: the
-    negated matrix, exactly.
+    One rotation leg pairs the first k + (k mod 2) singular directions of
+    the matrix's own SVD, a spare direction joining the last pair only when
+    k is odd, and turns each pair by pi: R(1) = -I on their span, which
+    holds the range (side "range", taken when the rows leave room) or the
+    row space (side "kernel"), so R(1) T = -T.  R(t) is orthogonal, so the
+    singular values, and hence the rank, are constant along the leg, which
+    declares the negated matrix as its end, exactly.  A rank ``k`` given
+    as None is the matrix's own; one that is not an integer raises
+    InputError.  Only an invertible square matrix of odd size has no such
+    leg: there det(-T) = -det T, so T and -T lie in different invertible
+    components, and DisconnectedComponentsError is raised.
     """
     t_mat, rank, (u_full, _, vt_full) = _factor(t_mat, tol)
-    rows, cols = t_mat.shape
-    if k is None:
-        k = rank
+    k = rank if k is None else _integer(k, "flip rank")
     if rank != k:
         raise InputError(f"matrix rank is not the declared {k}")
     if k == 0:
         return constant_path(t_mat)
-    if side is None:
-        if rows > k:
-            side = "range"
-        elif cols > k:
-            side = "kernel"
-        else:
-            raise DisconnectedComponentsError(
-                "a full-rank square matrix and its negative may lie in "
-                "different invertible components; no spare direction to "
-                "rotate through"
-            )
-    if side == "range" and rows <= k:
-        raise InputError("side='range' needs more rows than the rank")
-    if side == "kernel" and cols <= k:
-        raise InputError("side='kernel' needs more columns than the rank")
-    frame = u_full.T if side == "range" else vt_full  # its rows are the directions
-    w, axes = frame[k], frame[:k]
-    legs = []
-    for i, u in enumerate(axes):
-        base = legs[-1].end if legs else t_mat
-        legs.append(_half_turn(base, u, w, side, -t_mat if i == k - 1 else None))
-    return OperatorPath(tuple(legs), t_mat.shape)
+    turned = k + k % 2
+    if t_mat.shape[0] >= turned:
+        z, side = u_full[:, :turned], "range"
+    elif t_mat.shape[1] >= turned:
+        z, side = vt_full[:turned].T, "kernel"
+    else:
+        raise DisconnectedComponentsError(
+            "an invertible square matrix of odd size and its negative lie in "
+            "different invertible components: their determinants have "
+            "opposite signs"
+        )
+    theta = np.full(turned // 2, math.pi)
+    leg = make_segment("rotation", {"z": z, "theta": theta, "side": side}, t_mat, -t_mat)
+    return OperatorPath((leg,), t_mat.shape)
 
 
 # ---------------------------------------------------------------------------

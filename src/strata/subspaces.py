@@ -35,6 +35,7 @@ __all__ = [
 ]
 
 ANGLE_TOL = 1e-8  # max principal angle below which two subspaces are "equal"
+MEMBERSHIP_COND_MAX = 1e8  # largest condition number of a stacked basis still a direct sum
 
 
 def maxabs(a) -> float:
@@ -58,24 +59,29 @@ def as_matrix(a) -> np.ndarray:
     return m
 
 
+def _integer(value, name: str) -> int:
+    """``value`` as a Python int: an integer, numpy's included, but not a bool.
+
+    Anything else raises InputError naming ``name``.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise InputError(f"{name} must be an integer count, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class ToleranceConfig:
-    """Numerical policy knobs.
+    """Numerical policy knob.
 
     rank_rel_tol: singular values below ``rank_rel_tol * sigma_max`` count
         as zero when deciding rank.
-    membership_cond_max: largest condition number of a concatenated basis
-        matrix still accepted as evidence of a direct sum.
     """
 
     rank_rel_tol: float = 1e-10
-    membership_cond_max: float = 1e8
 
     def __post_init__(self):
         if not 0.0 < self.rank_rel_tol < 1.0:
             raise InputError("rank_rel_tol must lie strictly between 0 and 1")
-        if self.membership_cond_max <= 1.0:
-            raise InputError("membership_cond_max must exceed 1")
 
 
 DEFAULT_TOL = ToleranceConfig()
@@ -276,7 +282,7 @@ def is_direct_sum(parts, tol: ToleranceConfig = DEFAULT_TOL) -> DirectSumCheck:
         cond = float(s[0] / s[-1]) if s[-1] > 0.0 else np.inf
     else:
         cond = 1.0
-    ok = dim_total == n and cond <= tol.membership_cond_max
+    ok = dim_total == n and cond <= MEMBERSHIP_COND_MAX
     return DirectSumCheck(ok, cond, dim_total, n)
 
 

@@ -48,6 +48,7 @@ from strata.serialization import audit_to_obj, certificate_to_obj, save_json
 from strata.subspaces import (
     ANGLE_TOL,
     DEFAULT_TOL,
+    MEMBERSHIP_COND_MAX,
     ToleranceConfig,
     _angle_from_sines,
     _condition_from_sines,
@@ -301,13 +302,13 @@ def _membership_checks(
         comp = spec.range_complement
         coords = (u.T @ comp.basis)[None]
         cond = float(_condition_from_sines(coords[:, :k], coords[:, k:])[0])
-        ok = k + comp.dim == rows and cond <= tol.membership_cond_max
+        ok = k + comp.dim == rows and cond <= MEMBERSHIP_COND_MAX
         out["range_complement_cond"] = (cond, ok)
     if spec.kernel_complement is not None:
         comp = spec.kernel_complement
         coords = (vt @ comp.basis)[None]
         cond = float(_condition_from_sines(coords[:, k:], coords[:, :k])[0])
-        out["kernel_complement_cond"] = (cond, comp.dim == k and cond <= tol.membership_cond_max)
+        out["kernel_complement_cond"] = (cond, comp.dim == k and cond <= MEMBERSHIP_COND_MAX)
     if spec.kernel_equals is not None:
         want = spec.kernel_equals
         if cols - k != want.dim:
@@ -1254,3 +1255,18 @@ class TestInstances:
             InstanceSpec(m=2, n=2, k=3, seed=0, kind="fk-pair")
         with pytest.raises(ValueError):
             InstanceSpec(m=2, n=2, k=1, seed=0, kind="nope")
+
+    @pytest.mark.parametrize("field", ["m", "n", "k", "seed"])
+    @pytest.mark.parametrize("bad", [1.5, 1.0, True], ids=["fraction", "float", "bool"])
+    def test_fields_must_be_integers(self, field, bad):
+        spec = {"m": 2, "n": 2, "k": 1, "seed": 0, "kind": "fk-pair", field: bad}
+        with pytest.raises(InputError, match=f"{field} must be an integer count"):
+            InstanceSpec(**spec)
+
+    def test_numpy_integer_fields(self):
+        spec = InstanceSpec(m=np.int64(3), n=np.uint8(2), k=np.int32(1), seed=np.uint64(7), kind="fk-pair")
+        assert [type(getattr(spec, f)) for f in "m n k seed".split()] == [int] * 4
+        want = gen_instance(InstanceSpec(m=3, n=2, k=1, seed=7, kind="fk-pair"))
+        got = gen_instance(spec)
+        assert got["T1"].tobytes() == want["T1"].tobytes()
+        assert got["T2"].tobytes() == want["T2"].tobytes()
