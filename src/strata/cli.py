@@ -115,13 +115,13 @@ def _cmd_audit_thm12(args) -> int:
     e_star = random_subspace(rng, n, d_star)
     while True:
         r = random_subspace(rng, n, n - d_star)
-        if is_direct_sum([e_star, r], tol):
+        if is_direct_sum([e_star, r]):
             break
     coeff = rng.uniform(-1.0, 1.0, (r.dim, e_star.dim))
     while np.max(np.abs(coeff)) < 0.1:
         coeff = rng.uniform(-1.0, 1.0, (r.dim, e_star.dim))
     alpha = GraphParam(e_star, r, coeff)
-    path = literal_flip_path(e_star, r, alpha, tol)
+    path = literal_flip_path(e_star, r, alpha)
     audit = audit_flip_path(path, (r, r), grid=args.grid, tol=tol)
     ser.save_json(ser.audit_to_obj(audit), args.out)
     return 1 if audit.failures else 0

@@ -62,9 +62,10 @@ def _rank_k_matrix(rng: np.random.Generator, rows: int, cols: int, k: int) -> np
             return t
 
 
-def _invertible_matrix(rng: np.random.Generator, n: int) -> np.ndarray:
+def _well_conditioned(rng: np.random.Generator, shape: tuple[int, int]) -> np.ndarray:
+    """Uniform draws on [-1, 1] until sigma_min / sigma_max reaches CONDITION_FLOOR."""
     while True:
-        a = rng.uniform(-1.0, 1.0, (n, n))
+        a = rng.uniform(-1.0, 1.0, shape)
         s = np.linalg.svd(a, compute_uv=False)
         if s[-1] / s[0] >= CONDITION_FLOOR:
             return a
@@ -77,11 +78,7 @@ def random_subspace(rng: np.random.Generator, ambient: int, dim: int) -> Subspac
         return Subspace.zero(ambient)
     if dim == ambient:
         return Subspace.full(ambient)
-    while True:
-        cols = rng.uniform(-1.0, 1.0, (ambient, dim))
-        s = np.linalg.svd(cols, compute_uv=False)
-        if s[-1] / s[0] >= CONDITION_FLOOR:
-            return Subspace.from_columns(cols)
+    return Subspace.from_columns(_well_conditioned(rng, (ambient, dim)))
 
 
 @_one_blas_thread()
@@ -101,7 +98,7 @@ def gen_instance(spec: InstanceSpec) -> dict:
     elif spec.kind == "gl":
         if spec.n != spec.m:
             raise InputError("gl instances need a square shape")
-        payload["A"] = _invertible_matrix(rng, spec.n)
+        payload["A"] = _well_conditioned(rng, (spec.n, spec.n))
     elif spec.kind == "subspace-pair":
         payload["E1"] = random_subspace(rng, spec.n, spec.k)
         payload["E2"] = random_subspace(rng, spec.n, spec.k)

@@ -89,7 +89,6 @@ PAYLOAD_FIELDS = {"affine": {"b"}, "rotation": {"z", "theta", "side"}}
 CHAIN_TOL = 1e-10  # consecutive segments must meet this closely
 ENDPOINT_TOL = 1e-12  # declared endpoints must be reproduced this closely
 PLANE_TOL = 1e-10  # largest departure of z.T @ z from the identity
-ROTATE_CHUNK_BYTES = 1 << 20  # working memory of one rotation step: it stays in cache
 
 
 @dataclass(frozen=True)
@@ -122,26 +121,22 @@ def _rotate(
 ) -> np.ndarray:
     """R(t) @ a for each t, as a + Z (G(t*theta) - I) y with y = Z.T a, never forming R.
 
-    The samples run in chunks, so the plane coordinates of one chunk stay
-    near ROTATE_CHUNK_BYTES however many samples are asked for.  ``out``,
-    when given, receives the result and may be a strided view.
+    All samples go in one step, whose plane coordinates take as much memory
+    as the result: callers bound the number of samples, the certifier by
+    its chunk.  ``out``, when given, receives the result and may be a
+    strided view.
     """
     y1, y2 = y[0::2][None], y[1::2][None]
-    if out is None:
-        out = np.empty((ts.size,) + a.shape)
-    step = max(1, ROTATE_CHUNK_BYTES // max(1, y.nbytes))
-    for lo in range(0, ts.size, step):
-        angles = ts[lo : lo + step, None] * theta[None, :]
-        cos_m1 = (np.cos(angles) - 1.0)[:, :, None]
-        sin = np.sin(angles)[:, :, None]
-        d = np.empty((angles.shape[0],) + y.shape)
-        d[:, 0::2] = cos_m1 * y1 - sin * y2
-        d[:, 1::2] = sin * y1 + cos_m1 * y2
-        chunk = out[lo : lo + step]
-        if chunk.flags.c_contiguous:
-            np.matmul(z, d, out=chunk)
-        else:  # a matmul into a strided view rounds differently
-            chunk[...] = z @ d
+    angles = ts[:, None] * theta[None, :]
+    cos_m1 = (np.cos(angles) - 1.0)[:, :, None]
+    sin = np.sin(angles)[:, :, None]
+    d = np.empty((ts.size,) + y.shape)
+    d[:, 0::2] = cos_m1 * y1 - sin * y2
+    d[:, 1::2] = sin * y1 + cos_m1 * y2
+    if out is not None and not out.flags.c_contiguous:
+        out[...] = z @ d  # a matmul into a strided view rounds differently
+    else:
+        out = np.matmul(z, d, out=out)
     out += a
     return out
 
@@ -199,6 +194,16 @@ def _own_end(seg: PathSegment) -> np.ndarray:
     return eval_segment_batch(seg, np.ones(1))[0]
 
 
+def _end_accepted(leg: PathSegment, reached: np.ndarray, end: np.ndarray) -> bool:
+    """Whether ``leg``, whose value at t = 1 is ``reached``, may declare ``end``.
+
+    ``end`` must lie within ``_slack(ENDPOINT_TOL, start, b)`` of it:
+    rounding follows the base point and the motion, not the end.  A NaN
+    difference is refused too.
+    """
+    return maxabs(end - reached) <= _slack(ENDPOINT_TOL, leg.start, leg.payload.get("b", 0.0))
+
+
 @_one_blas_thread()
 def make_segment(kind: str, payload: dict, start, end=None) -> PathSegment:
     """Build the leg that leaves ``start`` with this motion.
@@ -229,8 +234,7 @@ def make_segment(kind: str, payload: dict, start, end=None) -> PathSegment:
         _check_planes(clean["z"], clean["theta"])
     reached = _own_end(probe)
     end = _frozen(reached if end is None else end, "end")
-    # written so that a NaN difference fails too
-    if not maxabs(end - reached) <= _slack(ENDPOINT_TOL, start, clean.get("b", 0.0)):
+    if not _end_accepted(probe, reached, end):
         raise InternalConsistencyError(f"segment {kind!r} does not reproduce its declared end")
     return PathSegment(kind, clean, start, end)
 
@@ -377,9 +381,7 @@ def reverse_path(path: OperatorPath) -> OperatorPath:
 
 
 @_one_blas_thread()
-def literal_flip_path(
-    e_star: Subspace, r: Subspace, alpha: GraphParam, tol: ToleranceConfig = DEFAULT_TOL
-) -> OperatorPath:
+def literal_flip_path(e_star: Subspace, r: Subspace, alpha: GraphParam) -> OperatorPath:
     """Two affine legs taking a projector to its negative through its graph tilts.
 
     Leg one tilts the projector onto the graph complement, leg two runs the
@@ -397,7 +399,7 @@ def literal_flip_path(
         raise InputError("graph parameter does not match the given decomposition")
     if alpha.is_zero():
         raise InputError("the tilt must be nonzero when the base subspace is nonzero")
-    proj = oblique_projection(e_star, r, tol).projector
+    proj = oblique_projection(e_star, r).projector
     ap = alpha_operator(alpha) @ proj
     leg1 = make_segment("affine", {"b": ap}, proj, proj + ap)
     leg2 = make_segment("affine", {"b": -2.0 * proj - ap}, proj + ap, -proj)
@@ -470,7 +472,7 @@ def left_project_path(
     if n_sub.dim == 0:
         raise InputError("the complement must have positive dimension")
     for name, sub in (("range(t0)", range_basis(t0, tol)), ("f_star", f_star)):
-        require_direct_sum([sub, n_sub], tol, f"{name} (+) the reference subspace")
+        require_direct_sum([sub, n_sub], f"{name} (+) the reference subspace")
     proj = _decomposition(f_star, n_sub).projector
     return OperatorPath((_line(proj @ t0, t0),), t0.shape)
 
@@ -492,7 +494,7 @@ def right_project_path(
     if r0.dim == 0:
         raise InputError("the complement must have positive dimension")
     for name, sub in (("kernel(t0)", kernel_basis(t0, tol)), ("e_star", e_star)):
-        require_direct_sum([sub, r0], tol, f"{name} (+) the reference subspace")
+        require_direct_sum([sub, r0], f"{name} (+) the reference subspace")
     proj = _decomposition(r0, e_star).projector
     return OperatorPath((_line(t0 @ proj, t0),), t0.shape)
 
@@ -632,11 +634,10 @@ def _frame_path(fx, fy) -> OperatorPath:
         if theta.size:
             add("rotation", z=z, theta=theta, side=side)
     last = legs[-1] if legs else None
-    reached = last.end if last else y
-    if last and maxabs(x - reached) <= _slack(ENDPOINT_TOL, last.start, last.payload.get("b", 0.0)):
+    if last and _end_accepted(last, last.end, x):
         legs[-1] = make_segment(last.kind, last.payload, last.start, x)
     else:
-        add("affine", end=x, b=x - reached)
+        add("affine", end=x, b=x - (last.end if last else y))
     return OperatorPath(tuple(legs), x.shape)
 
 
@@ -753,10 +754,7 @@ class ChainWitness:
 
 
 def _validate_witness(
-    witness: ChainWitness,
-    kernel_nodes: list[Subspace],
-    range_nodes: list[Subspace],
-    tol: ToleranceConfig,
+    witness: ChainWitness, kernel_nodes: list[Subspace], range_nodes: list[Subspace]
 ) -> None:
     for side, nodes, comps in (
         ("kernel", kernel_nodes, witness.kernel_complements),
@@ -764,7 +762,7 @@ def _validate_witness(
     ):
         for j, comp in enumerate(comps, start=1):
             for node, which in ((nodes[j - 1], "left"), (nodes[j], "right")):
-                check = is_direct_sum([node, comp], tol)
+                check = is_direct_sum([node, comp])
                 if not check.ok:
                     raise WitnessError(
                         f"{side} chain slot {j}: complement does not split the "
@@ -794,7 +792,7 @@ def chain_connect(
     (ker0, rng0), (ker_star, rng_star) = _kernel_range(svd0, k), _kernel_range(svd_star, k)
     kernel_nodes = [ker0, *witness.kernels, ker_star]
     range_nodes = [rng0, *witness.ranges, rng_star]
-    _validate_witness(witness, kernel_nodes, range_nodes, tol)
+    _validate_witness(witness, kernel_nodes, range_nodes)
     if np.array_equal(t0, t_star):
         return constant_path(t0)
     chained = [t0]  # each link's pair was split-checked by _validate_witness

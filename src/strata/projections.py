@@ -92,9 +92,7 @@ class GraphParam:
             raise InputError(
                 f"coeff must be {self.codomain.dim}x{self.domain.dim}, got {c.shape}"
             )
-        require_direct_sum(
-            [self.domain, self.codomain], DEFAULT_TOL, "graph domain (+) codomain"
-        )
+        require_direct_sum([self.domain, self.codomain], "graph domain (+) codomain")
 
     def is_zero(self) -> bool:
         return not self.coeff.any()
@@ -110,15 +108,13 @@ def alpha_operator(g: GraphParam) -> np.ndarray:
     return g.codomain.basis @ g.coeff @ g.domain.basis.T
 
 
-def oblique_projection(
-    part: Subspace, complement: Subspace, tol: ToleranceConfig = DEFAULT_TOL
-) -> Decomposition:
+def oblique_projection(part: Subspace, complement: Subspace) -> Decomposition:
     """Projector with the given range and kernel.
 
     Raises DirectSumError (with the offending condition number) when the
     two subspaces do not decompose the space.
     """
-    require_direct_sum([part, complement], tol, "part (+) complement")
+    require_direct_sum([part, complement], "part (+) complement")
     return _decomposition(part, complement)
 
 
@@ -132,21 +128,19 @@ def _decomposition(part: Subspace, complement: Subspace) -> Decomposition:
     return Decomposition(part, complement, part.basis @ minv[:d, :])
 
 
-def alpha_from_complements(
-    e1: Subspace, e_star: Subspace, r: Subspace, tol: ToleranceConfig = DEFAULT_TOL
-) -> GraphParam:
+def alpha_from_complements(e1: Subspace, e_star: Subspace, r: Subspace) -> GraphParam:
     """The unique map whose graph over ``e_star`` into ``r`` equals ``e1``.
 
     Both e1 and e_star must complement r.  Solves by projecting e_star's
     basis onto e1 along r and reading the r-component.
     """
     for name, sub in (("e1", e1), ("e_star", e_star)):
-        require_direct_sum([sub, r], tol, f"{name} (+) r")
+        require_direct_sum([sub, r], f"{name} (+) r")
     if e1.dim != e_star.dim:
         raise InputError("e1 and e_star must have equal dimensions")
     if e_star.dim == 0:
         return GraphParam(e_star, r, np.zeros((r.dim, 0)))
-    proj = oblique_projection(e1, r, tol).projector
+    proj = oblique_projection(e1, r).projector
     delta = proj @ e_star.basis - e_star.basis
     coeff = r.basis.T @ delta
     residual = delta - r.basis @ coeff
@@ -183,7 +177,7 @@ def projection_update(
         raise InputError("graph codomain must equal the base projector's kernel")
     p_new = base.projector + alpha_operator(g) @ base.projector
     new_part = graph_subspace(g, tol)
-    p_check = oblique_projection(new_part, base.complement, tol).projector
+    p_check = oblique_projection(new_part, base.complement).projector
     if maxabs(p_new - p_check) > 1e-9 * (1.0 + maxabs(p_check)):
         raise InternalConsistencyError(
             "projector update formula disagrees with direct recomputation"

@@ -1,4 +1,5 @@
-"""JSON encoding of every artifact the tools read or write.
+"""JSON encoding of every artifact the tools read or write: instances,
+membership specs, paths, tangent bases, certificates and audits.
 
 One matrix object is shared repo-wide, in two forms.  The dense form
 {"rows": r, "cols": c, "data": numbers} is what every writer uses except
@@ -12,10 +13,11 @@ them, and decodes both to the same bits.  A tangent file repeats each
 distinct factor string across many elements, so a rank-one factor is
 decoded and checked once per process and kept in a bounded memo
 (``_decoded_factor``, at most 256 factors of up to 1,024 numbers, about
-5 MB); dense payloads are decoded anew on every read.  Subspace files
-add a "subspace": true flag and use their ambient dimension as the row
-count.  Field order is fixed everywhere so identical inputs produce
-byte-identical files.
+5 MB), beside its largest magnitude, which decides whether a product of
+factors overflows; dense payloads are decoded anew on every read.
+Subspace files add a "subspace": true flag and use their ambient
+dimension as the row count.  Field order is fixed everywhere so
+identical inputs produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -33,15 +35,7 @@ from .blas import _one_blas_thread
 from .certify import FlipAudit, MembershipSpec, PathCertificate
 from .errors import InputError, StrataError
 from .geometry import TangentBasis
-from .paths import (
-    SEGMENT_KINDS,
-    ChainWitness,
-    OperatorPath,
-    PathSegment,
-    _own_end,
-    make_segment,
-)
-from .projections import GraphParam
+from .paths import OperatorPath, PathSegment, _own_end, make_segment
 from .subspaces import Subspace
 
 __all__ = [
@@ -49,8 +43,6 @@ __all__ = [
     "matrix_from_obj",
     "subspace_to_obj",
     "subspace_from_obj",
-    "graph_param_to_obj",
-    "graph_param_from_obj",
     "path_to_obj",
     "path_from_obj",
     "tangent_basis_to_obj",
@@ -60,8 +52,6 @@ __all__ = [
     "instance_from_obj",
     "instance_echo",
     "membership_from_obj",
-    "witness_to_obj",
-    "witness_from_obj",
     "save_json",
     "load_json",
 ]
@@ -153,9 +143,14 @@ _MEMO_ENTRIES = 256
 _MEMO_VALUES = 1024
 
 
+def _peaked(values: np.ndarray) -> tuple[np.ndarray, float]:
+    """``values`` and their largest magnitude, 0.0 when there are none."""
+    return values, float(np.max(np.abs(values), initial=0.0))
+
+
 @functools.lru_cache(maxsize=_MEMO_ENTRIES)
-def _decoded_factor(text: str, size: int) -> np.ndarray:
-    """``_decoded``'s read-only array, kept for the next factor of the same text.
+def _decoded_factor(text: str, size: int) -> tuple[np.ndarray, float]:
+    """``_decoded``'s array, read-only, and its largest magnitude, kept for the same text.
 
     A tangent file repeats each distinct factor string across many basis
     elements (85 distinct among the 1,650 of a 40x30 rank-15 file), so
@@ -168,30 +163,36 @@ def _decoded_factor(text: str, size: int) -> np.ndarray:
     """
     values = _decoded(text, size)
     values.flags.writeable = False
-    return values
+    return _peaked(values)
 
 
-def _numbers(obj: dict, key: str, size: int) -> np.ndarray:
-    """The ``size`` finite numbers under ``key``, as floats.
+def _numbers(obj: dict, key: str, size: int, decode=_decoded):
+    """The ``size`` finite numbers under ``key``, as floats, or what ``decode`` makes of them.
 
     They are a base64 string of ``size`` float64 values, little-endian,
-    as the writers give them, or a JSON list of numbers, as older and
-    hand-written files hold them.  JSON files may hold NaN and Infinity,
-    which Python's reader accepts, and the bytes may encode them; no
-    matrix here can use them.  Rank-one factors (``left``, ``right``) of
-    up to ``_MEMO_VALUES`` values are decoded through ``_decoded_factor``
-    and come back read-only; a dense ``data`` payload is always decoded
-    anew into an array of its own.
+    as the writers give them, which ``decode`` reads, or a JSON list of
+    numbers, as older and hand-written files hold them.  JSON files may
+    hold NaN and Infinity, which Python's reader accepts, and the bytes
+    may encode them; no matrix here can use them.
     """
     values, name = obj[key], f"matrix {key}"
-    if isinstance(values, str):
-        decode = _decoded_factor if key != "data" and size <= _MEMO_VALUES else _decoded
-    else:
+    if not isinstance(values, str):
         values, decode = _number_list(values, name), _checked
     try:
         return decode(values, size)
     except StrataError as exc:
         raise type(exc)(f"{name} {exc}") from None
+
+
+def _factor_numbers(obj: dict, key: str, size: int) -> tuple[np.ndarray, float]:
+    """The rank-one factor under ``key`` and its largest magnitude.
+
+    A base64 factor of up to ``_MEMO_VALUES`` values comes from
+    ``_decoded_factor`` and is read-only; any other is decoded anew.
+    """
+    if isinstance(obj[key], str) and size <= _MEMO_VALUES:
+        return _numbers(obj, key, size, _decoded_factor)
+    return _peaked(_numbers(obj, key, size))
 
 
 def matrix_from_obj(obj: dict) -> np.ndarray:
@@ -213,13 +214,12 @@ def matrix_from_obj(obj: dict) -> np.ndarray:
         raise StrataError("matrix rows and cols must be counts")
     if dense:
         return _numbers(obj, "data", rows * cols).reshape(rows, cols)
-    left, right = _numbers(obj, "left", rows), _numbers(obj, "right", cols)
-    try:
-        # finite factors give a non-finite product only by overflowing
-        with np.errstate(over="raise"):
-            product = left[:, None] * right  # np.outer's products, with less overhead
-    except FloatingPointError:
-        raise InputError("matrix left and right multiply to a non-finite number") from None
+    left, left_peak = _factor_numbers(obj, "left", rows)
+    right, right_peak = _factor_numbers(obj, "right", cols)
+    # rounding is monotone, so finite factors overflow exactly where their peaks do
+    if left_peak * right_peak == math.inf:
+        raise InputError("matrix left and right multiply to a non-finite number")
+    product = left[:, None] * right  # np.outer's products, with less overhead
     product += 0.0  # in place: the bits of np.outer(left, right) + 0.0, one array fewer
     return product
 
@@ -235,22 +235,6 @@ def subspace_from_obj(obj: dict) -> Subspace:
     if basis.shape[1] == 0:
         return Subspace.zero(basis.shape[0])
     return Subspace.from_columns(basis)
-
-
-def graph_param_to_obj(g: GraphParam) -> dict:
-    return {
-        "domain": subspace_to_obj(g.domain),
-        "codomain": subspace_to_obj(g.codomain),
-        "coeff": matrix_to_obj(g.coeff),
-    }
-
-
-def graph_param_from_obj(obj: dict) -> GraphParam:
-    return GraphParam(
-        subspace_from_obj(obj["domain"]),
-        subspace_from_obj(obj["codomain"]),
-        matrix_from_obj(obj["coeff"]),
-    )
 
 
 _VECTOR_KEYS = {"theta"}
@@ -310,12 +294,13 @@ def _segment_from_obj(obj: dict, index: int, previous: PathSegment | None) -> Pa
         kind, start, end = obj["kind"], payload.pop("start"), payload.pop("end", None)
     except KeyError as exc:
         raise StrataError(f"path segment {index} is missing field {exc.args[0]!r}") from None
+    base = payload.pop("a", None)
     try:
-        if kind not in SEGMENT_KINDS:
-            raise InputError(f"unknown segment kind {kind!r}")
-        if "a" in payload and not np.array_equal(payload.pop("a"), start):
+        seg = make_segment(kind, payload, start, end)
+        # checked after the build, so that an unknown kind is reported first
+        if base is not None and not np.array_equal(base, start):
             raise InputError("field 'a' differs from its start")
-        return make_segment(kind, payload, start, end)
+        return seg
     except StrataError as exc:
         raise type(exc)(f"path segment {index}: {exc}") from None
 
@@ -507,24 +492,6 @@ def membership_from_obj(obj: dict):
             raise StrataError(f"membership field {key!r}: {exc}") from None
 
     return MembershipSpec(**{name: get(name) for name in names})
-
-
-def witness_to_obj(w: ChainWitness) -> dict:
-    return {
-        "kernels": [subspace_to_obj(s) for s in w.kernels],
-        "kernel_complements": [subspace_to_obj(s) for s in w.kernel_complements],
-        "ranges": [subspace_to_obj(s) for s in w.ranges],
-        "range_complements": [subspace_to_obj(s) for s in w.range_complements],
-    }
-
-
-def witness_from_obj(obj: dict) -> ChainWitness:
-    return ChainWitness(
-        tuple(subspace_from_obj(s) for s in obj["kernels"]),
-        tuple(subspace_from_obj(s) for s in obj["kernel_complements"]),
-        tuple(subspace_from_obj(s) for s in obj["ranges"]),
-        tuple(subspace_from_obj(s) for s in obj["range_complements"]),
-    )
 
 
 def save_json(obj, path) -> None:

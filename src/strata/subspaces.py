@@ -258,12 +258,12 @@ def range_basis(a, tol: ToleranceConfig = DEFAULT_TOL) -> Subspace:
 
 
 @_one_blas_thread()
-def is_direct_sum(parts, tol: ToleranceConfig = DEFAULT_TOL) -> DirectSumCheck:
+def is_direct_sum(parts) -> DirectSumCheck:
     """Decide whether the given subspaces decompose their ambient space.
 
     True iff the dimensions add up to the ambient dimension and the matrix
-    formed by concatenating all basis columns is well conditioned.  The
-    condition number is reported either way.
+    formed by concatenating all basis columns has a condition number of at
+    most MEMBERSHIP_COND_MAX.  The condition number is reported either way.
     """
     parts = list(parts)
     if not parts:
@@ -451,9 +451,9 @@ def subspaces_equal(a: Subspace, b: Subspace) -> bool:
     return float(_angle_from_sines(outside[None])[0]) < ANGLE_TOL
 
 
-def require_direct_sum(parts, tol: ToleranceConfig, what: str) -> DirectSumCheck:
+def require_direct_sum(parts, what: str) -> DirectSumCheck:
     """Raise DirectSumError with context when the check fails."""
-    check = is_direct_sum(parts, tol)
+    check = is_direct_sum(parts)
     if not check.ok:
         raise DirectSumError(f"{what} is not a direct sum", check.condition_number)
     return check

@@ -55,7 +55,6 @@ from strata.geometry import (
     tangent_violation,
 )
 from strata.instances import InstanceSpec, gen_instance, random_subspace
-import strata.paths
 from strata.paths import (
     OperatorPath,
     _frame_path,
@@ -324,9 +323,9 @@ class TestRotationLegs:
             assert np.max(np.abs(eval_path(twice, t) - got)) <= 1e-12 * scale
 
     @pytest.mark.parametrize("side", ["range", "kernel"])
-    def test_evaluation_does_not_depend_on_batching(self, monkeypatch, side):
-        # one sample at a time, in a batch, into an output buffer, and with
-        # the rotation working one sample per step: the same values, bit for bit
+    def test_evaluation_does_not_depend_on_batching(self, side):
+        # one sample at a time, in a batch, into an output buffer, and in a
+        # batch of 2,001 samples: the same values, bit for bit
         p, *_ = self.random_leg(3, side, 2)
         seg = p.segments[0]
         ts = np.linspace(0.0, 1.0, 37)
@@ -335,8 +334,9 @@ class TestRotationLegs:
         buffer = np.empty((40,) + p.shape)
         assert np.array_equal(eval_path_batch(p, samples, buffer[:37]), batch)
         assert all(np.array_equal(eval_segment(seg, t), want) for t, want in zip(ts, batch))
-        monkeypatch.setattr(strata.paths, "ROTATE_CHUNK_BYTES", 1)
-        assert np.array_equal(eval_segment_batch(seg, ts), batch)
+        many = np.linspace(0.0, 1.0, 2001)
+        big = eval_segment_batch(seg, many)
+        assert all(np.array_equal(eval_segment(seg, t), want) for t, want in zip(many, big))
 
     def test_invalid_planes_rejected(self):
         a = np.eye(3)
@@ -981,6 +981,32 @@ class TestFrameConnect:
         assert cert.verdict == "pass"
         assert maxabs(eval_path(p, 0.0) - y) <= 1e-12 * (1 + maxabs(y))
         assert maxabs(eval_path(p, 1.0) - x) <= 1e-12 * (1 + maxabs(x))
+
+    @pytest.mark.parametrize("tail", [0.0, 3e-11], ids=["no-tail", "tail"])
+    def test_last_leg_follows_the_end_rule(self, tail):
+        """The last frame leg declares x when make_segment accepts x as its end, else a leg is added.
+
+        With tails below the rank cut, legs 1 and 5 drop and restore them,
+        and x lies outside the rotation leg's end slack; without tails the
+        kernel rotation reaches x within it and declares x itself.
+        """
+        rng = np.random.default_rng(11)
+
+        def rank_three(tail):
+            u = np.linalg.qr(rng.standard_normal((6, 6)))[0]
+            v = np.linalg.qr(rng.standard_normal((5, 5)))[0]
+            return (u[:, :5] * [1.0, 0.7, 0.4, tail, tail / 2]) @ v.T
+
+        x, y = rank_three(tail), rank_three(tail)
+        p = connect_fk(x, y)
+        assert p.end.tobytes() == x.tobytes()
+        assert leg_names(p) == ("affine affine range kernel affine" if tail else "affine range kernel")
+        rotation = p.segments[3 if tail else -1]
+        if tail:
+            with pytest.raises(InternalConsistencyError, match="does not reproduce"):
+                make_segment(rotation.kind, rotation.payload, rotation.start, x)
+        else:
+            assert make_segment(rotation.kind, rotation.payload, rotation.start, x).end.tobytes() == x.tobytes()
 
     def test_shared_factors_untouched(self):
         # orientation negates frame columns of y: it must work on copies

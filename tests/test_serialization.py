@@ -227,6 +227,33 @@ class TestMatrixFormat:
         near = {"rows": 1, "cols": 2, "left": [1e154], "right": [1e154, -1.0]}
         assert np.isfinite(ser.matrix_from_obj(near)).all()
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("form", ["list", "base64", "long"])
+    @pytest.mark.parametrize("peak", [-2.0, 3.0, 1.5, 1e300])
+    def test_overflow_boundary(self, peak, form):
+        """Factor peaks whose product rounds to at most DBL_MAX load as np.outer's; one ulp more is refused."""
+        def finite(b):
+            return math.isfinite(abs(peak) * b)
+
+        b = float(np.finfo(float).max) / abs(peak)
+        while not finite(b):
+            b = math.nextafter(b, 0.0)
+        while finite(math.nextafter(b, math.inf)):
+            b = math.nextafter(b, math.inf)
+        filler = [0.5] * (ser._MEMO_VALUES if form == "long" else 1)
+
+        def obj(right_peak):
+            left, right = [peak, *filler], [0.25, -right_peak]
+            if form != "list":
+                left, right = encoded_numbers(left), encoded_numbers(right)
+            return {"rows": len(filler) + 1, "cols": 2, "left": left, "right": right}
+
+        got = ser.matrix_from_obj(obj(b))
+        assert got.tobytes() == (np.outer([peak, *filler], [0.25, -b]) + 0.0).tobytes()
+        assert np.isfinite(got).all()
+        with pytest.raises(InputError, match="matrix left and right multiply to a non-finite"):
+            ser.matrix_from_obj(obj(math.nextafter(b, math.inf)))
+
     def test_non_finite_number_in_a_file_rejected(self):
         """Python's JSON reader takes NaN, Infinity and out-of-range numbers as floats."""
         path = decimal_copy(ser.path_to_obj(connect_fk(np.diag([1.0, 0.0]), np.diag([0.0, 2.0]))))
@@ -257,13 +284,6 @@ class TestMatrixFormat:
         obj = ser.subspace_to_obj(Subspace.zero(3))
         back = ser.subspace_from_obj(obj)
         assert back.dim == 0 and back.ambient_dim == 3
-
-
-class TestGraphParam:
-    def test_round_trip(self):
-        g = GraphParam(span([1, 0]), span([0, 1]), np.array([[2.5]]))
-        back = ser.graph_param_from_obj(ser.graph_param_to_obj(g))
-        assert np.allclose(back.coeff, g.coeff)
 
 
 def assert_same_legs(got: OperatorPath, want: OperatorPath) -> None:
@@ -482,6 +502,21 @@ class TestPathFormat:
         with pytest.raises(StrataError, match=f"path segment {index} field '{field}': "):
             ser.path_from_obj(obj)
 
+    def test_unknown_kind_reported_first(self):
+        """The segment refuses an unknown kind, before a base point 'a' that differs from the start."""
+        obj = ser.path_to_obj(constant_path(np.eye(2)))
+        seg = obj["segments"][0]
+        seg["kind"] = "spiral"
+        unknown = r"^path segment 0: unknown segment kind 'spiral'$"
+        with pytest.raises(InputError, match=unknown):
+            ser.path_from_obj(obj)
+        seg["a"] = ser.matrix_to_obj(2.0 * np.eye(2))
+        with pytest.raises(InputError, match=unknown):
+            ser.path_from_obj(obj)
+        seg["kind"] = "affine"
+        with pytest.raises(InputError, match=r"^path segment 0: field 'a' differs from its start$"):
+            ser.path_from_obj(obj)
+
     @pytest.mark.parametrize("reverse", [False, True], ids=["fwd", "reversed"])
     @pytest.mark.parametrize("n", [20, 100])
     def test_loaded_path_certifies_as_built(self, n, reverse):
@@ -543,21 +578,6 @@ class TestInstancePayload:
         assert np.array_equal(back["T1"], np.outer([1.0, -2.0], [0.5, 0.0, 4.0]))
         with pytest.raises(StrataError):
             ser.instance_from_obj({"T1": {**factors, "data": [0.0] * 6}})
-
-
-class TestWitness:
-    def test_round_trip(self, rng):
-        t1 = rng.uniform(-1, 1, (2, 1)) @ rng.uniform(-1, 1, (1, 2))
-        t2 = rng.uniform(-1, 1, (2, 1)) @ rng.uniform(-1, 1, (1, 2))
-        w = discover_chain(t1, t2)
-        obj = ser.witness_to_obj(w)
-        back = ser.witness_from_obj(obj)
-        assert back.kernel_complements[0].dim == w.kernel_complements[0].dim
-        old = ser.witness_from_obj(json.loads(json.dumps(decimal_copy(obj))))
-        for field in ("kernels", "kernel_complements", "ranges", "range_complements"):
-            assert [s.basis.tobytes() for s in getattr(old, field)] == [
-                s.basis.tobytes() for s in getattr(back, field)
-            ]
 
 
 def _point_40x30(seed=0) -> StratumPoint:
