@@ -28,6 +28,7 @@ from .subspaces import (
     _factor,
     _kernel_range,
     as_matrix,
+    maxabs,
     subspaces_equal,
 )
 
@@ -168,7 +169,7 @@ def tangent_violation(x: StratumPoint, v) -> float:
         return 0.0
     image = v @ x.kernel.basis
     residual = image - x.range.basis @ (x.range.basis.T @ image)
-    return float(np.max(np.abs(residual))) if residual.size else 0.0
+    return maxabs(residual)
 
 
 @_one_blas_thread()

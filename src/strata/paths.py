@@ -211,9 +211,10 @@ def make_segment(kind: str, payload: dict, start, end=None) -> PathSegment:
     The leg gives ``start`` at t = 0 exactly.  An ``end`` given must lie
     within ``_slack(ENDPOINT_TOL, start, b)`` of the leg's value at t = 1
     (``_own_end``): rounding follows the base point and the motion, not the
-    end.  An end left out is that value.  The segment holds read-only
-    copies of ``start``, ``end`` and the payload arrays; a non-finite
-    number in any of them raises InputError.
+    end.  An end left out is that value, checked for finiteness but not
+    compared with itself.  The segment holds read-only copies of ``start``,
+    ``end`` and the payload arrays; a non-finite number in any of them
+    raises InputError.
     """
     clean = {}
     for key, value in payload.items():
@@ -233,7 +234,9 @@ def make_segment(kind: str, payload: dict, start, end=None) -> PathSegment:
     if kind == "rotation":
         _check_planes(clean["z"], clean["theta"])
     reached = _own_end(probe)
-    end = _frozen(reached if end is None else end, "end")
+    if end is None:
+        return PathSegment(kind, clean, start, _frozen(reached, "end"))
+    end = _frozen(end, "end")
     if not _end_accepted(probe, reached, end):
         raise InternalConsistencyError(f"segment {kind!r} does not reproduce its declared end")
     return PathSegment(kind, clean, start, end)
@@ -634,8 +637,8 @@ def _frame_path(fx, fy) -> OperatorPath:
         if theta.size:
             add("rotation", z=z, theta=theta, side=side)
     last = legs[-1] if legs else None
-    if last and _end_accepted(last, last.end, x):
-        legs[-1] = make_segment(last.kind, last.payload, last.start, x)
+    if last and _end_accepted(last, last.end, x):  # built and checked already: x is its end
+        legs[-1] = PathSegment(last.kind, last.payload, last.start, _frozen(x, "end"))
     else:
         add("affine", end=x, b=x - (last.end if last else y))
     return OperatorPath(tuple(legs), x.shape)

@@ -41,7 +41,7 @@ MEMBERSHIP_COND_MAX = 1e8  # largest condition number of a stacked basis still a
 def maxabs(a) -> float:
     """Largest absolute entry, 0 for an empty array."""
     a = np.asarray(a)
-    return float(np.max(np.abs(a))) if a.size else 0.0
+    return float(abs(a).max()) if a.size else 0.0
 
 
 def _slack(rel: float, *operands) -> float:

@@ -211,6 +211,14 @@ class TestSegmentsAndEval:
         with pytest.raises(InputError, match="non-finite"):
             corrected_flip_path(broken)
 
+    def test_own_end_that_overflows_rejected(self):
+        """Finite start and motion whose value at t = 1 overflows: no end is declared, yet it is refused."""
+        huge = np.full((2, 3), 1e308)
+        with np.errstate(over="ignore"), pytest.raises(
+            InputError, match="segment field 'end' holds a non-finite"
+        ):
+            make_segment("affine", {"b": huge}, huge)
+
     def test_forced_midpoints_present(self):
         seg1 = make_segment("affine", {"b": np.ones((1, 1))}, np.zeros((1, 1)))
         seg2 = make_segment("affine", {"b": np.ones((1, 1))}, np.ones((1, 1)))
@@ -1007,6 +1015,14 @@ class TestFrameConnect:
                 make_segment(rotation.kind, rotation.payload, rotation.start, x)
         else:
             assert make_segment(rotation.kind, rotation.payload, rotation.start, x).end.tobytes() == x.tobytes()
+
+        def fields(seg):
+            payload = {k: v if k == "side" else (v.shape, v.tobytes()) for k, v in seg.payload.items()}
+            return seg.kind, payload, seg.start.tobytes(), seg.end.tobytes()
+
+        # the last leg is the one make_segment builds to declare x, byte for byte
+        last = p.segments[-1]
+        assert fields(last) == fields(make_segment(last.kind, last.payload, last.start, x))
 
     def test_shared_factors_untouched(self):
         # orientation negates frame columns of y: it must work on copies
