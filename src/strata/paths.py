@@ -190,8 +190,14 @@ def _frozen(value, name: str) -> np.ndarray:
 
 
 def _own_end(seg: PathSegment) -> np.ndarray:
-    """The leg's value at t = 1, from its start and motion alone."""
-    return eval_segment_batch(seg, np.ones(1))[0]
+    """The leg's value at t = 1, from its start and motion alone.
+
+    Finite fields may still overflow to a non-finite value.  numpy does not
+    warn of it here, so the caller's refusal (``_frozen`` naming ``'end'``,
+    or ``_end_accepted``) is the only outcome.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        return eval_segment_batch(seg, np.ones(1))[0]
 
 
 def _end_accepted(leg: PathSegment, reached: np.ndarray, end: np.ndarray) -> bool:

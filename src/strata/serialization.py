@@ -495,21 +495,24 @@ def membership_from_obj(obj: dict):
 
 
 def save_json(obj, path) -> None:
-    """Write ``obj`` as ``json.dump(obj, f, indent=2, allow_nan=False)`` plus a newline.
+    """Write ``obj`` as ``json.dumps(obj, separators=(",", ":"), allow_nan=False)`` plus a newline.
 
-    Matrices reach here as base64 strings, so the standard library's
-    encoder has few numbers left to format.  The file is written under a
-    temporary name beside ``path`` and moved onto it once complete, so a
-    write that raises leaves ``path`` as it was.
+    One line with no spaces: without an indent the standard library takes
+    its C encoder, where any indent runs its pure-Python one, two to three
+    times slower on a tangent file.  Matrices reach here as base64
+    strings, so it has few numbers left to format.  An object the encoder
+    refuses raises before any file is opened.  The text is written under
+    a temporary name beside ``path`` and moved onto it once complete, so
+    a write that raises leaves ``path`` as it was.
     """
+    text = json.dumps(obj, separators=(",", ":"), allow_nan=False) + "\n"
     path = os.fspath(path)
     directory, name = os.path.split(path)
     tmp = os.path.join(directory, f".{name}.{os.urandom(8).hex()}.tmp")
     try:
         # opened with "x" rather than through tempfile.mkstemp, which would make it 0600
         with open(tmp, "x") as f:
-            json.dump(obj, f, indent=2, allow_nan=False)
-            f.write("\n")
+            f.write(text)
         os.replace(tmp, path)
     finally:
         if os.path.exists(tmp):

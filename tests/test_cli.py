@@ -128,8 +128,14 @@ class TestGenConnectCertify:
     @pytest.mark.parametrize("reverse", [False, True], ids=["fwd", "reversed"])
     def test_decimal_path_file_certifies_to_the_same_bytes(self, tmp_path, reverse):
         """100x100 rank 50: the path file with its matrices as decimal lists, as
-        written before the base64 encoding, gives the same certificate bytes."""
-        pair, path, decimal = (tmp_path / f"{name}.json" for name in ("pair", "path", "decimal"))
+        written before the base64 encoding, and the path file in the indented
+        layout, as written before the compact one, give the same certificate
+        bytes; the instance file in the indented layout gives the same path bytes."""
+        pair, path, decimal, indented, indented_pair, indented_pair_path = (
+            tmp_path / f"{name}.json"
+            for name in ("pair", "path", "decimal", "indented", "indented-pair",
+                         "indented-pair-path")
+        )
         assert run(["gen", "--m", 100, "--n", 100, "--k", 50, "--seed", 1,
                     "--kind", "fk-pair", "--out", pair]) == 0
         flag = ["--reverse"] if reverse else []
@@ -138,13 +144,21 @@ class TestGenConnectCertify:
         with open(decimal, "w") as f:
             json.dump(decimal_copy(json.loads(path.read_text())), f, indent=2)
         assert decimal.stat().st_size > 1_500_000
+        for compact, old in ((pair, indented_pair), (path, indented)):
+            with open(old, "w") as f:  # the bytes the indented writer gave
+                json.dump(json.loads(compact.read_text()), f, indent=2, allow_nan=False)
+                f.write("\n")
+            assert old.read_bytes() != compact.read_bytes()
+        assert run(["connect", "--in", indented_pair, "--mode", "fk", *flag,
+                    "--out", indented_pair_path]) == 0
+        assert indented_pair_path.read_bytes() == path.read_bytes()
         certs = []
-        for name in ("path", "decimal"):
+        for name in ("path", "decimal", "indented"):
             cert = tmp_path / f"{name}-cert.json"
             assert run(["certify", "--path", tmp_path / f"{name}.json", "--k", 50,
                         "--samples", 1001, "--out", cert]) == 0
             certs.append(cert.read_bytes())
-        assert certs[0] == certs[1]
+        assert certs[0] == certs[1] == certs[2]
 
     def test_phi_and_chain_modes(self, tmp_path):
         pair = tmp_path / "pair.json"
@@ -367,6 +381,16 @@ class TestOtherCommands:
         assert self.certify_obj(tmp_path, obj) == 4
         err = capsys.readouterr().err
         assert "segment 0" in err and repr(field) in err
+
+    def test_affine_leg_that_overflows_exits_4(self, tmp_path, capsys):
+        # finite start and motion whose value at t = 1 overflows: refused, with no numpy warning
+        huge = {"rows": 2, "cols": 2, "data": [1e308] * 4}
+        obj = {"shape": [2, 2], "segments": [{"kind": "affine", "b": huge, "start": huge}]}
+        assert self.certify_obj(tmp_path, obj) == 4
+        err = capsys.readouterr().err
+        assert "segment 0" in err and "'end' holds a non-finite" in err
+        assert "Warning" not in err
+        assert not (tmp_path / "cert.json").exists()
 
     @pytest.mark.parametrize("value", [3, "data-string"])
     def test_non_matrix_field_exits_4(self, tmp_path, capsys, value):

@@ -1,6 +1,5 @@
 import base64
 import dataclasses
-import io
 import json
 import math
 import re
@@ -882,11 +881,8 @@ class TestEvidenceFormat:
 
 
 def stdlib_text(obj) -> str:
-    """The reference encoding: json.dump(obj, f, indent=2, allow_nan=False) plus a newline."""
-    buf = io.StringIO()
-    json.dump(obj, buf, indent=2, allow_nan=False)
-    buf.write("\n")
-    return buf.getvalue()
+    """The reference encoding: the standard library's compact one-line text plus a newline."""
+    return json.dumps(obj, separators=(",", ":"), allow_nan=False) + "\n"
 
 
 EDGE_FLOATS = [-0.0, 0.0, 5e-324, -5e-324, 1e16, 1e-7, 0.1, 1.7976931348623157e308, -1e308]
